@@ -6,14 +6,29 @@
 #include <fstream>
 #include <iostream>
 
-#include "src/sim/engine.h"
-
 namespace fpgadp::bench {
+
+namespace {
+
+/// Engine-mode flags that no longer exist. Each selected an engine mode that
+/// was deleted, so a run that asks for one must not silently measure the one
+/// scheduler instead, as an ignored unknown flag would.
+constexpr const char* kRemovedFlags[] = {"--threads=", "--no-fast-forward",
+                                         "--engine="};
+
+}  // namespace
 
 Session::Session(int argc, char** argv)
     : start_(std::chrono::steady_clock::now()) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    for (const char* removed : kRemovedFlags) {
+      if (std::strncmp(arg, removed, std::strlen(removed)) == 0) {
+        std::cerr << argv[0] << ": " << arg << " was removed; every engine "
+                  << "runs the one event-driven scheduler\n";
+        std::exit(2);
+      }
+    }
     if (std::strncmp(arg, "--trace=", 8) == 0) {
       trace_path_ = arg + 8;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
@@ -24,17 +39,6 @@ Session::Session(int argc, char** argv)
       fault_seed_ = std::strtoull(arg + 13, nullptr, 10);
     } else if (std::strncmp(arg, "--drop-rate=", 12) == 0) {
       drop_rate_ = std::strtod(arg + 12, nullptr);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads_ = static_cast<uint32_t>(std::strtoul(arg + 10, nullptr, 10));
-      if (threads_ == 0) threads_ = 1;
-    } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
-      fast_forward_ = false;
-    } else if (std::strcmp(arg, "--engine=event") == 0) {
-      event_engine_ = true;
-      engine_flag_seen_ = true;
-    } else if (std::strcmp(arg, "--engine=tick") == 0) {
-      event_engine_ = false;
-      engine_flag_seen_ = true;
     }
   }
   if (!trace_path_.empty()) {
@@ -42,18 +46,6 @@ Session::Session(int argc, char** argv)
     obs::SetGlobalTraceWriter(writer_.get());
   }
   if (metrics_) obs::SetGlobalMetrics(metrics_.get());
-  // Installed process-wide so engines constructed inside helpers
-  // (ExecuteFpga, MicroRec, ACCL) inherit them without config plumbing.
-  sim::SetDefaultEngineThreads(threads_);
-  sim::SetDefaultFastForward(fast_forward_);
-  // An explicit --engine= flag overrides the FPGADP_ENGINE environment
-  // variable (already folded into the process default); no flag leaves the
-  // environment's choice standing.
-  if (engine_flag_seen_) {
-    sim::SetDefaultScheduling(event_engine_ ? sim::Scheduling::kEventDriven
-                                            : sim::Scheduling::kLevelTick);
-  }
-  event_engine_ = sim::DefaultScheduling() == sim::Scheduling::kEventDriven;
 }
 
 void Session::AddResult(const std::string& name,
@@ -116,8 +108,6 @@ void WriteJsonNumber(std::ostream& os, double value) {
 }  // namespace
 
 Session::~Session() {
-  sim::SetDefaultEngineThreads(1);
-  sim::SetDefaultFastForward(true);
   if (!json_path_.empty()) {
     const double wall_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -20,7 +20,11 @@ namespace fpgadp::bench {
 ///     ...
 ///   }
 ///
-/// Flags (unknown flags are ignored so benches can add their own):
+/// Flags (unknown flags are ignored so benches can add their own, except the
+/// removed engine-mode flags --threads=, --no-fast-forward and --engine=,
+/// which print one line naming the removal and exit 2 — every engine now
+/// runs the one event-driven scheduler, so honoring them silently would
+/// measure something other than what was asked for):
 ///   --trace=<file>   Record every simulated engine run as Chrome
 ///                    trace_event JSON; open in chrome://tracing or
 ///                    https://ui.perfetto.dev. Module-busy spans, stream
@@ -32,19 +36,6 @@ namespace fpgadp::bench {
 ///                    lossy-fabric runs (default 1).
 ///   --drop-rate=X    Per-packet drop probability in [0,1) for those
 ///                    benches; 0 (default) keeps the fabric loss-free.
-///   --threads=N      Worker threads for every engine's parallel tick
-///                    (default 1 = serial). Results are bit-identical at
-///                    any thread count; engines with modules not certified
-///                    parallel-safe fall back to serial automatically.
-///   --no-fast-forward
-///                    Disable event-driven fast-forwarding in Engine::Run()
-///                    (cycle counts are identical either way; this exists
-///                    to measure the speedup and to debug hint bugs).
-///   --engine=MODE    Run() scheduler for every engine: "tick" (default,
-///                    the level-tick loop) or "event" (the event-driven
-///                    core). Cycle counts are bit-identical across modes;
-///                    the flag exists to measure simulator throughput.
-///                    Overrides the FPGADP_ENGINE environment variable.
 ///   --json=<file>    Dump every result row the bench recorded with
 ///                    AddResult(), plus the bench's total wall-clock, as a
 ///                    JSON file on exit — the machine-readable complement
@@ -72,12 +63,6 @@ class Session {
   /// only parses them; the bench constructs its own FaultInjector.
   uint64_t fault_seed() const { return fault_seed_; }
   double drop_rate() const { return drop_rate_; }
-
-  /// Engine execution knobs, installed process-wide in the constructor so
-  /// they reach engines constructed deep inside pipeline helpers.
-  uint32_t threads() const { return threads_; }
-  bool fast_forward() const { return fast_forward_; }
-  bool event_engine() const { return event_engine_; }
 
   /// The registry --metrics dumps, for benches that want to add their own
   /// instruments; nullptr when --metrics is off.
@@ -113,10 +98,6 @@ class Session {
   std::chrono::steady_clock::time_point start_;
   uint64_t fault_seed_ = 1;
   double drop_rate_ = 0;
-  uint32_t threads_ = 1;
-  bool fast_forward_ = true;
-  bool event_engine_ = false;
-  bool engine_flag_seen_ = false;
 };
 
 }  // namespace fpgadp::bench

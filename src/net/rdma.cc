@@ -27,10 +27,9 @@ RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric,
   FPGADP_CHECK(node_id_ < fabric_->num_nodes());
   FPGADP_CHECK(reliability_.backoff >= 1.0);
   // The Tick touches exactly this node's port pair; declaring the
-  // endpoints certifies the module for parallel ticking.
+  // endpoints gives the event scheduler its arrival and drain edges.
   fabric_->egress(node_id_).BindProducer(this);
   fabric_->ingress(node_id_).BindConsumer(this);
-  SetParallelSafe();
   // Event-safe: NextEventCycle covers posted work and retransmission
   // timers, the ingress bind covers arrivals, and Post* self-wakes. A
   // skipped endpoint has an empty outbox, no pending arrivals, and no

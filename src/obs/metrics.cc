@@ -10,10 +10,9 @@ namespace fpgadp::obs {
 namespace internal {
 
 namespace {
-// Depth counter, not a flag, so manual Step() loops that nest scopes and
-// multi-level parallel engines stay correct. Relaxed is enough: guards are
-// entered/left by an engine's coordinator thread, and the DCHECK only needs
-// to observe a value that thread published before dispatching Ticks.
+// Depth counter, not a flag, so nested engines (a module whose Tick runs
+// another engine) stay correct. Relaxed is enough: a guard is entered and
+// left on the thread that ticks the engine's modules.
 std::atomic<int> g_tick_phase_depth{0};
 }  // namespace
 

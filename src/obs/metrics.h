@@ -99,8 +99,8 @@ bool InTickPhase();
 /// without lookups. Map access (lookup/creation/export) is mutex-guarded so
 /// engines exporting from different threads — e.g. a sweep running one
 /// engine per worker against the process-global registry — cannot corrupt
-/// the name maps; the instruments themselves are still single-writer (each
-/// engine's coordinator thread), like the simulator they serve.
+/// the name maps; the instruments themselves are still single-writer (the
+/// thread running each engine), like the simulator they serve.
 ///
 /// Per-cycle simulation code must not call Get*/Find* — hash + mutex per
 /// lookup is exactly the probe cost the observability layer promises to

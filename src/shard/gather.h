@@ -98,9 +98,8 @@ struct GatherConfig {
 /// order — child i's parent is member (i-1)/fanout — whose root forwards
 /// the group's merged response to the group's port.
 ///
-/// Thread-safety: none needed. ShardCoordinator is not parallel-safe, so
-/// any engine containing one ticks serially (see sim::Engine); the plan is
-/// only touched from coordinator and server Tick()s.
+/// Thread-safety: none needed. The engine ticks one module at a time, and
+/// the plan is only touched from coordinator and server Tick()s.
 class GatherPlan {
  public:
   /// Sentinel parent: forward to the coordinator port, not a shard.

@@ -24,38 +24,16 @@ struct TraceOptions {
   std::string label = "engine";
 };
 
-class ThreadPool;
-
-/// How Run() decides which modules to tick each cycle.
-///
-///  * kLevelTick — the legacy loop: every module ticks every visited cycle
-///    (fast-forward may skip whole cycles when every stream is empty).
-///  * kEventDriven — per-module activation: a module ticks only when armed
-///    (its own NextEventCycle hint, residual items on a bound input stream,
-///    a stream commit/drain edge, or an explicit WakeUp). Idle modules cost
-///    zero per cycle, fast-forward falls out naturally (the engine jumps to
-///    the event-queue head), and the mode composes with parallel tick.
-///    Bit-identical cycles and counters to kLevelTick by construction;
-///    modules not SetEventSafe() are ticked every visited cycle exactly as
-///    in the legacy loop.
-enum class Scheduling : uint8_t { kLevelTick, kEventDriven };
-
-/// Process-global defaults new engines are constructed with, so harness
-/// flags (e.g. bench_common's --threads) reach engines built deep inside
-/// pipeline helpers (ExecuteFpga, MicroRec, ACCL) without threading a knob
-/// through every config struct. Per-engine SetThreads/SetFastForward/
-/// SetScheduling override them. The scheduling default additionally reads
-/// the FPGADP_ENGINE environment variable once ("event" selects
-/// kEventDriven), so test tiers can sweep the scheduler without rebuilding.
-void SetDefaultEngineThreads(uint32_t n);
-uint32_t DefaultEngineThreads();
-void SetDefaultFastForward(bool on);
-bool DefaultFastForward();
-void SetDefaultScheduling(Scheduling s);
-Scheduling DefaultScheduling();
+/// Run() has one scheduler, the event-driven core (see Engine). These
+/// setter-less constants remain for harnesses that print an engine's run
+/// conditions next to their results.
+enum class Scheduling : uint8_t { kEventDriven };
+constexpr Scheduling DefaultScheduling() { return Scheduling::kEventDriven; }
+constexpr uint32_t DefaultEngineThreads() { return 1; }
+constexpr bool DefaultFastForward() { return true; }
 
 /// Drives a set of modules and streams with a two-phase, cycle-stepped loop:
-/// each cycle every module Tick()s (reads are visible, writes staged), then
+/// each cycle the modules Tick() (reads are visible, writes staged), then
 /// every stream Commit()s staged writes. The engine neither owns modules nor
 /// streams; pipelines typically hold them as members and register pointers.
 ///
@@ -69,57 +47,37 @@ Scheduling DefaultScheduling();
 /// counter tracks, and hardware counters published by modules, as Chrome
 /// trace_event JSON. Attach a MetricsRegistry and the run exports stall
 /// attribution and stream traffic totals. Both are pure observers: enabling
-/// them never changes simulated cycle counts, and when disabled the cost is
-/// one pointer check per cycle.
+/// them never changes simulated cycle counts.
 ///
-/// Performance modes — both preserve cycle counts and every per-module
-/// counter bit-for-bit (locked down by tests/golden_cycles_test.cc and
-/// tests/engine_parallel_test.cc):
-///
-///  * Fast-forward (on by default, SetFastForward): when every stream is
-///    empty, Run() asks each module for its NextEventCycle() hint and jumps
-///    straight to the earliest one, bulk-attributing the skipped cycles via
-///    Module::AccountSkip. Idle tails and retransmission-timer waits
-///    collapse from O(cycles) to O(events). Only Run() fast-forwards;
-///    manual Step() driving always advances one real cycle. Attaching a
-///    trace writer or metrics registry disables skipping for that engine
-///    (per-cycle probes need every cycle).
-///
-///  * Parallel tick (SetThreads): module Tick()s and stream Commit()s are
-///    sharded across a ThreadPool. Ticks run level-by-level over the
-///    dependency order derived from stream endpoint bindings (registration
-///    order between connected modules is preserved exactly — same-cycle
-///    Read()s are visible to later-ticking neighbours, so order DOES
-///    matter), with a barrier per level; modules inside one level share no
-///    stream and are provably independent. Requires every module to be
-///    parallel_safe(); one uncertified module (or a conflicting stream
-///    binding) falls the engine back to the bit-identical serial path.
-///    Levels with at most a handful of armed modules run inline on the
-///    coordinating thread — a pool dispatch costs more than a few ticks.
-///    Probes and quiesce checks stay on the coordinating thread, so all
-///    observer state remains single-threaded.
-///
-///  * Event-driven scheduling (SetScheduling(Scheduling::kEventDriven)):
-///    Run() keeps a per-module activation state plus a calendar heap and
-///    ticks only armed modules; stream commit/drain edges and explicit
-///    WakeUp() calls re-arm sleepers, and cycles with no armed work are
-///    jumped over entirely. Composes with parallel tick (the armed set is
-///    dispatched level-by-level). See DESIGN.md "Event-driven core".
+/// Scheduling. Step() is the reference: it ticks every module, in
+/// registration order, for exactly one cycle. Run() produces the same
+/// cycles and every per-module counter bit-for-bit while ticking only the
+/// modules that can act: it keeps a per-module activation state plus a
+/// calendar heap, ticks a module only when armed (its own NextEventCycle
+/// hint, residual items on a bound input stream, a stream commit or drain
+/// edge, or an explicit WakeUp), and jumps over cycles with no armed work.
+/// Modules not SetEventSafe() are ticked every visited cycle, and the engine
+/// jumps past them only when every stream is empty and every hint lies
+/// beyond the next cycle. A run with a trace writer or metrics registry
+/// attached is a StepUntilQuiesced() loop instead, because per-cycle probes
+/// need every cycle. See DESIGN.md "Scheduler".
 class Engine {
  public:
   /// `clock_hz` is the modeled kernel clock, used only by reporting helpers.
   explicit Engine(double clock_hz = 200e6);
   ~Engine();
 
-  /// Registers a module; ticked in registration order (order never affects
-  /// results thanks to two-phase streams).
+  /// Registers a module; modules tick in registration order, and the order
+  /// is part of the model: a Read() frees FIFO space a later-ticking
+  /// producer sees the same cycle, and a module that mutates another from
+  /// inside its Tick (a coordinator publishing an outcome to a front door)
+  /// is seen the same cycle only by modules registered after it.
   void AddModule(Module* module);
 
   /// Registers a stream so the engine commits it each cycle. Commit work is
-  /// skipped for streams that staged nothing: in serial mode writers enqueue
-  /// themselves on a dirty-stream list the commit phase drains (streams with
-  /// no traffic cost zero per cycle); in parallel mode the commit shard
-  /// checks the per-stream staged flag instead (the list push would race).
+  /// skipped for streams that staged nothing: writers enqueue themselves on
+  /// a dirty-stream list the commit phase drains, so streams with no
+  /// traffic cost zero per cycle.
   void AddStream(StreamBase* stream);
 
   /// Records this run into `writer` (one process track group per engine).
@@ -130,26 +88,10 @@ class Engine {
   /// Overrides the process-global registry for this engine.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
-  /// Sets the tick/commit worker count; 1 restores the serial loop. The
-  /// pool spins up lazily on the next Step()/Run().
-  void SetThreads(uint32_t n);
-  uint32_t threads() const { return threads_; }
-
-  /// Enables/disables event-driven fast-forwarding inside Run().
-  void SetFastForward(bool on) { fast_forward_ = on; }
-  bool fast_forward() const { return fast_forward_; }
-
-  /// Selects the Run() scheduler (see Scheduling). Event-driven runs are
-  /// bit-identical to level-tick runs; the legacy path stays available for
-  /// differential testing (`--engine=` in benches). Attaching a trace
-  /// writer or metrics registry forces the legacy path for that engine —
-  /// per-cycle probes need every cycle — exactly like fast-forward.
-  void SetScheduling(Scheduling s) { scheduling_ = s; }
-  Scheduling scheduling() const { return scheduling_; }
-
-  /// Advances exactly one cycle. Never fast-forwards, so manually stepped
-  /// harnesses observe every cycle; see FlushObservers() for the probe
-  /// contract when driving the engine this way.
+  /// Advances exactly one cycle, ticking every module: the reference the
+  /// event-driven Run() must reproduce. Manually stepped harnesses observe
+  /// every cycle; see FlushObservers() for the probe contract when driving
+  /// the engine this way.
   void Step();
 
   /// Runs until every module is idle and every stream is drained, or until
@@ -226,33 +168,24 @@ class Engine {
   void ProbeStep();
   void ExportMetrics();
   void RebuildSchedule();
-  /// Certification + dependency-level construction for parallel ticking;
-  /// false leaves the engine on the serial path.
-  bool TryBuildLevels();
   /// One cycle's module ticks plus the stream commit phase, under the
   /// tick-phase metrics-lookup guard.
   void TickAndCommit();
-  /// Earliest NextEventCycle() over all modules, clamped to now_ when any
-  /// module reports kAlwaysActive; only meaningful when every stream is
-  /// empty. DCHECKs that every hint is kNoEventCycle, kAlwaysActive, or a
-  /// cycle >= now_, so a buggy hint fails loud instead of silently
-  /// disabling fast-forward.
-  Cycle GlobalNextEventCycle() const;
 
-  // --- Event-driven core (Scheduling::kEventDriven) -----------------------
+  // --- Event-driven core --------------------------------------------------
 
-  /// The event-mode Run() loop: builds each cycle's armed-module run list
+  /// The unobserved Run() loop: builds each cycle's armed-module run list
   /// from the calendar heap, the previous cycle's next-cycle arms, and the
-  /// always-active set; dispatches it (serially or level-parallel); and
-  /// jumps over cycles with no armed work.
+  /// always-active set; dispatches it; and jumps over cycles with no armed
+  /// work.
   Result<Cycle> RunEventDriven(uint64_t max_cycles);
   /// (Re)allocates the per-module activation arrays and the per-stream
   /// wake-edge plumbing; arms every event-certified module at now_.
   void RebuildEventState();
   /// Brings every module's skipped-cycle attribution up to now_ and drops
-  /// the event state. Called before any legacy-path stepping (Step, legacy
-  /// Run, schedule rebuild) so bucket totals are always settled whenever
-  /// event bookkeeping is not live.
+  /// the event state. Called before any every-module stepping (Step,
+  /// schedule rebuild) so bucket totals are always settled whenever event
+  /// bookkeeping is not live.
   void InvalidateEventState();
   /// Lazily settles module `i`'s attribution through cycle `to` (exclusive).
   void SettleTo(size_t i, Cycle to);
@@ -265,8 +198,8 @@ class Engine {
   /// the event loop's entry seeding, also used to re-enter bookkeeping
   /// after a saturated phase (see RunEventDriven).
   void SeedAllArmed();
-  /// Ticks the armed modules of cycle `c` (serial or level-parallel with
-  /// small levels inlined), commits dirty streams, and arms stream edges.
+  /// Ticks the armed modules of cycle `c` in registration order, commits
+  /// dirty streams, and arms stream edges.
   void DispatchCycle(Cycle c);
   /// Post-tick re-arm for a certified module: bound-input residual first
   /// (no virtual call), then the NextEventCycle hint.
@@ -274,9 +207,9 @@ class Engine {
   /// Arms module `i` for the cycle after the one being dispatched.
   void ArmNext(size_t i);
   /// Event-mode wake entry point (Module::WakeUp): arms the target while
-  /// preserving legacy registration-order visibility — a target whose index
-  /// precedes the in-flight tick is armed for the next cycle (the legacy
-  /// loop ticked it before the mutation), a later one for this cycle.
+  /// preserving Step()'s registration-order visibility — a target whose
+  /// index precedes the in-flight tick is armed for the next cycle (Step()
+  /// ticked it before the mutation), a later one for this cycle.
   void WakeModule(size_t i);
 
   double clock_hz_;
@@ -287,20 +220,9 @@ class Engine {
   bool flushed_ = true;  // no cycles stepped since the last observer flush
   std::unique_ptr<TraceState> trace_;
   std::unique_ptr<MetricsState> metrics_;
-  bool fast_forward_ = true;
-  uint32_t threads_ = 1;
-  Scheduling scheduling_ = Scheduling::kLevelTick;
-  std::unique_ptr<ThreadPool> pool_;
-  // Parallel tick schedule, rebuilt when the module/stream set changes:
-  // levels_ partitions modules so that no two modules in one level share a
-  // stream, and every stream edge points from an earlier level to a later
-  // one in registration order.
+  // Set when the module/stream set changes; the stream commit queue and
+  // endpoint indices are rebuilt before the next Step() or Run().
   bool schedule_dirty_ = true;
-  bool parallel_tick_ = false;
-  std::vector<std::vector<Module*>> levels_;
-  // Per-module level index (parallel to modules_), kept alongside levels_
-  // so the event dispatcher can bucket an armed set by level in O(armed).
-  std::vector<uint32_t> module_level_;
 
   // --- Event-driven scheduler state (valid iff event_state_valid_) -------
   //
@@ -313,13 +235,13 @@ class Engine {
   // (sortedness tracked while building, sorted only when a wake broke the
   // order), which becomes the seed of the next cycle's run list. Modules
   // not event_safe() live in always_active_ and join every run list —
-  // exact legacy behavior for them. accounted_[i] is the cycle (exclusive)
+  // exactly Step()'s behavior for them. accounted_[i] is the cycle (exclusive)
   // through which module i's stall attribution is settled; gaps settle
   // lazily at the next tick, wake, or Run() exit.
   bool event_state_valid_ = false;
   bool event_dispatching_ = false;
   // True while the event loop runs its saturated-phase inner loop (every
-  // module armed and busy): ticks run through the zero-overhead legacy body
+  // module armed and busy): ticks run through Step()'s every-module body
   // and wakes are dropped — everyone ticks every cycle anyway, and the
   // re-seed on phase exit re-arms the world.
   bool event_saturated_ = false;
@@ -340,29 +262,30 @@ class Engine {
   // Bound input streams per module (consumer side), for the residual-item
   // re-arm check that avoids the virtual hint call on flow-through paths.
   std::vector<std::vector<const StreamBase*>> bound_inputs_;
-  // Armed-set level buckets for event+parallel dispatch, reused per cycle.
-  std::vector<std::vector<size_t>> level_buckets_;
-  // Staged-stream scratch for the parallel-mode commit phase, reused per
-  // cycle so the staged-count threshold costs no allocation.
-  std::vector<StreamBase*> staged_streams_;
   // Cached quiescence blocker (module / stream index; ~0 = none cached).
   size_t qc_module_ = ~size_t{0};
   size_t qc_stream_ = ~size_t{0};
-  // Serial-mode dirty-stream list: streams push themselves here on their
-  // first staged write of a cycle (StreamBase::NoteStaged) and the commit
-  // phase drains it, so idle streams cost nothing. RebuildSchedule() shares
-  // this vector with registered streams in serial mode and detaches them in
-  // parallel mode. Shared ownership (instead of a raw back-pointer) makes
-  // stream/engine destruction order irrelevant — harnesses destroy them in
-  // both orders.
+  // Dirty-stream list: streams push themselves here on their first staged
+  // write of a cycle (StreamBase::NoteStaged) and the commit phase drains
+  // it, so idle streams cost nothing. RebuildSchedule() shares this vector
+  // with every registered stream. Shared ownership (instead of a raw
+  // back-pointer) makes stream/engine destruction order irrelevant —
+  // harnesses destroy them in both orders.
   std::shared_ptr<std::vector<StreamBase*>> commit_queue_ =
       std::make_shared<std::vector<StreamBase*>>();
   // Read-edge wake list: streams that went from full to non-full this cycle
   // (StreamBase::NoteDrained) so the event scheduler can re-arm a blocked
-  // producer. Attached to streams only on the serial event-driven path.
+  // producer. Attached to streams only while event bookkeeping is live.
   std::shared_ptr<std::vector<StreamBase*>> drain_queue_ =
       std::make_shared<std::vector<StreamBase*>>();
 };
+
+/// Drives `engine` one Step() at a time until it quiesces or `max_cycles`
+/// more cycles elapse, with Run()'s return contract and observer flush.
+/// Every module ticks every cycle and no cycle is skipped, so this loop is
+/// the oracle differential tests compare Run() against; Run() itself takes
+/// it when a trace writer or metrics registry is attached.
+Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles);
 
 }  // namespace fpgadp::sim
 

@@ -45,9 +45,13 @@ enum class StallKind : uint8_t {
 /// every cycle, consuming from input streams and producing to output streams
 /// under backpressure.
 ///
-/// The engine calls Tick() on every module each cycle (compute phase), then
-/// commits all streams (update phase), so the order in which modules tick
-/// never changes simulation results.
+/// Each cycle the engine ticks modules in registration order (compute
+/// phase), then commits all streams (update phase). Two-phase streams keep
+/// a write invisible until the next cycle, but tick order still matters: a
+/// Read() frees FIFO space that a later-ticking producer sees the same
+/// cycle, and a mutation one module makes to another from inside its Tick
+/// is seen the same cycle only if the target ticks later. Registration
+/// order is therefore part of the model (see Engine::AddModule).
 ///
 /// Each Tick classifies the cycle into exactly one bucket: MarkBusy() for
 /// forward progress, or MarkStall() for the three stall kinds. The engine
@@ -70,7 +74,7 @@ class Module {
   /// streams are drained.
   virtual bool Idle() const = 0;
 
-  /// Fast-forward hint: the earliest cycle >= `now` at which this module
+  /// Scheduling hint: the earliest cycle >= `now` at which this module
   /// could possibly make forward progress, given that every stream in the
   /// system is empty and stays empty until then. Timer- and latency-driven
   /// modules (memory channels, retransmission timers, delay lines) return
@@ -82,20 +86,20 @@ class Module {
   /// then ticking the system through [now, c) is a no-op except for stall
   /// attribution, which AccountSkip() reproduces in closed form.
   ///
-  /// Event-driven scheduling additionally requires (for SetEventSafe
-  /// modules) that a hint <= now is returned whenever the module holds
-  /// output it could not deliver (full output stream), so a drained
-  /// consumer re-opens the path on the very next cycle.
+  /// Run() additionally requires (for SetEventSafe modules) that a hint
+  /// <= now is returned whenever the module holds output it could not
+  /// deliver (full output stream), so a drained consumer re-opens the path
+  /// on the very next cycle.
   virtual Cycle NextEventCycle(Cycle now) const {
     (void)now;
     return kAlwaysActive;
   }
 
-  /// Engine-driven bulk attribution for a fast-forwarded gap: accounts the
+  /// Engine-driven bulk attribution for a skipped gap: accounts the
   /// `to - from` skipped cycles exactly as the per-cycle Tick()s would have
   /// (AttributeSkip first, then idle backfill — the bulk analogue of
-  /// FinalizeTick), keeping every bucket total bit-identical to a run
-  /// without fast-forward.
+  /// FinalizeTick), keeping every bucket total bit-identical to the Step()
+  /// loop.
   void AccountSkip(Cycle from, Cycle to) {
     AttributeSkip(from, to);
     ticked_ += to - from;
@@ -105,29 +109,24 @@ class Module {
     }
   }
 
-  /// True iff the module's Tick() touches only its own state and its bound
-  /// streams (see StreamBase::BindProducer/BindConsumer) — the certification
-  /// the engine's parallel mode requires. Modules that call into shared
-  /// structures or into other modules directly must stay uncertified; one
-  /// uncertified module drops the whole engine to the serial tick path.
-  bool parallel_safe() const { return parallel_safe_; }
-
   /// True iff the module is certified for event-driven scheduling: ticking
   /// it while unarmed (no pending hint, no residual on a bound input stream,
   /// no wakeup) is a no-op except for stall attribution, which AttributeSkip
-  /// reproduces. Uncertified modules are ticked every cycle even in event
-  /// mode — exact legacy behavior, never an approximation.
+  /// reproduces. Run() ticks uncertified modules every visited cycle, as
+  /// Step() does, and skips cycles past them only when every stream is
+  /// empty and every module's NextEventCycle hint lies beyond the next
+  /// cycle.
   bool event_safe() const { return event_safe_; }
 
   /// Requests a tick from the event-driven scheduler: at the current cycle
   /// when called from inside another module's Tick() (the engine preserves
   /// registration-order visibility), at the engine's current cycle
   /// otherwise. No-op when the module is not registered with an engine or
-  /// the engine is not running event-driven. Modules whose state can be
-  /// mutated from *outside* their own Tick (completion queues filled by an
-  /// endpoint, outcomes published by a coordinator) call this — directly or
-  /// via a wake-listener hook — so the mutation never outruns the hint they
-  /// gave when they last ran.
+  /// the engine is not inside Run() (Step() ticks every module anyway).
+  /// Modules whose state can be mutated from *outside* their own Tick
+  /// (completion queues filled by an endpoint, outcomes published by a
+  /// coordinator) call this — directly or via a wake-listener hook — so the
+  /// mutation never outruns the hint they gave when they last ran.
   void WakeUp();
 
   const std::string& name() const { return name_; }
@@ -214,10 +213,6 @@ class Module {
     (void)to;
   }
 
-  /// Certifies this module for the engine's parallel tick mode. Call from
-  /// the subclass constructor, after binding every stream the Tick touches.
-  void SetParallelSafe() { parallel_safe_ = true; }
-
   /// Certifies this module for event-driven scheduling (see event_safe()).
   /// Call from the subclass constructor, after binding every stream the
   /// Tick touches: the engine re-arms a certified module whenever a bound
@@ -238,10 +233,11 @@ class Module {
   uint64_t idle_cycles_ = 0;
   uint64_t attributed_ = 0;
   uint64_t ticked_ = 0;
-  bool parallel_safe_ = false;
   bool event_safe_ = false;
-  /// Set by Engine::AddModule so WakeUp() can reach the scheduler. A module
-  /// belongs to at most one engine (AddModule enforces it).
+  /// Set by Engine::AddModule so WakeUp() can reach the scheduler. Nothing
+  /// enforces one engine per module: the last AddModule wins, so a module
+  /// may move to a fresh engine after its old one died, but must never be
+  /// live in two engines at once.
   Engine* engine_ = nullptr;
   size_t engine_index_ = 0;
   obs::TraceWriter* trace_writer_ = nullptr;

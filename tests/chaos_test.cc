@@ -28,9 +28,9 @@
 //   on jitter — there is no jitter, the sim is deterministic, but the
 //   headroom keeps the constant stable across config tweaks).
 //
-// Determinism doubles as an assertion: each scenario runs under all three
-// engine modes (serial, fast-forward, threaded) and the completion logs
-// must match bit-for-bit.
+// Determinism doubles as an assertion: each scenario runs under Run() and
+// under the Step() loop it must reproduce, and the completion logs must
+// match bit-for-bit.
 
 #include <algorithm>
 #include <cstdint>
@@ -65,8 +65,7 @@ struct ChaosResult {
   uint64_t fault_count = 0;
 };
 
-ChaosResult RunChaos(ArrivalKind kind, uint64_t seed, uint32_t threads,
-                     bool fast_forward) {
+ChaosResult RunChaos(ArrivalKind kind, uint64_t seed, bool stepped = false) {
   SyntheticWorkload::Config wc;
   wc.num_shards = 4;
   SyntheticWorkload wl(wc);
@@ -118,10 +117,9 @@ ChaosResult RunChaos(ArrivalKind kind, uint64_t seed, uint32_t threads,
   ChaosResult result;
   door.set_completion_log(&result.log);
   cluster.engine().AddModule(&door);
-  cluster.engine().SetThreads(threads);
-  cluster.engine().SetFastForward(fast_forward);
 
-  auto cycles = cluster.Run(5u << 20);
+  auto cycles = stepped ? sim::StepUntilQuiesced(cluster.engine(), 5u << 20)
+                        : cluster.Run(5u << 20);
   EXPECT_TRUE(cycles.ok());
   result.offered = door.total_offered();
   result.completed = door.total_completed();
@@ -156,8 +154,7 @@ class ChaosRecoveryTest
 
 TEST_P(ChaosRecoveryTest, P99RecoversWithinBudgetAfterEachPrimaryDeath) {
   const auto [kind, seed] = GetParam();
-  const ChaosResult r = RunChaos(kind, seed, /*threads=*/1,
-                                 /*fast_forward=*/true);
+  const ChaosResult r = RunChaos(kind, seed);
 
   // 1. Nothing wrong, nothing lost. Every offered request is admitted,
   //    completes, and carries all its slices (degraded = missing slices).
@@ -189,23 +186,20 @@ TEST_P(ChaosRecoveryTest, P99RecoversWithinBudgetAfterEachPrimaryDeath) {
             kInteractiveSloCycles);
 }
 
-TEST_P(ChaosRecoveryTest, CompletionTimelineIdenticalAcrossEngineModes) {
+TEST_P(ChaosRecoveryTest, CompletionTimelineIdenticalToStep) {
   const auto [kind, seed] = GetParam();
-  const ChaosResult serial = RunChaos(kind, seed, 1, false);
-  const ChaosResult ff = RunChaos(kind, seed, 1, true);
-  const ChaosResult threaded = RunChaos(kind, seed, 8, true);
+  const ChaosResult ref = RunChaos(kind, seed, /*stepped=*/true);
+  const ChaosResult run = RunChaos(kind, seed);
 
-  for (const ChaosResult* other : {&ff, &threaded}) {
-    ASSERT_EQ(serial.log.size(), other->log.size());
-    EXPECT_EQ(serial.failovers, other->failovers);
-    for (size_t i = 0; i < serial.log.size(); ++i) {
-      EXPECT_EQ(serial.log[i].completed_at, other->log[i].completed_at)
-          << "completion " << i;
-      EXPECT_EQ(serial.log[i].latency_cycles, other->log[i].latency_cycles)
-          << "completion " << i;
-      EXPECT_EQ(serial.log[i].class_index, other->log[i].class_index);
-      EXPECT_EQ(serial.log[i].degraded, other->log[i].degraded);
-    }
+  ASSERT_EQ(run.log.size(), ref.log.size());
+  EXPECT_EQ(run.failovers, ref.failovers);
+  for (size_t i = 0; i < ref.log.size(); ++i) {
+    EXPECT_EQ(run.log[i].completed_at, ref.log[i].completed_at)
+        << "completion " << i;
+    EXPECT_EQ(run.log[i].latency_cycles, ref.log[i].latency_cycles)
+        << "completion " << i;
+    EXPECT_EQ(run.log[i].class_index, ref.log[i].class_index);
+    EXPECT_EQ(run.log[i].degraded, ref.log[i].degraded);
   }
 }
 

@@ -1,13 +1,13 @@
-// Event-driven scheduler core: unit tests for the arming rules and a
-// 100-seed event-vs-tick differential.
+// The engine's one scheduler: unit tests for the event-driven Run()'s
+// arming rules and a 100-seed differential over the sharded workloads. The
+// determinism cases over real pipelines live in engine_parallel_test.
 //
-// The correctness frame for Scheduling::kEventDriven is that the legacy
-// level-tick loop ticks every module on every visited cycle, so EXTRA ticks
-// are always harmless (an unarmed certified module's Tick is a no-op except
-// for stall attribution) and only a MISSED tick can diverge. Every test here
-// therefore compares an event-driven run against a bit-identical legacy run
-// of the same topology: elapsed cycles, per-module stall buckets, and (where
-// a tick log is kept) the exact dispatch sequence.
+// The correctness frame is that Step() ticks every module on every cycle,
+// so EXTRA ticks are always harmless (an unarmed certified module's Tick is
+// a no-op except for stall attribution) and only a MISSED tick can diverge.
+// Every test here therefore compares Run() against a StepUntilQuiesced()
+// loop over the same topology: elapsed cycles, per-module stall buckets,
+// and (where a tick log is kept) the exact dispatch sequence.
 //
 // Covered arming scenarios, one test each:
 //  * same-cycle re-arm (a module whose post-tick hint is `now`),
@@ -19,13 +19,13 @@
 //    a reactive consumer; drain edge re-opens a blocked producer),
 //  * the saturated-phase fast path (dense streak entry, wake-while-
 //    saturated, quiesce inside the fast loop, staggered exit),
-//  * Step()/Run() interleaving (Step always drives the legacy path and must
-//    settle event bookkeeping first).
+//  * idle-gap jumps past modules without event certification,
+//  * Step()/Run() interleaving (Step ticks every module and must settle
+//    event bookkeeping first).
 //
 // The differential suite reruns the three sharded workloads (ANNS top-k,
-// KVS multi-get, partitioned hash join) across 100 seeded deployments and
-// the serial / no-fast-forward / threaded engine modes, asserting cycles
-// and results are bit-identical between kLevelTick and kEventDriven.
+// KVS multi-get, partitioned hash join) across 100 seeded deployments,
+// asserting cycles and results are bit-identical between the two drivers.
 
 #include <gtest/gtest.h>
 
@@ -60,9 +60,17 @@ using sim::Engine;
 using sim::kAlwaysActive;
 using sim::kNoEventCycle;
 using sim::Module;
-using sim::Scheduling;
 using sim::StallKind;
 using sim::Stream;
+
+/// How a test drives an engine: the event-driven Run(), or the Step() loop
+/// it must reproduce.
+enum class Driver { kRun, kStep };
+
+Result<Cycle> Drive(Engine& e, Driver d, uint64_t max_cycles) {
+  return d == Driver::kRun ? e.Run(max_cycles)
+                           : sim::StepUntilQuiesced(e, max_cycles);
+}
 
 /// Global dispatch sequence: (cycle, module name) appended on every Tick.
 using TickLog = std::vector<std::pair<Cycle, std::string>>;
@@ -226,7 +234,6 @@ class BurstProducer : public Module {
         burst_(burst) {
     out_->BindProducer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle c) override {
     if (emitted_ < count_ && c >= Cycle(emitted_) * period_) {
@@ -259,7 +266,6 @@ class GreedyConsumer : public Module {
       : Module(std::move(name)), in_(in), log_(log) {
     in_->BindConsumer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
@@ -285,12 +291,11 @@ class GreedyConsumer : public Module {
 
 /// Writes one item per cycle while the output has room. When blocked it
 /// either keeps hinting `now` (the documented blocked-producer contract:
-/// tick me every cycle, exactly like the legacy loop) or goes fully to
-/// sleep with kNoEventCycle — the latter deliberately leans on the engine's
-/// serial-mode drain-edge wakeup (the belt-and-braces arm when a stream
-/// goes full -> non-full), and overrides AttributeSkip so the slept-through
-/// blocked cycles are attributed exactly as the legacy per-cycle ticks
-/// would have marked them.
+/// tick me every cycle, exactly like Step()) or goes fully to sleep with
+/// kNoEventCycle — the latter deliberately leans on the engine's drain-edge
+/// wakeup (the belt-and-braces arm when a stream goes full -> non-full), and
+/// overrides AttributeSkip so the slept-through blocked cycles are
+/// attributed exactly as Step()'s per-cycle ticks would have marked them.
 class TrickleProducer : public Module {
  public:
   enum class BlockedPolicy { kHintNow, kSleepUntilDrainEdge };
@@ -299,7 +304,6 @@ class TrickleProducer : public Module {
       : Module(std::move(name)), out_(out), total_(total), policy_(policy) {
     out_->BindProducer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle) override {
     if (sent_ == total_) return;
@@ -322,7 +326,7 @@ class TrickleProducer : public Module {
   void AttributeSkip(Cycle from, Cycle to) override {
     // The scheduler only skips this module while it is asleep, and under
     // kSleepUntilDrainEdge it only sleeps when unfinished-and-blocked: the
-    // legacy loop would have marked every one of those cycles blocked.
+    // Step() loop would have marked every one of those cycles blocked.
     // (Post-completion skips fall through to the idle backfill.)
     if (sent_ < total_) MarkStallN(StallKind::kOutputBlocked, to - from);
   }
@@ -343,7 +347,6 @@ class TimedPopper : public Module {
       : Module(std::move(name)), in_(in), period_(period) {
     in_->BindConsumer(this);
     SetEventSafe();
-    SetParallelSafe();
   }
   void Tick(Cycle c) override {
     if (c % period_ == 0 && in_->CanRead()) {
@@ -399,6 +402,41 @@ class DenseWorker : public Module {
   Module* poke_target_ = nullptr;
 };
 
+/// Fires `fires` times, `period` cycles apart (first at cycle `period`),
+/// hinting its next deadline in between. Optionally event-certified; the
+/// uncertified flavor is the shape of TCP, ACCL, KVS and MicroRec drivers,
+/// which Run() ticks on every visited cycle but may still jump past while
+/// the whole system is frozen. Counts its own ticks.
+class PeriodicTimer : public Module {
+ public:
+  PeriodicTimer(std::string name, Cycle period, uint32_t fires,
+                bool certified)
+      : Module(std::move(name)), period_(period), fires_(fires),
+        deadline_(period) {
+    if (certified) SetEventSafe();
+  }
+  void Tick(Cycle c) override {
+    ++ticks_;
+    if (fired_ < fires_ && c >= deadline_) {
+      MarkBusy();
+      ++fired_;
+      deadline_ = c + period_;
+    }
+  }
+  bool Idle() const override { return fired_ == fires_; }
+  Cycle NextEventCycle(Cycle now) const override {
+    return fired_ == fires_ ? kNoEventCycle : std::max(now, deadline_);
+  }
+  uint64_t ticks() const { return ticks_; }
+
+ private:
+  Cycle period_;
+  uint32_t fires_;
+  Cycle deadline_;
+  uint32_t fired_ = 0;
+  uint64_t ticks_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Arming-rule unit tests
 
@@ -419,20 +457,19 @@ void ExpectSameRun(const SimpleRun& ref, const SimpleRun& got,
 }
 
 TEST(EngineEventTest, SameCycleRearmTicksOncePerCycle) {
-  auto run = [](Scheduling s) {
+  auto run = [](Driver d) {
     SimpleRun r;
     SelfArmWorker w("w", 40, &r.log);
     Engine e;
-    e.SetScheduling(s);
     e.AddModule(&w);
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     r.buckets = {BucketsOf(w)};
     return r;
   };
-  const SimpleRun ref = run(Scheduling::kLevelTick);
-  const SimpleRun event = run(Scheduling::kEventDriven);
+  const SimpleRun ref = run(Driver::kStep);
+  const SimpleRun event = run(Driver::kRun);
   ExpectSameRun(ref, event, "self-arm");
   EXPECT_EQ(event.buckets[0].busy, 40u);
   // A hint of `now` must produce exactly one tick per cycle — never two
@@ -447,12 +484,11 @@ TEST(EngineEventTest, WakesDispatchInRegistrationOrderDeterministically) {
   auto run_event = [] {
     SimpleRun r;
     // Waker registered FIRST; wakes its later-registered targets in
-    // scrambled order. All targets must tick the SAME cycle (the legacy
-    // loop would have reached them after the waker), in registration order.
+    // scrambled order. All targets must tick the SAME cycle (Step() would
+    // have reached them after the waker), in registration order.
     MailboxSleeper a("a", &r.log), b("b", &r.log), c("c", &r.log);
     WakerModule waker("waker", 5, {&c, &a, &b}, &r.log);
     Engine e;
-    e.SetScheduling(Scheduling::kEventDriven);
     e.AddModule(&waker);
     e.AddModule(&a);
     e.AddModule(&b);
@@ -473,15 +509,15 @@ TEST(EngineEventTest, WakesDispatchInRegistrationOrderDeterministically) {
                            {5, "waker"}, {5, "a"}, {5, "b"}, {5, "c"}};
   EXPECT_EQ(first.log, expected);
 
-  // And the whole shape must be bit-identical to the legacy engine.
+  // And the whole shape must be bit-identical to the Step() loop.
   MailboxSleeper a("a"), b("b"), c("c");
   WakerModule waker("waker", 5, {&c, &a, &b});
-  Engine legacy;
-  legacy.AddModule(&waker);
-  legacy.AddModule(&a);
-  legacy.AddModule(&b);
-  legacy.AddModule(&c);
-  auto cycles = legacy.Run(100000);
+  Engine stepped;
+  stepped.AddModule(&waker);
+  stepped.AddModule(&a);
+  stepped.AddModule(&b);
+  stepped.AddModule(&c);
+  auto cycles = sim::StepUntilQuiesced(stepped, 100000);
   ASSERT_TRUE(cycles.ok());
   EXPECT_EQ(first.cycles, *cycles);
   const std::vector<Buckets> ref = {BucketsOf(waker), BucketsOf(a),
@@ -493,26 +529,25 @@ TEST(EngineEventTest, WakesDispatchInRegistrationOrderDeterministically) {
 }
 
 TEST(EngineEventTest, WakeOfEarlierModuleLandsNextCycle) {
-  auto run = [](Scheduling s, TickLog* log) {
+  auto run = [](Driver d, TickLog* log) {
     SimpleRun r;
-    // Target registered BEFORE the waker: the legacy loop had already
-    // ticked it when the cycle-5 delivery happened, so it processes the
-    // mailbox at cycle 6 — the event scheduler must arm it for 6, not 5.
+    // Target registered BEFORE the waker: Step() had already ticked it when
+    // the cycle-5 delivery happened, so it processes the mailbox at cycle 6
+    // — the event scheduler must arm it for 6, not 5.
     MailboxSleeper early("early", log);
     WakerModule waker("waker", 5, {&early}, log);
     Engine e;
-    e.SetScheduling(s);
     e.AddModule(&early);
     e.AddModule(&waker);
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     r.buckets = {BucketsOf(early), BucketsOf(waker)};
     return r;
   };
-  const SimpleRun ref = run(Scheduling::kLevelTick, nullptr);
+  const SimpleRun ref = run(Driver::kStep, nullptr);
   TickLog log;
-  const SimpleRun event = run(Scheduling::kEventDriven, &log);
+  const SimpleRun event = run(Driver::kRun, &log);
   ExpectSameRun(ref, event, "early-wake");
   const TickLog expected = {
       {0, "early"}, {0, "waker"}, {5, "waker"}, {6, "early"}};
@@ -520,7 +555,7 @@ TEST(EngineEventTest, WakeOfEarlierModuleLandsNextCycle) {
 }
 
 TEST(EngineEventTest, StaleCalendarEntryDoesNotDelayQuiesce) {
-  auto run = [](Scheduling s) {
+  auto run = [](Driver d) {
     SimpleRun r;
     CancellableTimer timer("timer", /*deadline=*/100000);
     // Fires at cycle 5 and cancels the timer's job; `timer` is registered
@@ -548,17 +583,16 @@ TEST(EngineEventTest, StaleCalendarEntryDoesNotDelayQuiesce) {
       bool fired_ = false;
     } canceller(&timer);
     Engine e;
-    e.SetScheduling(s);
     e.AddModule(&canceller);
     e.AddModule(&timer);
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     r.buckets = {BucketsOf(canceller), BucketsOf(timer)};
     return r;
   };
-  const SimpleRun ref = run(Scheduling::kLevelTick);
-  const SimpleRun event = run(Scheduling::kEventDriven);
+  const SimpleRun ref = run(Driver::kStep);
+  const SimpleRun event = run(Driver::kRun);
   ExpectSameRun(ref, event, "arm-cancel");
   // The whole point: the 100000-cycle calendar entry is stale after the
   // cancel, and neither engine waits for it.
@@ -566,26 +600,25 @@ TEST(EngineEventTest, StaleCalendarEntryDoesNotDelayQuiesce) {
 }
 
 TEST(EngineEventTest, CommitEdgeWakesReactiveConsumerAcrossLevels) {
-  auto run = [](Scheduling s, TickLog* log) {
+  auto run = [](Driver d, TickLog* log) {
     SimpleRun r;
     Stream<int> ch("ch", 64);
     BurstProducer prod("prod", &ch, /*period=*/50, /*count=*/3, /*burst=*/8);
     GreedyConsumer cons("cons", &ch, log);
     Engine e;
-    e.SetScheduling(s);
     e.AddModule(&prod);
     e.AddModule(&cons);
     e.AddStream(&ch);
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     r.buckets = {BucketsOf(prod), BucketsOf(cons)};
     EXPECT_EQ(cons.count(), 24u);
     return r;
   };
-  const SimpleRun ref = run(Scheduling::kLevelTick, nullptr);
+  const SimpleRun ref = run(Driver::kStep, nullptr);
   TickLog log;
-  const SimpleRun event = run(Scheduling::kEventDriven, &log);
+  const SimpleRun event = run(Driver::kRun, &log);
   ExpectSameRun(ref, event, "commit-edge");
   // The consumer's hint is kNoEventCycle: every dispatch after the entry
   // seed must come from a commit edge — cycle k*50+1, right after each
@@ -600,17 +633,16 @@ TEST(EngineEventTest, CommitEdgeWakesReactiveConsumerAcrossLevels) {
 }
 
 TEST(EngineEventTest, DrainEdgeReopensBlockedProducer) {
-  auto run = [](Scheduling s, TrickleProducer::BlockedPolicy policy) {
+  auto run = [](Driver d, TrickleProducer::BlockedPolicy policy) {
     SimpleRun r;
     Stream<int> ch("ch", 2);  // tiny: the producer blocks almost instantly
     TrickleProducer prod("prod", &ch, /*total=*/10, policy);
     TimedPopper cons("cons", &ch, /*period=*/7);
     Engine e;
-    e.SetScheduling(s);
     e.AddModule(&prod);
     e.AddModule(&cons);
     e.AddStream(&ch);
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     r.buckets = {BucketsOf(prod), BucketsOf(cons)};
@@ -618,48 +650,24 @@ TEST(EngineEventTest, DrainEdgeReopensBlockedProducer) {
     return r;
   };
   const SimpleRun ref =
-      run(Scheduling::kLevelTick, TrickleProducer::BlockedPolicy::kHintNow);
+      run(Driver::kStep, TrickleProducer::BlockedPolicy::kHintNow);
   // Contract-compliant blocked producer (hint <= now while blocked): the
-  // event engine ticks it every cycle exactly like the legacy loop.
-  const SimpleRun hint_now = run(Scheduling::kEventDriven,
+  // event engine ticks it every cycle exactly like the Step() loop.
+  const SimpleRun hint_now = run(Driver::kRun,
                                  TrickleProducer::BlockedPolicy::kHintNow);
   ExpectSameRun(ref, hint_now, "blocked-hint-now");
-  // Sleeping blocked producer: relies entirely on the serial-mode drain
+  // Sleeping blocked producer: relies entirely on the drain
   // edge (full -> non-full re-arms the producer for the next cycle). A
   // dropped edge deadlocks the run; wrong AttributeSkip bulk-attribution
   // would skew the blocked bucket.
   const SimpleRun drained =
-      run(Scheduling::kEventDriven,
+      run(Driver::kRun,
           TrickleProducer::BlockedPolicy::kSleepUntilDrainEdge);
   ExpectSameRun(ref, drained, "blocked-drain-edge");
 }
 
-TEST(EngineEventTest, ParallelEventTickMatchesLegacy) {
-  auto run = [](Scheduling s, uint32_t threads) {
-    SimpleRun r;
-    Stream<int> ch("ch", 2);
-    TrickleProducer prod("prod", &ch, /*total=*/25,
-                         TrickleProducer::BlockedPolicy::kHintNow);
-    TimedPopper cons("cons", &ch, /*period=*/5);
-    Engine e;
-    e.SetScheduling(s);
-    e.SetThreads(threads);
-    e.AddModule(&prod);
-    e.AddModule(&cons);
-    e.AddStream(&ch);
-    auto cycles = e.Run(100000);
-    EXPECT_TRUE(cycles.ok());
-    r.cycles = cycles.ok() ? *cycles : 0;
-    r.buckets = {BucketsOf(prod), BucketsOf(cons)};
-    return r;
-  };
-  const SimpleRun ref = run(Scheduling::kLevelTick, 1);
-  const SimpleRun event_thr = run(Scheduling::kEventDriven, 4);
-  ExpectSameRun(ref, event_thr, "event-thr4");
-}
-
-TEST(EngineEventTest, SaturatedPhaseStaggeredExitMatchesLegacy) {
-  auto run = [](Scheduling s) {
+TEST(EngineEventTest, SaturatedPhaseStaggeredExitMatchesStep) {
+  auto run = [](Driver d) {
     SimpleRun r;
     // Six always-busy workers with staggered completion: the dense streak
     // engages the saturated fast path within the first handful of cycles,
@@ -673,25 +681,24 @@ TEST(EngineEventTest, SaturatedPhaseStaggeredExitMatchesLegacy) {
     }
     workers[0]->PokeAt(100, workers[3].get());
     Engine e;
-    e.SetScheduling(s);
     for (auto& w : workers) e.AddModule(w.get());
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     for (auto& w : workers) r.buckets.push_back(BucketsOf(*w));
     return r;
   };
-  const SimpleRun ref = run(Scheduling::kLevelTick);
-  const SimpleRun event = run(Scheduling::kEventDriven);
+  const SimpleRun ref = run(Driver::kStep);
+  const SimpleRun event = run(Driver::kRun);
   ExpectSameRun(ref, event, "saturated-staggered");
 }
 
-TEST(EngineEventTest, SaturatedPhaseQuiesceInsideFastLoopMatchesLegacy) {
-  auto run = [](Scheduling s) {
+TEST(EngineEventTest, SaturatedPhaseQuiesceInsideFastLoopMatchesStep) {
+  auto run = [](Driver d) {
     SimpleRun r;
     // All workers finish at the same cycle, so quiescence is first
     // observable INSIDE the saturated fast loop; the cycle count must not
-    // gain an extra all-idle tick relative to the legacy check-then-tick
+    // gain an extra all-idle tick relative to the Step() loop's check-then-
     // loop.
     std::vector<std::unique_ptr<DenseWorker>> workers;
     for (int i = 0; i < 5; ++i) {
@@ -699,62 +706,85 @@ TEST(EngineEventTest, SaturatedPhaseQuiesceInsideFastLoopMatchesLegacy) {
           "w" + std::to_string(i), /*end_cycle=*/150));
     }
     Engine e;
-    e.SetScheduling(s);
     for (auto& w : workers) e.AddModule(w.get());
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     for (auto& w : workers) r.buckets.push_back(BucketsOf(*w));
     return r;
   };
-  const SimpleRun ref = run(Scheduling::kLevelTick);
-  const SimpleRun event = run(Scheduling::kEventDriven);
+  const SimpleRun ref = run(Driver::kStep);
+  const SimpleRun event = run(Driver::kRun);
   ExpectSameRun(ref, event, "saturated-quiesce");
 }
 
-TEST(EngineEventTest, StepRunInterleavingMatchesLegacy) {
-  auto run = [](Scheduling s) {
+TEST(EngineEventTest, UncertifiedTimerJumpsIdleGaps) {
+  constexpr uint32_t kUncertifiedFires = 12, kCertifiedFires = 7;
+  struct TimerRun {
+    SimpleRun run;
+    uint64_t uncertified_ticks = 0;
+  };
+  auto run = [](Driver d) {
+    TimerRun r;
+    PeriodicTimer uncertified("uncertified", 1000, kUncertifiedFires,
+                              /*certified=*/false);
+    PeriodicTimer certified("certified", 1700, kCertifiedFires,
+                            /*certified=*/true);
+    Engine e;
+    e.AddModule(&uncertified);
+    e.AddModule(&certified);
+    auto cycles = Drive(e, d, 1000000);
+    EXPECT_TRUE(cycles.ok());
+    r.run.cycles = cycles.ok() ? *cycles : 0;
+    r.run.buckets = {BucketsOf(uncertified), BucketsOf(certified)};
+    r.uncertified_ticks = uncertified.ticks();
+    return r;
+  };
+  const TimerRun ref = run(Driver::kStep);
+  const TimerRun event = run(Driver::kRun);
+  ExpectSameRun(ref.run, event.run, "uncertified-timer");
+  EXPECT_EQ(ref.run.cycles, Cycle(12000) + 1);
+  EXPECT_EQ(ref.uncertified_ticks, ref.run.cycles);
+  // Run() visits only the entry cycle and the cycles some timer fires on;
+  // every gap between them is frozen (no stream traffic, every hint beyond
+  // the next cycle), so the uncertified timer's tick count is bounded by
+  // the events, not by the 12,001 elapsed cycles.
+  EXPECT_LE(event.uncertified_ticks, 1 + kUncertifiedFires + kCertifiedFires);
+}
+
+TEST(EngineEventTest, StepRunInterleavingMatchesStep) {
+  auto run = [](Driver d) {
     SimpleRun r;
     Stream<int> ch("ch", 64);
     BurstProducer prod("prod", &ch, /*period=*/20, /*count=*/4, /*burst=*/4);
     GreedyConsumer cons("cons", &ch);
     Engine e;
-    e.SetScheduling(s);
     e.AddModule(&prod);
     e.AddModule(&cons);
     e.AddStream(&ch);
-    // Step() always drives the legacy path; entering it mid-workload forces
+    // Step() always ticks every module; entering it mid-workload forces
     // the event engine to settle its bookkeeping (InvalidateEventState) and
     // the following Run() to rebuild it.
     for (int i = 0; i < 3; ++i) e.Step();
-    auto cycles = e.Run(100000);
+    auto cycles = Drive(e, d, 100000);
     EXPECT_TRUE(cycles.ok());
     r.cycles = cycles.ok() ? *cycles : 0;
     r.buckets = {BucketsOf(prod), BucketsOf(cons)};
     EXPECT_EQ(cons.count(), 16u);
     return r;
   };
-  const SimpleRun ref = run(Scheduling::kLevelTick);
-  const SimpleRun event = run(Scheduling::kEventDriven);
+  const SimpleRun ref = run(Driver::kStep);
+  const SimpleRun event = run(Driver::kRun);
   ExpectSameRun(ref, event, "step-run-interleave");
 }
 
 // ---------------------------------------------------------------------------
-// 100-seed event-vs-tick differential over the sharded workloads
+// 100-seed Run()-vs-Step() differential over the sharded workloads
 //
 // Mirrors tests/gather_equivalence_test.cc's harness, but the variable under
-// test is the Run() scheduler: for every seeded deployment the event-driven
-// run must reproduce the level-tick run bit-for-bit — elapsed cycles,
-// per-slice outcomes, and result payloads.
-
-struct EngineMode {
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-
-// Rotated through the seed sweep so every (workload, scheduler, mode)
-// triple gets coverage without tripling the runtime.
-constexpr EngineMode kEngineModes[] = {{1, true}, {1, false}, {4, true}};
+// test is the driver: for every seeded deployment Run() must reproduce the
+// Step() loop bit-for-bit — elapsed cycles, per-slice outcomes, and result
+// payloads.
 
 uint64_t Lcg(uint64_t& state) {
   state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -827,9 +857,8 @@ struct AnnsRun {
   std::vector<std::vector<anns::Neighbor>> results;
 };
 
-AnnsRun RunAnns(Scheduling sched, uint32_t num_shards, size_t nprobe,
-                size_t k, const std::vector<size_t>& query_idx,
-                EngineMode mode) {
+AnnsRun RunAnns(Driver driver, uint32_t num_shards, size_t nprobe, size_t k,
+                const std::vector<size_t>& query_idx) {
   const anns::Dataset& data = DiffDataset();
   shard::AnnsTopKWorkload::Config wc;
   wc.nprobe = nprobe;
@@ -839,15 +868,12 @@ AnnsRun RunAnns(Scheduling sched, uint32_t num_shards, size_t nprobe,
   shard::ShardCluster::Config cc;
   cc.num_shards = num_shards;
   shard::ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
-  cluster.engine().SetScheduling(sched);
   std::vector<uint64_t> ids;
   for (size_t q : query_idx) {
     ids.push_back(wl.AddQuery(data.QueryVector(q)));
     cluster.Submit(ids.back());
   }
-  auto cycles = cluster.Run();
+  auto cycles = Drive(cluster.engine(), driver, 1ull << 32);
   AnnsRun r;
   EXPECT_TRUE(cycles.ok()) << cycles.status().ToString();
   if (!cycles.ok()) return r;
@@ -866,11 +892,8 @@ TEST(EngineEventDifferentialTest, AnnsTopK100Seeds) {
     const size_t nprobe = 4 + seed % 9;
     const size_t k = 4 + seed % 8;
     const std::vector<size_t> queries = {seed % nq, (seed * 7 + 3) % nq};
-    const EngineMode mode = kEngineModes[seed % 3];
-    const AnnsRun ref =
-        RunAnns(Scheduling::kLevelTick, shards, nprobe, k, queries, mode);
-    const AnnsRun event =
-        RunAnns(Scheduling::kEventDriven, shards, nprobe, k, queries, mode);
+    const AnnsRun ref = RunAnns(Driver::kStep, shards, nprobe, k, queries);
+    const AnnsRun event = RunAnns(Driver::kRun, shards, nprobe, k, queries);
     const std::string label = "seed " + std::to_string(seed);
     EXPECT_TRUE(event.all_ok) << label;
     EXPECT_EQ(event.cycles, ref.cycles) << label;
@@ -897,8 +920,8 @@ struct KvsRun {
   std::vector<std::vector<std::tuple<uint64_t, bool, bool, uint64_t>>> results;
 };
 
-KvsRun RunKvs(Scheduling sched, uint32_t num_shards, uint32_t seed,
-              size_t num_requests, size_t keys_per_req, EngineMode mode) {
+KvsRun RunKvs(Driver driver, uint32_t num_shards, uint32_t seed,
+              size_t num_requests, size_t keys_per_req) {
   shard::KvsMultiGetWorkload::Config kc;
   shard::KvsMultiGetWorkload wl(shard::Partitioner::Hash(num_shards), kc);
   uint64_t st = seed * 2654435761ull + 17;
@@ -909,9 +932,6 @@ KvsRun RunKvs(Scheduling sched, uint32_t num_shards, uint32_t seed,
   shard::ShardCluster::Config cc;
   cc.num_shards = num_shards;
   shard::ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
-  cluster.engine().SetScheduling(sched);
   std::vector<uint64_t> ids;
   for (size_t r = 0; r < num_requests; ++r) {
     std::vector<uint64_t> keys;
@@ -919,7 +939,7 @@ KvsRun RunKvs(Scheduling sched, uint32_t num_shards, uint32_t seed,
     ids.push_back(wl.AddMultiGet(std::move(keys)));
     cluster.Submit(ids.back());
   }
-  auto cycles = cluster.Run();
+  auto cycles = Drive(cluster.engine(), driver, 1ull << 32);
   KvsRun r;
   EXPECT_TRUE(cycles.ok()) << cycles.status().ToString();
   if (!cycles.ok()) return r;
@@ -942,11 +962,8 @@ TEST(EngineEventDifferentialTest, KvsMultiGet100Seeds) {
     const uint32_t shards = 1 + seed % 8;
     const size_t reqs = 2 + seed % 4;
     const size_t keys = 3 + seed % 6;
-    const EngineMode mode = kEngineModes[seed % 3];
-    const KvsRun ref =
-        RunKvs(Scheduling::kLevelTick, shards, seed, reqs, keys, mode);
-    const KvsRun event =
-        RunKvs(Scheduling::kEventDriven, shards, seed, reqs, keys, mode);
+    const KvsRun ref = RunKvs(Driver::kStep, shards, seed, reqs, keys);
+    const KvsRun event = RunKvs(Driver::kRun, shards, seed, reqs, keys);
     const std::string label = "seed " + std::to_string(seed);
     EXPECT_TRUE(event.all_ok) << label;
     EXPECT_EQ(event.cycles, ref.cycles) << label;
@@ -982,8 +999,7 @@ struct JoinRun {
   std::multiset<std::vector<int64_t>> rows;
 };
 
-JoinRun RunJoin(Scheduling sched, uint32_t num_shards, uint32_t seed,
-                EngineMode mode) {
+JoinRun RunJoin(Driver driver, uint32_t num_shards, uint32_t seed) {
   rel::Table build(rel::Schema{{{"k"}, {"payload"}}});
   const int64_t nbuild = 40 + seed % 30;
   for (int64_t i = 0; i < nbuild; ++i) {
@@ -1003,11 +1019,8 @@ JoinRun RunJoin(Scheduling sched, uint32_t num_shards, uint32_t seed,
   shard::ShardCluster::Config cc;
   cc.num_shards = num_shards;
   shard::ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
-  cluster.engine().SetScheduling(sched);
   cluster.Submit(wl.request_id());
-  auto cycles = cluster.Run();
+  auto cycles = Drive(cluster.engine(), driver, 1ull << 32);
   JoinRun r;
   EXPECT_TRUE(cycles.ok()) << cycles.status().ToString();
   if (!cycles.ok()) return r;
@@ -1023,10 +1036,8 @@ JoinRun RunJoin(Scheduling sched, uint32_t num_shards, uint32_t seed,
 TEST(EngineEventDifferentialTest, HashJoin100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 1 + seed % 4;
-    const EngineMode mode = kEngineModes[seed % 3];
-    const JoinRun ref = RunJoin(Scheduling::kLevelTick, shards, seed, mode);
-    const JoinRun event =
-        RunJoin(Scheduling::kEventDriven, shards, seed, mode);
+    const JoinRun ref = RunJoin(Driver::kStep, shards, seed);
+    const JoinRun event = RunJoin(Driver::kRun, shards, seed);
     const std::string label = "seed " + std::to_string(seed);
     EXPECT_TRUE(event.ok) << label;
     EXPECT_FALSE(ref.rows.empty()) << label;

@@ -1,19 +1,22 @@
-// Determinism lockdown for the engine's performance modes: the parallel
-// tick (Engine::SetThreads) and event-driven fast-forward must reproduce
-// the serial cycle-stepped results bit-for-bit — cycle counts, per-module
-// stall attribution, stream traffic, completion timestamps, and fault
-// outcomes. Every test here runs the same workload under several
-// (threads, fast_forward) configurations and diffs everything observable.
+// Determinism lockdown for the engine's scheduler: over real pipelines,
+// the event-driven Run() must reproduce the Step() loop bit-for-bit —
+// cycle counts, per-module stall attribution, stream traffic, completion
+// timestamps, and fault outcomes. Every test here runs the same workload
+// under both drivers and diffs everything observable.
+//
+// The file keeps its name from when it also covered the parallel tick and
+// its thread pool; both were removed, leaving Run() the only scheduler that
+// can diverge from the one-cycle Step() reference. The arming-rule unit
+// tests and the 100-seed sharded differentials live in engine_event_test.
 
-#include <atomic>
+#include <gtest/gtest.h>
+
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "gtest/gtest.h"
-#include "src/accl/collectives.h"
 #include "src/net/fabric.h"
 #include "src/net/rdma.h"
 #include "src/obs/metrics.h"
@@ -22,76 +25,90 @@
 #include "src/relational/table.h"
 #include "src/sim/engine.h"
 #include "src/sim/kernels.h"
+#include "src/sim/module.h"
 #include "src/sim/stream.h"
-#include "src/sim/thread_pool.h"
 
 namespace fpgadp {
 namespace {
 
-// ---------------------------------------------------------------------------
-// ThreadPool sanity.
-// ---------------------------------------------------------------------------
+using sim::Cycle;
+using sim::Engine;
+using sim::Module;
+using sim::Stream;
 
-TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
-  sim::ThreadPool pool(4);
-  const size_t n = 10000;
-  std::vector<std::atomic<uint32_t>> hits(n);
-  pool.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1u) << i;
+/// How a test drives an engine: the event-driven Run(), or the Step() loop
+/// it must reproduce.
+enum class Driver { kRun, kStep };
+
+Result<Cycle> Drive(Engine& e, Driver d, uint64_t max_cycles) {
+  return d == Driver::kRun ? e.Run(max_cycles)
+                           : sim::StepUntilQuiesced(e, max_cycles);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossCalls) {
-  sim::ThreadPool pool(3);
-  std::atomic<uint64_t> sum{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(100, [&](size_t i) { sum.fetch_add(i); });
-  }
-  EXPECT_EQ(sum.load(), 50ull * (99 * 100 / 2));
-}
-
-TEST(ThreadPoolTest, EdgeCases) {
-  sim::ThreadPool pool(8);
-  std::atomic<uint32_t> count{0};
-  pool.ParallelFor(0, [&](size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 0u);
-  pool.ParallelFor(1, [&](size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 1u);
-  pool.ParallelFor(3, [&](size_t) { count.fetch_add(1); });  // n < threads
-  EXPECT_EQ(count.load(), 4u);
-  sim::ThreadPool serial(1);  // no workers at all
-  serial.ParallelFor(5, [&](size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 9u);
-}
-
-// ---------------------------------------------------------------------------
-// Certified-module pipeline: everything observable must be bit-identical
-// across thread counts.
-// ---------------------------------------------------------------------------
-
-struct ModuleCounters {
-  uint64_t busy, starved, blocked, idle;
-  bool operator==(const ModuleCounters& o) const {
-    return busy == o.busy && starved == o.starved && blocked == o.blocked &&
-           idle == o.idle;
-  }
+/// Per-module stall-bucket snapshot for bit-identity assertions.
+struct Buckets {
+  uint64_t busy = 0, starved = 0, blocked = 0, idle = 0, attributed = 0;
 };
 
-ModuleCounters Snapshot(const sim::Module& m) {
+Buckets BucketsOf(const Module& m) {
   return {m.busy_cycles(), m.starved_cycles(), m.blocked_cycles(),
-          m.idle_cycles()};
+          m.idle_cycles(), m.attributed_cycles()};
 }
 
+void ExpectSameBuckets(const Buckets& ref, const Buckets& got,
+                       const std::string& label) {
+  EXPECT_EQ(got.busy, ref.busy) << label << " busy";
+  EXPECT_EQ(got.starved, ref.starved) << label << " starved";
+  EXPECT_EQ(got.blocked, ref.blocked) << label << " blocked";
+  EXPECT_EQ(got.idle, ref.idle) << label << " idle";
+  EXPECT_EQ(got.attributed, ref.attributed) << label << " attributed";
+}
+
+// ---------------------------------------------------------------------------
+// Determinism over real pipelines: everything observable — cycle counts,
+// per-module stall attribution, stream traffic, completion timestamps, and
+// fault outcomes — must match between Run() and the Step() loop.
+
 struct PipelineResult {
-  sim::Cycle cycles;
+  Cycle cycles = 0;
   std::vector<int64_t> collected;
-  std::vector<ModuleCounters> counters;
+  std::vector<Buckets> buckets;
   std::vector<std::pair<uint64_t, uint64_t>> stream_traffic;
 };
 
-PipelineResult RunKernelPipeline(uint32_t threads, bool fast_forward) {
+void ExpectSamePipeline(const PipelineResult& ref, const PipelineResult& got,
+                        const std::string& label) {
+  EXPECT_EQ(got.cycles, ref.cycles) << label;
+  EXPECT_EQ(got.collected, ref.collected) << label;
+  ASSERT_EQ(got.buckets.size(), ref.buckets.size()) << label;
+  for (size_t i = 0; i < ref.buckets.size(); ++i) {
+    ExpectSameBuckets(ref.buckets[i], got.buckets[i],
+                      label + " module " + std::to_string(i));
+  }
+  EXPECT_EQ(got.stream_traffic, ref.stream_traffic) << label;
+}
+
+/// Runs a registered pipeline under `d` and snapshots everything observable.
+PipelineResult RunPipeline(Driver d, Engine& e,
+                           const std::vector<const Module*>& modules,
+                           const std::vector<const sim::StreamBase*>& streams,
+                           const sim::VectorSink<int64_t>& sink) {
+  auto run = Drive(e, d, 1 << 22);
+  EXPECT_TRUE(run.ok()) << run.status();
+  PipelineResult r;
+  r.cycles = run.ok() ? *run : 0;
+  r.collected = sink.collected();
+  for (const Module* m : modules) r.buckets.push_back(BucketsOf(*m));
+  for (const sim::StreamBase* s : streams) {
+    r.stream_traffic.push_back({s->TotalPushed(), s->TotalPopped()});
+  }
+  return r;
+}
+
+PipelineResult RunKernelPipeline(Driver d) {
   std::vector<int64_t> data(5000);
   for (size_t i = 0; i < data.size(); ++i) data[i] = int64_t(i) * 3 - 1000;
-  sim::Stream<int64_t> s0("s0", 8), s1("s1", 8), s2("s2", 8);
+  Stream<int64_t> s0("s0", 8), s1("s1", 8), s2("s2", 8);
   sim::VectorSource<int64_t> src("src", data, &s0, /*lanes=*/2);
   sim::TransformKernel<int64_t, int64_t> map(
       "map", &s0, &s1,
@@ -102,60 +119,31 @@ PipelineResult RunKernelPipeline(uint32_t threads, bool fast_forward) {
       sim::KernelTiming{1, 2, 12});
   sim::DelayLine<int64_t> wire("wire", &s1, &s2, /*latency=*/25, /*lanes=*/2);
   sim::VectorSink<int64_t> sink("sink", &s2, /*lanes=*/2);
-  sim::Engine engine;
-  engine.SetThreads(threads);
-  engine.SetFastForward(fast_forward);
-  engine.AddModule(&src);
-  engine.AddModule(&map);
-  engine.AddModule(&wire);
-  engine.AddModule(&sink);
-  engine.AddStream(&s0);
-  engine.AddStream(&s1);
-  engine.AddStream(&s2);
-  auto run = engine.Run(1 << 22);
-  EXPECT_TRUE(run.ok()) << run.status();
-  PipelineResult r;
-  r.cycles = run.ok() ? *run : 0;
-  r.collected = sink.collected();
-  for (const sim::Module* m :
-       {static_cast<const sim::Module*>(&src),
-        static_cast<const sim::Module*>(&map),
-        static_cast<const sim::Module*>(&wire),
-        static_cast<const sim::Module*>(&sink)}) {
-    r.counters.push_back(Snapshot(*m));
-  }
-  for (const sim::StreamBase* s :
-       {static_cast<const sim::StreamBase*>(&s0),
-        static_cast<const sim::StreamBase*>(&s1),
-        static_cast<const sim::StreamBase*>(&s2)}) {
-    r.stream_traffic.push_back({s->TotalPushed(), s->TotalPopped()});
-  }
-  return r;
+  Engine e;
+  e.AddModule(&src);
+  e.AddModule(&map);
+  e.AddModule(&wire);
+  e.AddModule(&sink);
+  e.AddStream(&s0);
+  e.AddStream(&s1);
+  e.AddStream(&s2);
+  return RunPipeline(d, e, {&src, &map, &wire, &sink}, {&s0, &s1, &s2}, sink);
 }
 
-TEST(EngineParallelTest, KernelPipelineBitIdentical) {
-  const PipelineResult serial = RunKernelPipeline(1, true);
-  EXPECT_FALSE(serial.collected.empty());
-  for (uint32_t threads : {2u, 8u}) {
-    for (bool ff : {true, false}) {
-      const PipelineResult other = RunKernelPipeline(threads, ff);
-      EXPECT_EQ(serial.cycles, other.cycles)
-          << "threads=" << threads << " ff=" << ff;
-      EXPECT_EQ(serial.collected, other.collected);
-      EXPECT_EQ(serial.counters, other.counters);
-      EXPECT_EQ(serial.stream_traffic, other.stream_traffic);
-    }
-  }
+TEST(EngineDeterminismTest, KernelPipelineMatchesStep) {
+  const PipelineResult ref = RunKernelPipeline(Driver::kStep);
+  EXPECT_FALSE(ref.collected.empty());
+  ExpectSamePipeline(ref, RunKernelPipeline(Driver::kRun), "kernel-pipeline");
 }
 
-// An uncertified module (no SetParallelSafe) must veto the parallel path,
-// not break it: results stay identical, just computed serially.
-class UncertifiedPassthrough : public sim::Module {
+/// Forwards everything readable, with no event certification: Run() must
+/// tick it every visited cycle, exactly as Step() does.
+class UncertifiedPassthrough : public Module {
  public:
-  UncertifiedPassthrough(std::string name, sim::Stream<int64_t>* in,
-                         sim::Stream<int64_t>* out)
-      : sim::Module(std::move(name)), in_(in), out_(out) {}
-  void Tick(sim::Cycle) override {
+  UncertifiedPassthrough(std::string name, Stream<int64_t>* in,
+                         Stream<int64_t>* out)
+      : Module(std::move(name)), in_(in), out_(out) {}
+  void Tick(Cycle) override {
     bool progressed = false;
     while (in_->CanRead() && out_->CanWrite()) {
       out_->Write(in_->Read());
@@ -166,43 +154,37 @@ class UncertifiedPassthrough : public sim::Module {
   bool Idle() const override { return true; }
 
  private:
-  sim::Stream<int64_t>* in_;
-  sim::Stream<int64_t>* out_;
+  Stream<int64_t>* in_;
+  Stream<int64_t>* out_;
 };
 
-TEST(EngineParallelTest, UncertifiedModuleFallsBackToSerial) {
-  auto run = [](uint32_t threads) {
-    std::vector<int64_t> data(1000);
-    for (size_t i = 0; i < data.size(); ++i) data[i] = int64_t(i);
-    sim::Stream<int64_t> s0("s0", 4), s1("s1", 4);
-    sim::VectorSource<int64_t> src("src", data, &s0);
-    UncertifiedPassthrough mid("mid", &s0, &s1);
-    sim::VectorSink<int64_t> sink("sink", &s1);
-    sim::Engine engine;
-    engine.SetThreads(threads);
-    engine.AddModule(&src);
-    engine.AddModule(&mid);
-    engine.AddModule(&sink);
-    engine.AddStream(&s0);
-    engine.AddStream(&s1);
-    auto result = engine.Run(1 << 20);
-    EXPECT_TRUE(result.ok());
-    return std::make_pair(result.ok() ? *result : 0, sink.collected());
-  };
-  const auto serial = run(1);
-  const auto parallel = run(8);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
-  EXPECT_EQ(serial.second.size(), 1000u);
+PipelineResult RunUncertifiedPipeline(Driver d) {
+  std::vector<int64_t> data(1000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = int64_t(i);
+  Stream<int64_t> s0("s0", 4), s1("s1", 4);
+  sim::VectorSource<int64_t> src("src", data, &s0);
+  UncertifiedPassthrough mid("mid", &s0, &s1);
+  sim::VectorSink<int64_t> sink("sink", &s1);
+  Engine e;
+  e.AddModule(&src);
+  e.AddModule(&mid);
+  e.AddModule(&sink);
+  e.AddStream(&s0);
+  e.AddStream(&s1);
+  return RunPipeline(d, e, {&src, &mid, &sink}, {&s0, &s1}, sink);
 }
 
-// ---------------------------------------------------------------------------
-// Full relational pipeline through ExecuteFpga, including the exported
-// metrics registry: every instrument must read identically at 1 and 8
-// threads.
-// ---------------------------------------------------------------------------
+TEST(EngineDeterminismTest, UncertifiedModuleMatchesStep) {
+  const PipelineResult ref = RunUncertifiedPipeline(Driver::kStep);
+  EXPECT_EQ(ref.collected.size(), 1000u);
+  ExpectSamePipeline(ref, RunUncertifiedPipeline(Driver::kRun),
+                     "uncertified-pipeline");
+}
 
-TEST(EngineParallelTest, ExecuteFpgaCyclesAndMetricsIdentical) {
+// ExecuteFpga builds its engine internally; a metrics registry attached to
+// it turns its Run() into the Step() loop, so the observed run is the
+// reference for the plain one.
+TEST(EngineDeterminismTest, ExecuteFpgaCyclesMatchObservedRun) {
   rel::SyntheticTableSpec spec;
   spec.num_rows = 20000;
   spec.seed = 21;
@@ -215,42 +197,33 @@ TEST(EngineParallelTest, ExecuteFpgaCyclesAndMetricsIdentical) {
   g.group_column = 2;
   g.agg = rel::AggregateOp{rel::AggKind::kSum, 4, false};
   p.ops.push_back(g);
+  rel::FpgaOptions options;
+  options.lanes = 2;
+  options.stream_depth = 16;
 
-  auto run = [&](uint32_t threads, std::string* metrics_dump) {
-    sim::SetDefaultEngineThreads(threads);
-    obs::MetricsRegistry registry;
-    obs::SetGlobalMetrics(&registry);
-    rel::FpgaOptions options;
-    options.lanes = 2;
-    options.stream_depth = 16;
-    auto stats = rel::ExecuteFpga(p, table, options);
-    obs::SetGlobalMetrics(nullptr);
-    sim::SetDefaultEngineThreads(1);
-    EXPECT_TRUE(stats.ok()) << stats.status();
-    *metrics_dump = registry.ToString();
-    return stats.ok() ? stats->cycles : 0;
-  };
-  std::string metrics1, metrics8;
-  const uint64_t cycles1 = run(1, &metrics1);
-  const uint64_t cycles8 = run(8, &metrics8);
-  EXPECT_EQ(cycles1, cycles8);
-  EXPECT_FALSE(metrics1.empty());
-  EXPECT_EQ(metrics1, metrics8);
+  obs::MetricsRegistry registry;
+  obs::SetGlobalMetrics(&registry);
+  auto observed = rel::ExecuteFpga(p, table, options);
+  obs::SetGlobalMetrics(nullptr);
+  auto plain = rel::ExecuteFpga(p, table, options);
+  ASSERT_TRUE(observed.ok()) << observed.status();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(plain->cycles, observed->cycles);
+  const obs::Counter* cycles = registry.FindCounter("engine.cycles");
+  ASSERT_NE(cycles, nullptr);
+  EXPECT_EQ(cycles->value(), observed->cycles);
 }
 
-// ---------------------------------------------------------------------------
-// Lossy RDMA: retransmission timers + injected faults are the adversarial
-// case for both modes (fast-forward jumps between timer deadlines; the
-// parallel tick must not reorder the injector's seeded draws). Completion
+// Lossy RDMA: retransmission timers plus injected faults are the
+// adversarial case for Run() — it jumps between timer deadlines and must
+// consume the injector's seeded draws in exactly Step()'s order. Completion
 // tags, completion cycles, protocol counters, and final cycle counts must
 // all match.
-// ---------------------------------------------------------------------------
-
 struct LossyRdmaResult {
-  std::vector<std::pair<uint64_t, sim::Cycle>> completions;
-  uint64_t retransmits_a, retransmits_b, dropped;
-  sim::Cycle cycles;
-  bool failed;
+  std::vector<std::pair<uint64_t, Cycle>> completions;
+  uint64_t retransmits_a = 0, retransmits_b = 0, dropped = 0;
+  Cycle cycles = 0;
+  bool failed = false;
   bool operator==(const LossyRdmaResult& o) const {
     return completions == o.completions && retransmits_a == o.retransmits_a &&
            retransmits_b == o.retransmits_b && dropped == o.dropped &&
@@ -258,8 +231,8 @@ struct LossyRdmaResult {
   }
 };
 
-LossyRdmaResult RunLossyRdma(uint32_t threads, bool fast_forward,
-                             double drop_rate, uint32_t max_retries) {
+LossyRdmaResult RunLossyRdma(Driver d, double drop_rate,
+                             uint32_t max_retries) {
   net::FaultInjector::Config fc;
   fc.seed = 7;
   fc.drop_rate = drop_rate;
@@ -274,9 +247,7 @@ LossyRdmaResult RunLossyRdma(uint32_t threads, bool fast_forward,
   rel.max_retries = max_retries;
   net::RdmaEndpoint a("a", 0, &fab, rel);
   net::RdmaEndpoint b("b", 1, &fab, rel);
-  sim::Engine engine;
-  engine.SetThreads(threads);
-  engine.SetFastForward(fast_forward);
+  Engine engine;
   fab.RegisterWith(engine);
   engine.AddModule(&a);
   engine.AddModule(&b);
@@ -289,17 +260,14 @@ LossyRdmaResult RunLossyRdma(uint32_t threads, bool fast_forward,
                  uint64_t(i));
     }
   }
-  auto run = engine.Run(1 << 24);
+  auto run = Drive(engine, d, 1 << 24);
   EXPECT_TRUE(run.ok()) << run.status();
   LossyRdmaResult r;
   r.cycles = run.ok() ? *run : 0;
   net::Completion c;
   while (a.PollCompletion(&c)) {
-    r.completions.push_back({c.tag | (uint64_t(c.status == StatusCode::kOk
-                                                   ? 0
-                                                   : 1)
-                                      << 32),
-                             c.at});
+    const uint64_t failed_bit = c.status == StatusCode::kOk ? 0 : 1;
+    r.completions.push_back({c.tag | failed_bit << 32, c.at});
   }
   r.retransmits_a = a.retransmits();
   r.retransmits_b = b.retransmits();
@@ -308,57 +276,20 @@ LossyRdmaResult RunLossyRdma(uint32_t threads, bool fast_forward,
   return r;
 }
 
-TEST(EngineParallelTest, LossyRdmaDeterministicAcrossModes) {
-  const LossyRdmaResult base = RunLossyRdma(1, true, 0.05, 8);
-  EXPECT_EQ(base.completions.size(), 40u);
-  EXPECT_FALSE(base.failed);
-  EXPECT_GT(base.retransmits_a + base.retransmits_b, 0u);
-  for (uint32_t threads : {1u, 8u}) {
-    for (bool ff : {true, false}) {
-      if (threads == 1 && ff) continue;  // the baseline itself
-      const LossyRdmaResult other = RunLossyRdma(threads, ff, 0.05, 8);
-      EXPECT_EQ(base, other) << "threads=" << threads << " ff=" << ff;
-    }
-  }
+TEST(EngineDeterminismTest, LossyRdmaMatchesStep) {
+  const LossyRdmaResult ref = RunLossyRdma(Driver::kStep, 0.05, 8);
+  EXPECT_EQ(ref.completions.size(), 40u);
+  EXPECT_FALSE(ref.failed);
+  EXPECT_GT(ref.retransmits_a + ref.retransmits_b, 0u);
+  EXPECT_EQ(RunLossyRdma(Driver::kRun, 0.05, 8), ref);
 }
 
-TEST(EngineParallelTest, FaultOutcomeIdenticalAcrossModes) {
+TEST(EngineDeterminismTest, FaultOutcomeMatchesStep) {
   // A drop rate the retry cap cannot beat: the *failure* must also be
   // deterministic — same abandoned ops, same cycle counts.
-  const LossyRdmaResult base = RunLossyRdma(1, true, 0.9, 2);
-  EXPECT_TRUE(base.failed);
-  for (uint32_t threads : {1u, 8u}) {
-    for (bool ff : {true, false}) {
-      if (threads == 1 && ff) continue;
-      const LossyRdmaResult other = RunLossyRdma(threads, ff, 0.9, 2);
-      EXPECT_EQ(base, other) << "threads=" << threads << " ff=" << ff;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ACCL collectives build Step()-driven engines with uncertified driver
-// modules — the parallel request must fall back serially and reproduce the
-// exact collective timing.
-// ---------------------------------------------------------------------------
-
-TEST(EngineParallelTest, AcclCollectiveIdenticalAcrossThreadCounts) {
-  auto run = [](uint32_t threads) {
-    sim::SetDefaultEngineThreads(threads);
-    accl::Communicator comm(4);
-    std::vector<std::vector<float>> buffers(4, std::vector<float>(512));
-    for (size_t i = 0; i < buffers[1].size(); ++i) {
-      buffers[1][i] = float(i) * 0.25f;
-    }
-    auto stats = comm.Broadcast(1, buffers, accl::Algo::kTree);
-    sim::SetDefaultEngineThreads(1);
-    EXPECT_TRUE(stats.ok()) << stats.status();
-    return std::make_pair(stats.ok() ? stats->cycles : 0, buffers);
-  };
-  const auto serial = run(1);
-  const auto parallel = run(8);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
+  const LossyRdmaResult ref = RunLossyRdma(Driver::kStep, 0.9, 2);
+  EXPECT_TRUE(ref.failed);
+  EXPECT_EQ(RunLossyRdma(Driver::kRun, 0.9, 2), ref);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Differential gather-equivalence suite: tree-structured and in-network
 // (switch) aggregation must be *indistinguishable* from flat gather in every
 // functional respect — result payloads bit-identical, PartialOutcome slices
-// identical — across 100 seeded deployments of all three workloads and all
-// engine modes. The gather topology is a pure wire/timing optimization; any
-// observable difference is a bug this suite is designed to catch.
+// identical — across 100 seeded deployments of all three workloads, and
+// per topology Run() reproduces the Step() loop's cycles. The gather
+// topology is a pure wire/timing optimization; any observable difference is
+// a bug this suite is designed to catch.
 //
 // Also home to the gather-specific fault-injection tests: a dead interior
 // merge shard degrades exactly its subtree, and a dead aggregating-switch
@@ -64,15 +65,12 @@ class TestWorkloadForGather : public Workload {
   std::map<uint64_t, PartialOutcome> merged_;
 };
 
-struct EngineMode {
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-
-// Rotated through the seed sweep so every (workload, topology, mode) triple
-// gets coverage without tripling the runtime; the dedicated mode-invariance
-// test below additionally pins bit-identical *cycles* per mode.
-constexpr EngineMode kEngineModes[] = {{1, true}, {1, false}, {8, true}};
+/// Drains `cluster` with Run(), or with the Step() loop Run() must
+/// reproduce (the dedicated invariance tests below compare the two).
+Result<sim::Cycle> Drain(ShardCluster& cluster, bool stepped) {
+  return stepped ? sim::StepUntilQuiesced(cluster.engine(), 1ull << 32)
+                 : cluster.Run();
+}
 
 struct GatherVariant {
   const char* name;
@@ -206,7 +204,8 @@ struct AnnsRun {
 
 AnnsRun RunAnnsGather(const GatherConfig& gather, uint32_t num_shards,
                       size_t nprobe, size_t k,
-                      const std::vector<size_t>& query_idx, EngineMode mode) {
+                      const std::vector<size_t>& query_idx,
+                      bool stepped = false) {
   const anns::Dataset& data = EquivDataset();
   AnnsTopKWorkload::Config wc;
   wc.nprobe = nprobe;
@@ -216,14 +215,12 @@ AnnsRun RunAnnsGather(const GatherConfig& gather, uint32_t num_shards,
   cc.num_shards = num_shards;
   cc.gather = gather;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
   std::vector<uint64_t> ids;
   for (size_t q : query_idx) {
     ids.push_back(wl.AddQuery(data.QueryVector(q)));
     cluster.Submit(ids.back());
   }
-  auto cycles = cluster.Run();
+  auto cycles = Drain(cluster, stepped);
   AnnsRun r;
   EXPECT_TRUE(cycles.ok()) << cycles.status().ToString();
   if (!cycles.ok()) return r;
@@ -260,11 +257,10 @@ TEST(GatherEquivalenceTest, AnnsTopKIdenticalAcrossTopologies100Seeds) {
     const size_t nprobe = 4 + seed % 9;
     const size_t k = 4 + seed % 8;
     const std::vector<size_t> queries = {seed % nq, (seed * 7 + 3) % nq};
-    const EngineMode mode = kEngineModes[seed % 3];
     AnnsRun ref;
     for (size_t v = 0; v < variants.size(); ++v) {
-      AnnsRun run = RunAnnsGather(variants[v].gather, shards, nprobe, k,
-                                  queries, mode);
+      AnnsRun run =
+          RunAnnsGather(variants[v].gather, shards, nprobe, k, queries);
       if (v == 0) {
         EXPECT_TRUE(run.all_ok) << "seed " << seed << " reference";
         ref = std::move(run);
@@ -290,7 +286,7 @@ struct KvsRun {
 
 KvsRun RunKvsGather(const GatherConfig& gather, uint32_t num_shards,
                     uint32_t seed, size_t num_requests, size_t keys_per_req,
-                    EngineMode mode) {
+                    bool stepped = false) {
   KvsMultiGetWorkload::Config kc;
   KvsMultiGetWorkload wl(Partitioner::Hash(num_shards), kc);
   uint64_t st = seed * 2654435761ull + 17;
@@ -302,8 +298,6 @@ KvsRun RunKvsGather(const GatherConfig& gather, uint32_t num_shards,
   cc.num_shards = num_shards;
   cc.gather = gather;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
   std::vector<uint64_t> ids;
   for (size_t r = 0; r < num_requests; ++r) {
     std::vector<uint64_t> keys;
@@ -311,7 +305,7 @@ KvsRun RunKvsGather(const GatherConfig& gather, uint32_t num_shards,
     ids.push_back(wl.AddMultiGet(std::move(keys)));
     cluster.Submit(ids.back());
   }
-  auto cycles = cluster.Run();
+  auto cycles = Drain(cluster, stepped);
   KvsRun r;
   EXPECT_TRUE(cycles.ok()) << cycles.status().ToString();
   if (!cycles.ok()) return r;
@@ -333,11 +327,10 @@ TEST(GatherEquivalenceTest, KvsMultiGetIdenticalAcrossTopologies100Seeds) {
   const std::vector<GatherVariant> variants = GatherVariants();
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 1 + seed % 8;
-    const EngineMode mode = kEngineModes[seed % 3];
     KvsRun ref;
     for (size_t v = 0; v < variants.size(); ++v) {
       KvsRun run = RunKvsGather(variants[v].gather, shards, seed,
-                                /*num_requests=*/2, /*keys_per_req=*/30, mode);
+                                /*num_requests=*/2, /*keys_per_req=*/30);
       if (v == 0) {
         EXPECT_TRUE(run.all_ok) << "seed " << seed << " reference";
         ref = std::move(run);
@@ -382,7 +375,7 @@ struct JoinRun {
 };
 
 JoinRun RunJoinGather(const GatherConfig& gather, uint32_t num_shards,
-                      uint32_t seed, EngineMode mode) {
+                      uint32_t seed) {
   rel::Table build(rel::Schema{{{"k"}, {"payload"}}});
   const int64_t nbuild = 40 + seed % 30;
   for (int64_t i = 0; i < nbuild; ++i) {
@@ -402,8 +395,6 @@ JoinRun RunJoinGather(const GatherConfig& gather, uint32_t num_shards,
   cc.num_shards = num_shards;
   cc.gather = gather;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(mode.threads);
-  cluster.engine().SetFastForward(mode.fast_forward);
   cluster.Submit(wl.request_id());
   auto cycles = cluster.Run();
   JoinRun r;
@@ -422,10 +413,9 @@ TEST(GatherEquivalenceTest, HashJoinIdenticalAcrossTopologies100Seeds) {
   const std::vector<GatherVariant> variants = GatherVariants();
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 1 + seed % 4;
-    const EngineMode mode = kEngineModes[seed % 3];
     JoinRun ref;
     for (size_t v = 0; v < variants.size(); ++v) {
-      JoinRun run = RunJoinGather(variants[v].gather, shards, seed, mode);
+      JoinRun run = RunJoinGather(variants[v].gather, shards, seed);
       if (v == 0) {
         EXPECT_TRUE(run.ok) << "seed " << seed << " reference";
         EXPECT_FALSE(run.rows.empty()) << "seed " << seed;
@@ -442,54 +432,40 @@ TEST(GatherEquivalenceTest, HashJoinIdenticalAcrossTopologies100Seeds) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-mode invariance: per topology, cycles AND results must be
-// bit-identical under serial, no-fast-forward, and threaded execution.
+// Scheduler invariance: per topology, Run() must reproduce the Step() loop's
+// cycles AND results bit-for-bit.
 
-TEST(GatherEquivalenceTest, CyclesIdenticalAcrossEngineModesPerTopology) {
-  const std::vector<std::pair<uint32_t, bool>> modes = {
-      {1, false}, {8, true}, {8, false}};
+TEST(GatherEquivalenceTest, RunMatchesStepPerTopology) {
   for (const GatherVariant& variant : GatherVariants()) {
     for (uint32_t seed : {0u, 7u}) {
-      const KvsRun base =
+      const KvsRun ref =
           RunKvsGather(variant.gather, /*num_shards=*/8, seed,
-                       /*num_requests=*/3, /*keys_per_req=*/24, {1, true});
-      EXPECT_GT(base.cycles, 0u) << variant.name;
-      for (const auto& [threads, ff] : modes) {
-        const KvsRun run =
-            RunKvsGather(variant.gather, /*num_shards=*/8, seed,
-                         /*num_requests=*/3, /*keys_per_req=*/24,
-                         {threads, ff});
-        const std::string label = std::string(variant.name) + " seed " +
-                                  std::to_string(seed) + " threads=" +
-                                  std::to_string(threads) +
-                                  (ff ? " ff" : " noff");
-        EXPECT_EQ(run.cycles, base.cycles) << label;
-        EXPECT_EQ(run.outcomes, base.outcomes) << label;
-        EXPECT_EQ(run.results, base.results) << label;
-      }
+                       /*num_requests=*/3, /*keys_per_req=*/24,
+                       /*stepped=*/true);
+      EXPECT_GT(ref.cycles, 0u) << variant.name;
+      const KvsRun run =
+          RunKvsGather(variant.gather, /*num_shards=*/8, seed,
+                       /*num_requests=*/3, /*keys_per_req=*/24);
+      const std::string label =
+          std::string(variant.name) + " seed " + std::to_string(seed);
+      EXPECT_EQ(run.cycles, ref.cycles) << label;
+      EXPECT_EQ(run.outcomes, ref.outcomes) << label;
+      EXPECT_EQ(run.results, ref.results) << label;
     }
   }
 }
 
-TEST(GatherEquivalenceTest, AnnsCyclesIdenticalAcrossEngineModes) {
-  const std::vector<GatherVariant> variants = GatherVariants();
-  for (const GatherVariant& variant : variants) {
+TEST(GatherEquivalenceTest, AnnsRunMatchesStep) {
+  for (const GatherVariant& variant : GatherVariants()) {
     if (variant.gather.topology == GatherTopology::kFlat) continue;
-    const AnnsRun base = RunAnnsGather(variant.gather, /*num_shards=*/6,
-                                       /*nprobe=*/8, /*k=*/10, {0, 3, 5},
-                                       {1, true});
-    EXPECT_GT(base.cycles, 0u) << variant.name;
-    for (const auto& [threads, ff] :
-         std::vector<std::pair<uint32_t, bool>>{{1, false}, {8, true},
-                                                {8, false}}) {
-      const AnnsRun run = RunAnnsGather(variant.gather, 6, 8, 10, {0, 3, 5},
-                                        {threads, ff});
-      const std::string label = std::string(variant.name) + " threads=" +
-                                std::to_string(threads) +
-                                (ff ? " ff" : " noff");
-      EXPECT_EQ(run.cycles, base.cycles) << label;
-      ExpectSameAnns(base, run, label);
-    }
+    const AnnsRun ref = RunAnnsGather(variant.gather, /*num_shards=*/6,
+                                      /*nprobe=*/8, /*k=*/10, {0, 3, 5},
+                                      /*stepped=*/true);
+    EXPECT_GT(ref.cycles, 0u) << variant.name;
+    const AnnsRun run =
+        RunAnnsGather(variant.gather, 6, 8, 10, {0, 3, 5});
+    EXPECT_EQ(run.cycles, ref.cycles) << variant.name;
+    ExpectSameAnns(ref, run, variant.name);
   }
 }
 

@@ -365,8 +365,8 @@ TEST(ShardFailureTest, OverloadedShardShedsInsteadOfStalling) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-mode invariance: the same deployment must report bit-identical
-// cycles and results under serial, threaded, and no-fast-forward execution.
+// Scheduler invariance: Run() must report the Step() loop's cycles and
+// results bit-for-bit on the same deployment.
 
 struct ModeRun {
   sim::Cycle cycles = 0;
@@ -375,8 +375,7 @@ struct ModeRun {
 };
 
 ModeRun RunAnnsCluster(const anns::Dataset& data,
-                       const anns::IvfPqIndex& index, uint32_t threads,
-                       bool fast_forward) {
+                       const anns::IvfPqIndex& index, bool stepped) {
   AnnsTopKWorkload::Config wc;
   wc.nprobe = 8;
   wc.k = 10;
@@ -384,14 +383,13 @@ ModeRun RunAnnsCluster(const anns::Dataset& data,
   ShardCluster::Config cc;
   cc.num_shards = 4;
   ShardCluster cluster(&wl, cc);
-  cluster.engine().SetThreads(threads);
-  cluster.engine().SetFastForward(fast_forward);
   std::vector<uint64_t> ids;
   for (size_t q = 0; q < data.num_queries(); ++q) {
     ids.push_back(wl.AddQuery(data.QueryVector(q)));
     cluster.Submit(ids.back());
   }
-  auto cycles = cluster.Run();
+  auto cycles = stepped ? sim::StepUntilQuiesced(cluster.engine(), 1ull << 32)
+                        : cluster.Run();
   EXPECT_TRUE(cycles.ok());
   ModeRun r;
   r.cycles = *cycles;
@@ -400,23 +398,17 @@ ModeRun RunAnnsCluster(const anns::Dataset& data,
   return r;
 }
 
-TEST(ShardDeterminismTest, CyclesIdenticalAcrossEngineModes) {
+TEST(ShardDeterminismTest, RunMatchesStep) {
   const anns::Dataset data = ShardDataset();
   const anns::IvfPqIndex index = BuildShardIndex(data);
-  const ModeRun base = RunAnnsCluster(data, index, 1, true);
-  EXPECT_GT(base.cycles, 0u);
-  for (const auto& [threads, ff] :
-       std::vector<std::pair<uint32_t, bool>>{{1, false}, {8, true},
-                                              {8, false}}) {
-    const ModeRun run = RunAnnsCluster(data, index, threads, ff);
-    EXPECT_EQ(run.cycles, base.cycles)
-        << "threads=" << threads << " ff=" << ff;
-    EXPECT_EQ(run.stall_cycles, base.stall_cycles)
-        << "threads=" << threads << " ff=" << ff;
-    ASSERT_EQ(run.first_result.size(), base.first_result.size());
-    for (size_t i = 0; i < run.first_result.size(); ++i) {
-      EXPECT_EQ(run.first_result[i].id, base.first_result[i].id);
-    }
+  const ModeRun ref = RunAnnsCluster(data, index, /*stepped=*/true);
+  EXPECT_GT(ref.cycles, 0u);
+  const ModeRun run = RunAnnsCluster(data, index, /*stepped=*/false);
+  EXPECT_EQ(run.cycles, ref.cycles);
+  EXPECT_EQ(run.stall_cycles, ref.stall_cycles);
+  ASSERT_EQ(run.first_result.size(), ref.first_result.size());
+  for (size_t i = 0; i < run.first_result.size(); ++i) {
+    EXPECT_EQ(run.first_result[i].id, ref.first_result[i].id);
   }
 }
 
@@ -517,13 +509,9 @@ TEST(PartitionerTest, MoveRangeSplitsAndCoalescesSegments) {
 // ---------------------------------------------------------------------------
 // Failover differential: a replicated cluster that loses a primary mid-run
 // must deliver results id-identical to a fault-free run — across all three
-// workloads and every engine mode (mirrors gather_equivalence_test.cc).
-
-struct EngineMode {
-  uint32_t threads = 1;
-  bool fast_forward = true;
-};
-constexpr EngineMode kEngineModes[] = {{1, true}, {1, false}, {8, true}};
+// workloads (mirrors gather_equivalence_test.cc). The fault-free reference
+// is driven by the Step() loop and the failover run by Run(), so every seed
+// also checks the scheduler against its oracle.
 
 uint64_t Lcg(uint64_t& state) {
   state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -534,7 +522,6 @@ struct FailoverPlan {
   bool inject = false;       ///< false = fault-free reference run.
   uint32_t victim_shard = 0; ///< Primary to kill (both link directions).
   sim::Cycle death_cycle = 0;
-  EngineMode mode;
 };
 
 ShardCluster::Config ElasticConfig(uint32_t num_shards, bool replicated) {
@@ -563,8 +550,6 @@ std::vector<PartialOutcome> RunWithFailover(Workload* wl,
                                             uint64_t* failovers) {
   ShardCluster::Config cc = ElasticConfig(num_shards, fp.inject);
   ShardCluster cluster(wl, cc);
-  cluster.engine().SetThreads(fp.mode.threads);
-  cluster.engine().SetFastForward(fp.mode.fast_forward);
   net::FaultInjector::Config fc;
   fc.flap_down_cycles = 1u << 30;  // the node never comes back
   net::FaultInjector injector(fc);
@@ -577,7 +562,9 @@ std::vector<PartialOutcome> RunWithFailover(Workload* wl,
     cluster.set_fault_injector(&injector);
   }
   for (uint64_t id : ids) cluster.Submit(id);
-  const auto cycles = cluster.Run();
+  const auto cycles =
+      fp.inject ? cluster.Run()
+                : sim::StepUntilQuiesced(cluster.engine(), 1ull << 32);
   EXPECT_TRUE(cycles.ok()) << cycles.status().ToString();
   if (failovers != nullptr) *failovers = cluster.coordinator().failovers();
   std::map<uint64_t, PartialOutcome> by_id;
@@ -602,7 +589,6 @@ TEST(FailoverEquivalenceTest, AnnsIdenticalWithDeadPrimary100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 2 + seed % 7;
     FailoverPlan fp;
-    fp.mode = kEngineModes[seed % 3];
     const std::vector<size_t> queries = {seed % data.num_queries(),
                                          (seed * 7 + 3) % data.num_queries()};
 
@@ -649,7 +635,6 @@ TEST(FailoverEquivalenceTest, KvsIdenticalWithDeadPrimary100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 2 + seed % 7;
     FailoverPlan fp;
-    fp.mode = kEngineModes[seed % 3];
     std::vector<std::vector<uint64_t>> batches(2);
     for (auto& batch : batches) {
       for (size_t i = 0; i < 24; ++i) batch.push_back(Lcg(rng) % 4096);
@@ -696,7 +681,7 @@ TEST(FailoverEquivalenceTest, KvsIdenticalWithDeadPrimary100Seeds) {
 
 TEST(FailoverEquivalenceTest, HashJoinIdenticalWithDeadPrimary100Seeds) {
   // Smaller sweep per seed (the join runs nested pipeline simulations at
-  // Scatter), full coverage of victim/mode/death-cycle combinations.
+  // Scatter), full coverage of victim/death-cycle combinations.
   rel::Table build(rel::Schema{{{"k"}, {"payload"}}});
   for (int64_t i = 0; i < 120; ++i) {
     rel::Row r;
@@ -714,7 +699,6 @@ TEST(FailoverEquivalenceTest, HashJoinIdenticalWithDeadPrimary100Seeds) {
   for (uint32_t seed = 0; seed < 100; ++seed) {
     const uint32_t shards = 2 + seed % 5;
     FailoverPlan fp;
-    fp.mode = kEngineModes[seed % 3];
 
     HashJoinWorkload ref_wl(&build, &probe, spec, Partitioner::Hash(shards),
                             jc);

@@ -3,10 +3,10 @@
 # committed speedup/scaling row against the fresh run. Cycle-derived
 # ratios (bench_shard_scaling: requests per simulated second) are
 # bit-stable on a healthy tree and gated at ±15%. The wall-clock
-# speedup_vs_serial rows of bench_sim_throughput still swing ~20% run to
-# run even after the bench's interleaved best-of-5 steadying (1-core
-# container), so they get a wider ±40% band — a real engine regression
-# collapses the 3.5–4.5× sparse-topology speedups toward 1×, far past it.
+# speedup_vs_step rows of bench_sim_throughput (Run() against the Step()
+# loop) still swing ~20% run to run even after the bench's best-of-5
+# steadying of Run(), so they get a wider ±40% band — a real scheduler
+# regression collapses the sparse-topology speedups toward 1×, far past it.
 #
 #   tools/bench_drift.sh [build_dir]    # default: build
 #
@@ -49,16 +49,16 @@ fi
 if [[ $ok -eq 1 ]]; then
   # Gated rows: every shard_scaling ratio is derived from simulated cycles
   # (deterministic), so all rows are compared at the tight tolerance.
-  # sim_throughput's speedup_vs_serial is wall-clock; only the rows the
-  # bench steadies with interleaved best-of-5 timing (event mode
-  # everywhere, threaded incast) are gated at all — single-run noff/thrN
-  # rows swing with box load — and even those get the wide band.
+  # sim_throughput's speedup_vs_step is wall-clock; only the rows the
+  # bench steadies with best-of-5 timing (the .run rows) are gated at all —
+  # the single-run .step rows swing with box load — and even those get the
+  # wide band.
   # Per-spec tolerance: '-' means the default ($TOL_PCT).
   python3 - "$TOL_PCT" \
       BENCH_shard_scaling.json "$BUILD_DIR/BENCH_shard_scaling_fresh.json" \
           '.*' - speedup_vs_flat scaling_vs_1shard -- \
       BENCH_sim_throughput.json "$BUILD_DIR/BENCH_sim_throughput_fresh.json" \
-          '(\.event$|^incast\.thr)' 40 speedup_vs_serial <<'EOF' || ok=0
+          '\.run$' 40 speedup_vs_step <<'EOF' || ok=0
 import json, re, sys
 
 default_tol = float(sys.argv[1]) / 100.0

@@ -14,13 +14,11 @@
 # re-checks the golden line-rate cycle count through the bench path) —
 # with per-tier wall-clock timing so a slow tier is visible at a glance.
 # The golden and chaos tiers run on BOTH presets: a cycle count (or a
-# recovery path) that drifts only under sanitizers is still a bug. Those
-# two tiers then run AGAIN under FPGADP_ENGINE=event (reported as e.g.
-# "default:golden-event"): every golden baseline and chaos recovery
-# timeline must be bit-identical under the event-driven scheduler, on
-# both presets — the sanitizer pass also exercises the event core's
-# arming DCHECKs, which are compiled out of the default build. The
-# perf tier runs on the default preset only — sanitizer timings are not
+# recovery path) that drifts only under sanitizers is still a bug. Both
+# tiers compare the event-driven Run() against the Step() loop, so the
+# sanitizer pass also exercises the event core's arming DCHECKs, which are
+# compiled out of the default build. The perf tier runs on the default
+# preset only — sanitizer timings are not
 # representative, and its correctness content is already covered there.
 #
 # The asan preset (see CMakePresets.json) configures into build-asan/ with
@@ -85,19 +83,10 @@ for preset in "${PRESETS[@]}"; do
     fi
     echo "--- [$preset] $label tier took $((SECONDS - start))s ---"
   done
-  for label in golden chaos; do
-    echo "=== [$preset] test: -L $label (FPGADP_ENGINE=event) ==="
-    start=$SECONDS
-    if ! FPGADP_ENGINE=event ctest --preset "$preset" -j "$JOBS" -L "$label"; then
-      FAILURES+=("$preset:$label-event")
-    fi
-    echo "--- [$preset] $label-event tier took $((SECONDS - start))s ---"
-  done
 done
 
 if [[ ${#FAILURES[@]} -gt 0 ]]; then
   echo "FAILED: ${FAILURES[*]}" >&2
   exit 1
 fi
-echo "All presets green: ${PRESETS[*]} (tiers: ${LABELS[*]} + golden/chaos" \
-     "under FPGADP_ENGINE=event + perf on default)"
+echo "All presets green: ${PRESETS[*]} (tiers: ${LABELS[*]} + perf on default)"

@@ -11,12 +11,10 @@ cmake --build build --target golden_cycles_test -j"$(nproc)" >/dev/null
 FPGADP_UPDATE_GOLDENS=1 ./build/tests/golden_cycles_test \
   --gtest_filter='GoldenCycles.MatchesBaseline'
 
-# The refreshed baselines must hold under BOTH engines before they are
-# worth committing: a golden that only the tick engine reproduces would
-# lock in an equivalence bug, not a timing model.
-./build/tests/golden_cycles_test --gtest_filter='GoldenCycles.MatchesBaseline'
-FPGADP_ENGINE=event ./build/tests/golden_cycles_test \
-  --gtest_filter='GoldenCycles.MatchesBaseline'
+# The refreshed baselines must read back and hold under the Step() loop too
+# before they are worth committing: a golden that only the event-driven
+# Run() reproduces would lock in a scheduler bug, not a timing model.
+./build/tests/golden_cycles_test
 
-echo "updated tests/golden/cycles.json (verified under tick + event engines):"
+echo "updated tests/golden/cycles.json (verified under Run() and Step()):"
 cat tests/golden/cycles.json

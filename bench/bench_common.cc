@@ -1,5 +1,7 @@
 #include "bench/bench_common.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +17,13 @@ namespace {
 /// scheduler instead, as an ignored unknown flag would.
 constexpr const char* kRemovedFlags[] = {"--threads=", "--no-fast-forward",
                                          "--engine="};
+
+/// Prints one line naming the malformed flag and exits 2: a value that
+/// parses only in part (`--drop-rate=0,3`) must not run as its prefix.
+[[noreturn]] void RejectFlag(const char* prog, const char* arg, const char* want) {
+  std::cerr << prog << ": " << arg << ": expected " << want << "\n";
+  std::exit(2);
+}
 
 }  // namespace
 
@@ -36,9 +45,22 @@ Session::Session(int argc, char** argv)
     } else if (std::strcmp(arg, "--metrics") == 0) {
       metrics_ = std::make_unique<obs::MetricsRegistry>();
     } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-      fault_seed_ = std::strtoull(arg + 13, nullptr, 10);
+      const char* value = arg + 13;
+      char* end = nullptr;
+      errno = 0;
+      fault_seed_ = std::strtoull(value, &end, 10);
+      // strtoull would also take a sign or leading space, and wrap "-1".
+      if (!std::isdigit(static_cast<unsigned char>(*value)) || *end != '\0' ||
+          errno == ERANGE) {
+        RejectFlag(argv[0], arg, "an unsigned decimal integer");
+      }
     } else if (std::strncmp(arg, "--drop-rate=", 12) == 0) {
-      drop_rate_ = std::strtod(arg + 12, nullptr);
+      const char* value = arg + 12;
+      char* end = nullptr;
+      drop_rate_ = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !(drop_rate_ >= 0 && drop_rate_ <= 1)) {
+        RejectFlag(argv[0], arg, "a probability in [0, 1]");
+      }
     }
   }
   if (!trace_path_.empty()) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/anns/dataset.h"
+#include "src/anns/kmeans.h"
 #include "src/anns/topk.h"
 #include "src/common/random.h"
 #include "src/relational/cipher.h"
@@ -102,6 +103,48 @@ void BM_PqAdcDistance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PqAdcDistance);
+
+// One vector against every centroid of a k x d table, the inner step of
+// k-means assignment, PQ encoding, LUT builds and probe selection: the
+// scalar per-centroid SquaredL2 loop, and the blocked CentroidTable kernel
+// that computes the same bits. Args are {k, d}: the perfbench anns_fanout
+// index's coarse quantizer (64 x 32) and a PQ sub-quantizer (32 x 4).
+struct CentroidDistanceInputs {
+  explicit CentroidDistanceInputs(const benchmark::State& state)
+      : k(size_t(state.range(0))), dim(size_t(state.range(1))),
+        centroids(k * dim), v(dim), out(k) {
+    Rng rng(7);
+    for (auto& x : centroids) x = float(rng.NextDouble());
+    for (auto& x : v) x = float(rng.NextDouble());
+  }
+  size_t k, dim;
+  std::vector<float> centroids, v, out;
+};
+
+void BM_CentroidDistancesScalar(benchmark::State& state) {
+  CentroidDistanceInputs in(state);
+  for (auto _ : state) {
+    for (size_t c = 0; c < in.k; ++c) {
+      in.out[c] = anns::SquaredL2(in.centroids.data() + c * in.dim, in.v.data(), in.dim);
+    }
+    benchmark::DoNotOptimize(in.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * in.k);
+}
+BENCHMARK(BM_CentroidDistancesScalar)->Args({64, 32})->Args({32, 4});
+
+void BM_CentroidDistancesBlocked(benchmark::State& state) {
+  CentroidDistanceInputs in(state);
+  const anns::CentroidTable table(in.centroids.data(), in.k, in.dim);
+  for (auto _ : state) {
+    table.Distances(in.v.data(), in.out.data());
+    benchmark::DoNotOptimize(in.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * in.k);
+}
+BENCHMARK(BM_CentroidDistancesBlocked)->Args({64, 32})->Args({32, 4});
 
 void BM_SystolicTopK(benchmark::State& state) {
   Rng rng(6);

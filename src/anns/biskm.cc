@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/anns/dataset.h"
 #include "src/common/check.h"
 
 namespace fpgadp::anns {
@@ -62,12 +61,12 @@ Result<BisKmResult> KMeansAnyPrecision(const std::vector<float>& points,
   // Quality metric: centroids scored against the original points.
   BisKmResult result;
   const size_t n = points.size() / dim;
+  const CentroidTable table(clustering.centroids.data(), options.k, dim);
+  std::vector<float> dists(options.k);
   double inertia = 0;
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t c =
-        NearestCentroid(clustering.centroids, dim, points.data() + i * dim);
-    inertia += SquaredL2(clustering.centroids.data() + c * dim,
-                         points.data() + i * dim, dim);
+    const uint32_t c = table.Nearest(points.data() + i * dim, dists.data());
+    inertia += dists[c];
   }
   result.full_inertia = inertia;
   result.bits = options.bits;

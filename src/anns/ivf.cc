@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "src/anns/dataset.h"
-#include "src/anns/kmeans.h"
 #include "src/common/check.h"
 
 namespace fpgadp::anns {
@@ -40,6 +39,7 @@ Result<IvfPqIndex> IvfPqIndex::Build(const std::vector<float>& vectors,
   if (!pq.ok()) return pq.status();
 
   IvfPqIndex index(dim, std::move(pq).value());
+  index.coarse_table_ = CentroidTable(coarse->centroids.data(), options.nlist, dim);
   index.coarse_ = std::move(coarse->centroids);
   index.lists_.resize(options.nlist);
   for (size_t i = 0; i < n; ++i) {
@@ -58,11 +58,12 @@ Result<IvfPqIndex> IvfPqIndex::Build(const std::vector<float>& vectors,
 std::vector<uint32_t> IvfPqIndex::SelectProbes(const float* query,
                                                size_t nprobe) const {
   using Entry = std::pair<float, uint32_t>;
+  std::vector<float> coarse_dists(lists_.size());
+  coarse_table_.Distances(query, coarse_dists.data());
   std::vector<Entry> dists;
   dists.reserve(lists_.size());
   for (size_t c = 0; c < lists_.size(); ++c) {
-    dists.emplace_back(SquaredL2(coarse_.data() + c * dim_, query, dim_),
-                       static_cast<uint32_t>(c));
+    dists.emplace_back(coarse_dists[c], static_cast<uint32_t>(c));
   }
   const size_t np = std::min(nprobe, dists.size());
   std::partial_sort(dists.begin(), dists.begin() + np, dists.end());

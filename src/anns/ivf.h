@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/anns/kmeans.h"
 #include "src/anns/pq.h"
 #include "src/common/result.h"
 
@@ -95,6 +96,7 @@ class IvfPqIndex {
   size_t dim_;
   ProductQuantizer pq_;
   std::vector<float> coarse_;  ///< nlist x dim.
+  CentroidTable coarse_table_;  ///< coarse_, laid out for SelectProbes.
   std::vector<List> lists_;
   std::vector<float> stored_vectors_;  ///< n x dim when store_vectors.
   uint64_t total_codes_ = 0;

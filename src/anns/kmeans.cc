@@ -3,22 +3,47 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/anns/dataset.h"
-#include "src/common/check.h"
 #include "src/common/random.h"
 
 namespace fpgadp::anns {
 
-uint32_t NearestCentroid(const std::vector<float>& centroids, size_t dim,
-                         const float* v) {
-  FPGADP_CHECK(!centroids.empty());
-  const size_t k = centroids.size() / dim;
+CentroidTable::CentroidTable(const float* centroids, size_t k, size_t dim)
+    : k_(k),
+      dim_(dim),
+      blocks_((k + kLanes - 1) / kLanes * kLanes * dim, 0.0f) {
+  for (size_t c = 0; c < k; ++c) {
+    float* block = blocks_.data() + c / kLanes * kLanes * dim;
+    for (size_t d = 0; d < dim; ++d) {
+      block[d * kLanes + c % kLanes] = centroids[c * dim + d];
+    }
+  }
+}
+
+void CentroidTable::Distances(const float* v, float* out) const {
+  for (size_t first = 0; first < k_; first += kLanes) {
+    const float* block = blocks_.data() + first * dim_;
+    // The same expression and summation order as SquaredL2, one lane per
+    // centroid: the compiler may vectorize across lanes, never within one.
+    float acc[kLanes] = {};
+    for (size_t d = 0; d < dim_; ++d) {
+      const float x = v[d];
+      const float* row = block + d * kLanes;
+      for (size_t l = 0; l < kLanes; ++l) {
+        const float t = row[l] - x;
+        acc[l] += t * t;
+      }
+    }
+    std::copy_n(acc, std::min(kLanes, k_ - first), out + first);
+  }
+}
+
+uint32_t CentroidTable::Nearest(const float* v, float* dists) const {
+  Distances(v, dists);
   uint32_t best = 0;
   float best_d = std::numeric_limits<float>::infinity();
-  for (size_t c = 0; c < k; ++c) {
-    const float d = SquaredL2(centroids.data() + c * dim, v, dim);
-    if (d < best_d) {
-      best_d = d;
+  for (size_t c = 0; c < k_; ++c) {
+    if (dists[c] < best_d) {
+      best_d = dists[c];
       best = static_cast<uint32_t>(c);
     }
   }
@@ -52,16 +77,16 @@ Result<KMeansResult> KMeans(const std::vector<float>& points, size_t dim,
   std::vector<float> sums(options.k * dim);
   std::vector<uint64_t> counts(options.k);
   std::vector<float> point_dist(n);
+  std::vector<float> dists(options.k);
 
   for (size_t iter = 0; iter < options.max_iters; ++iter) {
     // Assign.
+    const CentroidTable table(res.centroids.data(), options.k, dim);
     bool changed = false;
     double inertia = 0;
     for (size_t i = 0; i < n; ++i) {
-      const uint32_t c =
-          NearestCentroid(res.centroids, dim, points.data() + i * dim);
-      point_dist[i] =
-          SquaredL2(res.centroids.data() + c * dim, points.data() + i * dim, dim);
+      const uint32_t c = table.Nearest(points.data() + i * dim, dists.data());
+      point_dist[i] = dists[c];
       inertia += point_dist[i];
       if (c != res.assignment[i]) {
         res.assignment[i] = c;
@@ -101,9 +126,9 @@ Result<KMeansResult> KMeans(const std::vector<float>& points, size_t dim,
     }
   }
   // Final assignment against the last centroid update.
+  const CentroidTable table(res.centroids.data(), options.k, dim);
   for (size_t i = 0; i < n; ++i) {
-    res.assignment[i] =
-        NearestCentroid(res.centroids, dim, points.data() + i * dim);
+    res.assignment[i] = table.Nearest(points.data() + i * dim, dists.data());
   }
   return res;
 }

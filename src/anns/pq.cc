@@ -1,11 +1,6 @@
 #include "src/anns/pq.h"
 
 #include <algorithm>
-#include <limits>
-
-#include "src/anns/dataset.h"
-#include "src/anns/kmeans.h"
-#include "src/common/check.h"
 
 namespace fpgadp::anns {
 
@@ -41,25 +36,18 @@ Result<ProductQuantizer> ProductQuantizer::Train(
     if (!res.ok()) return res.status();
     std::copy(res->centroids.begin(), res->centroids.end(),
               pq.centroids_.begin() + j * options.ksub * dsub);
+    pq.tables_.emplace_back(res->centroids.data(), options.ksub, dsub);
   }
   return pq;
 }
 
 std::vector<uint8_t> ProductQuantizer::Encode(const float* v) const {
   std::vector<uint8_t> codes(m_);
+  std::vector<float> dists(ksub_);
   const size_t dsub = this->dsub();
   for (size_t j = 0; j < m_; ++j) {
-    const float* subspace = centroids_.data() + j * ksub_ * dsub;
-    uint32_t best = 0;
-    float best_d = std::numeric_limits<float>::infinity();
-    for (size_t c = 0; c < ksub_; ++c) {
-      const float d = SquaredL2(subspace + c * dsub, v + j * dsub, dsub);
-      if (d < best_d) {
-        best_d = d;
-        best = static_cast<uint32_t>(c);
-      }
-    }
-    codes[j] = static_cast<uint8_t>(best);
+    codes[j] =
+        static_cast<uint8_t>(tables_[j].Nearest(v + j * dsub, dists.data()));
   }
   return codes;
 }
@@ -78,10 +66,7 @@ std::vector<float> ProductQuantizer::BuildLut(const float* query) const {
   std::vector<float> lut(m_ * ksub_);
   const size_t dsub = this->dsub();
   for (size_t j = 0; j < m_; ++j) {
-    const float* subspace = centroids_.data() + j * ksub_ * dsub;
-    for (size_t c = 0; c < ksub_; ++c) {
-      lut[j * ksub_ + c] = SquaredL2(subspace + c * dsub, query + j * dsub, dsub);
-    }
+    tables_[j].Distances(query + j * dsub, lut.data() + j * ksub_);
   }
   return lut;
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/anns/kmeans.h"
 #include "src/common/result.h"
 
 namespace fpgadp::anns {
@@ -60,6 +61,8 @@ class ProductQuantizer {
   size_t m_;
   size_t ksub_;
   std::vector<float> centroids_;  ///< m x ksub x dsub.
+  /// The same centroids, one table per sub-quantizer (Encode, BuildLut).
+  std::vector<CentroidTable> tables_;
 };
 
 }  // namespace fpgadp::anns

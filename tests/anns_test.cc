@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include "src/anns/dataset.h"
 #include "src/anns/kmeans.h"
 #include "src/anns/pq.h"
+#include "src/common/random.h"
 
 namespace fpgadp::anns {
 namespace {
@@ -274,6 +279,305 @@ TEST(IvfTest, IndexBytesAccountsCodesAndIds) {
   const uint64_t expected = data.num_base() * (4 + 4) /* m + id */ +
                             index->nlist() * data.dim * sizeof(float);
   EXPECT_EQ(index->index_bytes(), expected);
+}
+
+// --- CentroidTable: bit-exact against the scalar SquaredL2 ---------------
+//
+// These tests lock the kernel's bit-exactness: a change that reassociates
+// the per-lane sum, contracts it into FMAs, or splits a lane across
+// dimensions fails them.
+
+std::vector<float> RandomFloats(Rng& rng, size_t count) {
+  std::vector<float> v(count);
+  for (float& x : v) x = float(rng.NextDouble() * 8.0 - 4.0);
+  return v;
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
+/// The scalar nearest-centroid scan the table replaces: strict `<` from
+/// infinity in index order.
+uint32_t ScalarNearest(const float* centroids, size_t k, size_t dim, const float* v) {
+  uint32_t best = 0;
+  float best_d = std::numeric_limits<float>::infinity();
+  for (size_t c = 0; c < k; ++c) {
+    const float d = SquaredL2(centroids + c * dim, v, dim);
+    if (d < best_d) {
+      best_d = d;
+      best = static_cast<uint32_t>(c);
+    }
+  }
+  return best;
+}
+
+TEST(CentroidTableTest, DistancesEqualSquaredL2Bitwise) {
+  Rng rng(77);
+  for (size_t dim : {1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 67}) {
+    for (size_t k : {1, 7, 8, 9, 32, 33, 64, 256}) {
+      const std::vector<float> centroids = RandomFloats(rng, k * dim);
+      const CentroidTable table(centroids.data(), k, dim);
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::vector<float> v = RandomFloats(rng, dim);
+        // Sentinels past k: the zero-padded lanes of a partial last block
+        // are computed but never written out.
+        std::vector<float> out(k + 8, -1.0f);
+        table.Distances(v.data(), out.data());
+        for (size_t c = 0; c < k; ++c) {
+          const float want = SquaredL2(centroids.data() + c * dim, v.data(), dim);
+          ASSERT_TRUE(SameBits(out[c], want))
+              << "dim=" << dim << " k=" << k << " c=" << c << ": " << out[c]
+              << " vs " << want;
+        }
+        for (size_t c = k; c < out.size(); ++c) ASSERT_EQ(out[c], -1.0f);
+        std::vector<float> dists(k);
+        const uint32_t nearest = table.Nearest(v.data(), dists.data());
+        EXPECT_EQ(nearest, ScalarNearest(centroids.data(), k, dim, v.data()));
+        EXPECT_EQ(std::memcmp(dists.data(), out.data(), k * sizeof(float)), 0);
+      }
+    }
+  }
+}
+
+TEST(CentroidTableTest, NearestTiesGoToLowestIndex) {
+  Rng rng(78);
+  const size_t dim = 5;
+  const size_t k = 33;  // a partial last block
+  std::vector<float> centroids = RandomFloats(rng, k * dim);
+  const std::vector<float> v = RandomFloats(rng, dim);
+  // Three copies of the query itself (distance 0) in three different blocks;
+  // the lowest index must win.
+  for (size_t c : {32, 11, 20}) {
+    std::copy_n(v.data(), dim, centroids.data() + c * dim);
+  }
+  std::vector<float> dists(k);
+  EXPECT_EQ(CentroidTable(centroids.data(), k, dim).Nearest(v.data(), dists.data()),
+            11u);
+  // Every centroid identical: index 0.
+  for (size_t c = 1; c < k; ++c) {
+    std::copy_n(centroids.data(), dim, centroids.data() + c * dim);
+  }
+  EXPECT_EQ(CentroidTable(centroids.data(), k, dim).Nearest(v.data(), dists.data()),
+            0u);
+}
+
+/// Lloyd's k-means as it was before CentroidTable: every distance a scalar
+/// SquaredL2 call, the nearest centroid found by ScalarNearest. Counts
+/// empty-cluster re-seeds so the tests can show they cover that path.
+KMeansResult ReferenceKMeans(const std::vector<float>& points, size_t dim,
+                             const KMeansOptions& options, size_t* reseeds) {
+  const size_t n = points.size() / dim;
+  KMeansResult res;
+  res.centroids.resize(options.k * dim);
+  res.assignment.assign(n, 0);
+
+  // Init: k distinct random points.
+  Rng rng(options.seed);
+  std::vector<size_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = i;
+  for (size_t i = 0; i < options.k; ++i) {
+    std::swap(perm[i], perm[i + rng.NextBounded(n - i)]);
+    std::copy_n(points.data() + perm[i] * dim, dim, res.centroids.data() + i * dim);
+  }
+
+  std::vector<float> sums(options.k * dim);
+  std::vector<uint64_t> counts(options.k);
+  std::vector<float> point_dist(n);
+
+  for (size_t iter = 0; iter < options.max_iters; ++iter) {
+    // Assign.
+    bool changed = false;
+    double inertia = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t c =
+          ScalarNearest(res.centroids.data(), options.k, dim, points.data() + i * dim);
+      point_dist[i] =
+          SquaredL2(res.centroids.data() + c * dim, points.data() + i * dim, dim);
+      inertia += point_dist[i];
+      if (c != res.assignment[i]) {
+        res.assignment[i] = c;
+        changed = true;
+      }
+    }
+    res.inertia = inertia;
+    res.iters_run = iter + 1;
+    if (!changed && iter > 0) break;
+
+    // Update.
+    std::fill(sums.begin(), sums.end(), 0.0f);
+    std::fill(counts.begin(), counts.end(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t c = res.assignment[i];
+      ++counts[c];
+      float* s = sums.data() + c * dim;
+      const float* p = points.data() + i * dim;
+      for (size_t d = 0; d < dim; ++d) s[d] += p[d];
+    }
+    for (size_t c = 0; c < options.k; ++c) {
+      if (counts[c] == 0) {
+        // Re-seed an empty cluster at the current farthest point.
+        ++*reseeds;
+        size_t far = 0;
+        for (size_t i = 1; i < n; ++i) {
+          if (point_dist[i] > point_dist[far]) far = i;
+        }
+        std::copy_n(points.data() + far * dim, dim, res.centroids.data() + c * dim);
+        point_dist[far] = 0;
+        continue;
+      }
+      float* ctr = res.centroids.data() + c * dim;
+      for (size_t d = 0; d < dim; ++d) {
+        ctr[d] = sums[c * dim + d] / static_cast<float>(counts[c]);
+      }
+    }
+  }
+  // Final assignment against the last centroid update.
+  for (size_t i = 0; i < n; ++i) {
+    res.assignment[i] =
+        ScalarNearest(res.centroids.data(), options.k, dim, points.data() + i * dim);
+  }
+  return res;
+}
+
+void ExpectSameClustering(const KMeansResult& got, const KMeansResult& want) {
+  ASSERT_EQ(got.centroids.size(), want.centroids.size());
+  EXPECT_EQ(std::memcmp(got.centroids.data(), want.centroids.data(),
+                        want.centroids.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(std::memcmp(&got.inertia, &want.inertia, sizeof(double)), 0)
+      << got.inertia << " vs " << want.inertia;
+  EXPECT_EQ(got.iters_run, want.iters_run);
+}
+
+TEST(KMeansTest, MatchesScalarReferenceBitwise) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t dim = 1 + seed % 9;
+    Rng rng(seed);
+    const std::vector<float> points = RandomFloats(rng, 300 * dim);
+    KMeansOptions opts;
+    opts.k = 1 + seed % 20;
+    opts.max_iters = 8;
+    opts.seed = seed;
+    auto got = KMeans(points, dim, opts);
+    ASSERT_TRUE(got.ok());
+    size_t reseeds = 0;
+    ExpectSameClustering(*got, ReferenceKMeans(points, dim, opts, &reseeds));
+  }
+}
+
+TEST(KMeansTest, MatchesScalarReferenceWithEmptyClusterReseeding) {
+  // 200 points on 4 distinct positions, k = 9: initialization picks
+  // duplicate centroids, the higher-index copies lose every tie and come
+  // out empty, and the update step re-seeds them.
+  size_t reseeds = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t dim = 3;
+    Rng rng(seed);
+    const std::vector<float> sites = RandomFloats(rng, 4 * dim);
+    std::vector<float> points;
+    for (size_t i = 0; i < 200; ++i) {
+      const float* s = sites.data() + rng.NextBounded(4) * dim;
+      points.insert(points.end(), s, s + dim);
+    }
+    KMeansOptions opts;
+    opts.k = 9;
+    opts.max_iters = 6;
+    opts.seed = seed;
+    auto got = KMeans(points, dim, opts);
+    ASSERT_TRUE(got.ok());
+    ExpectSameClustering(*got, ReferenceKMeans(points, dim, opts, &reseeds));
+  }
+  EXPECT_GT(reseeds, 0u);
+}
+
+TEST(KMeansTest, MatchesScalarReferenceWhenConvergedEarly) {
+  // Well-separated clusters converge long before max_iters.
+  size_t early = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t dim = 8;
+    const std::vector<float> points =
+        GenerateClusteredVectors(400, dim, 4, seed, 0.05f);
+    KMeansOptions opts;
+    opts.k = 4;
+    opts.max_iters = 50;
+    opts.seed = seed;
+    auto got = KMeans(points, dim, opts);
+    ASSERT_TRUE(got.ok());
+    size_t reseeds = 0;
+    ExpectSameClustering(*got, ReferenceKMeans(points, dim, opts, &reseeds));
+    if (got->iters_run < opts.max_iters) ++early;
+  }
+  EXPECT_EQ(early, 50u);
+}
+
+/// Sub-centroid (j, c) of `pq`, read back through Decode.
+std::vector<float> SubCentroid(const ProductQuantizer& pq, size_t j, size_t c) {
+  const std::vector<uint8_t> codes(pq.m(), static_cast<uint8_t>(c));
+  const std::vector<float> v = pq.Decode(codes.data());
+  return {v.begin() + j * pq.dsub(), v.begin() + (j + 1) * pq.dsub()};
+}
+
+TEST(PqTest, EncodeAndLutMatchScalarLoops) {
+  Dataset data = MakeDataset(SmallSpec());  // dim 16
+  for (auto [m, ksub] : {std::pair<size_t, size_t>{4, 32}, {8, 33}, {16, 7}}) {
+    SCOPED_TRACE(testing::Message() << "m=" << m << " ksub=" << ksub);
+    ProductQuantizer::Options opts;
+    opts.m = m;
+    opts.ksub = ksub;
+    opts.train_iters = 4;
+    auto pq = ProductQuantizer::Train(data.base, data.dim, opts);
+    ASSERT_TRUE(pq.ok());
+    const size_t dsub = pq->dsub();
+    std::vector<float> subcentroids;  // m x ksub x dsub
+    for (size_t j = 0; j < m; ++j) {
+      for (size_t c = 0; c < ksub; ++c) {
+        const std::vector<float> sc = SubCentroid(*pq, j, c);
+        subcentroids.insert(subcentroids.end(), sc.begin(), sc.end());
+      }
+    }
+    for (size_t q = 0; q < data.num_queries(); ++q) {
+      const float* v = data.QueryVector(q);
+      const std::vector<uint8_t> codes = pq->Encode(v);
+      const std::vector<float> lut = pq->BuildLut(v);
+      for (size_t j = 0; j < m; ++j) {
+        const float* table = subcentroids.data() + j * ksub * dsub;
+        EXPECT_EQ(codes[j], ScalarNearest(table, ksub, dsub, v + j * dsub));
+        for (size_t c = 0; c < ksub; ++c) {
+          ASSERT_TRUE(SameBits(lut[j * ksub + c],
+                               SquaredL2(table + c * dsub, v + j * dsub, dsub)))
+              << "j=" << j << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(IvfTest, SelectProbesMatchesScalarLoop) {
+  Dataset data = MakeDataset(SmallSpec());
+  IvfPqIndex::Options opts = SmallIndexOptions();
+  opts.nlist = 13;  // a partial last block
+  auto index = IvfPqIndex::Build(data.base, data.dim, opts);
+  ASSERT_TRUE(index.ok());
+  const std::vector<float>& coarse = index->coarse_centroids();
+  for (size_t q = 0; q < data.num_queries(); ++q) {
+    const float* query = data.QueryVector(q);
+    std::vector<std::pair<float, uint32_t>> dists;
+    for (size_t c = 0; c < opts.nlist; ++c) {
+      dists.emplace_back(SquaredL2(coarse.data() + c * data.dim, query, data.dim),
+                         static_cast<uint32_t>(c));
+    }
+    std::sort(dists.begin(), dists.end());
+    for (size_t nprobe : {1, 4, 13, 20}) {
+      std::vector<uint32_t> want;
+      for (size_t i = 0; i < std::min(nprobe, dists.size()); ++i) {
+        want.push_back(dists[i].second);
+      }
+      EXPECT_EQ(index->SelectProbes(query, nprobe), want);
+    }
+  }
 }
 
 }  // namespace

@@ -4,10 +4,15 @@
 // aggregation into the disaggregated-memory node reduces data movement, and
 // the win over the fetch-all architecture grows as selectivity drops.
 // Shape to verify: offload >= 1x at selectivity 1.0, multiple-x as
-// selectivity -> 0, data movement ratio == selectivity.
+// selectivity -> 0, data movement ratio == selectivity. The bench exits
+// non-zero when a shape it checks fails: offloaded wire bytes equal result
+// rows x row bytes, offload and fetch-all return the same row count, the
+// speedup is >= 1x at selectivity 1.0 and does not fall as selectivity
+// drops. The perf ctest tier runs it as the E1 guard.
 
 #include <cstdint>
 #include <iostream>
+#include <string>
 
 #include "src/common/table_printer.h"
 #include "src/farview/farview.h"
@@ -31,6 +36,30 @@ int main(int argc, char** argv) {
   rel::Table table = rel::MakeSyntheticTable(spec);
   const uint64_t tid = system.LoadTable(table);
 
+  bool shapes_hold = true;
+  auto expect = [&](bool holds, const std::string& shape) {
+    if (!holds) {
+      std::cerr << "E1 shape failed: " << shape << "\n";
+      shapes_hold = false;
+    }
+  };
+  // Checks the shapes every query shares; false if either run failed.
+  auto check_query = [&](const std::string& name,
+                         const Result<farview::QueryStats>& off,
+                         const Result<farview::QueryStats>& fetch) {
+    if (!off.ok() || !fetch.ok()) {
+      expect(false, name + " failed: " + off.status().ToString() + " / " +
+                        fetch.status().ToString());
+      return false;
+    }
+    expect(off->wire_bytes == off->result.total_bytes(),
+           name + ": offloaded wire bytes != result rows x row bytes");
+    expect(off->result.num_rows() == fetch->result.num_rows(),
+           name + ": offload and fetch-all row counts differ");
+    return true;
+  };
+  double prev_speedup = 0;
+
   TablePrinter t({"query", "selectivity", "wire (offload)", "wire (fetch)",
                   "offload ms", "fetch ms", "speedup"});
   for (int64_t qty : {0, 20, 35, 45, 48, 49}) {
@@ -41,18 +70,23 @@ int main(int argc, char** argv) {
     const uint64_t pid = system.RegisterProgram(program);
     auto off = system.RunOffloaded(tid, pid);
     auto fetch = system.RunFetchAll(tid, pid);
-    if (!off.ok() || !fetch.ok()) {
-      std::cerr << "failed: " << off.status() << " / " << fetch.status() << "\n";
-      return 1;
-    }
+    const std::string name = "qty >= " + std::to_string(qty);
+    if (!check_query(name, off, fetch)) return 1;
     const double sel = double(off->result.num_rows()) / double(table.num_rows());
-    t.AddRow({"qty >= " + std::to_string(qty),
+    const double speedup = fetch->seconds / off->seconds;
+    if (sel == 1.0) {
+      expect(speedup >= 1.0, name + ": offload slower than fetch-all at 1.0");
+    }
+    expect(speedup >= prev_speedup,
+           name + ": speedup fell as selectivity dropped");
+    prev_speedup = speedup;
+    t.AddRow({name,
               TablePrinter::Fmt(sel, 3),
               TablePrinter::FmtCount(off->wire_bytes),
               TablePrinter::FmtCount(fetch->wire_bytes),
               TablePrinter::Fmt(off->seconds * 1e3, 3),
               TablePrinter::Fmt(fetch->seconds * 1e3, 3),
-              TablePrinter::Fmt(fetch->seconds / off->seconds, 2) + "x"});
+              TablePrinter::Fmt(speedup, 2) + "x"});
   }
   // Aggregation pushdown: the extreme case — one scalar crosses the wire.
   rel::Program agg;
@@ -60,7 +94,7 @@ int main(int argc, char** argv) {
   const uint64_t apid = system.RegisterProgram(agg);
   auto aoff = system.RunOffloaded(tid, apid);
   auto afetch = system.RunFetchAll(tid, apid);
-  if (aoff.ok() && afetch.ok()) {
+  if (check_query("sum(qty)", aoff, afetch)) {
     t.AddRow({"sum(qty)", "1 row", TablePrinter::FmtCount(aoff->wire_bytes),
               TablePrinter::FmtCount(afetch->wire_bytes),
               TablePrinter::Fmt(aoff->seconds * 1e3, 3),
@@ -86,7 +120,7 @@ int main(int argc, char** argv) {
     const uint64_t pid = system.RegisterProgram(n.program);
     auto off = system.RunOffloaded(tid, pid);
     auto fetch = system.RunFetchAll(tid, pid);
-    if (!off.ok() || !fetch.ok()) continue;
+    if (!check_query(n.name, off, fetch)) continue;
     q.AddRow({n.name, TablePrinter::FmtCount(off->result.num_rows()),
               TablePrinter::FmtCount(off->wire_bytes),
               TablePrinter::Fmt(off->seconds * 1e3, 3),
@@ -97,5 +131,5 @@ int main(int argc, char** argv) {
   std::cout << "\npaper expectation: offload wins grow as selectivity drops; "
                "aggregation, group-by\nand top-N pushdown move O(1)-ish bytes "
                "instead of the table. All shapes\nreproduce above.\n";
-  return 0;
+  return shapes_hold ? 0 : 1;
 }

@@ -15,7 +15,10 @@
 #include "src/common/random.h"
 #include "src/relational/cipher.h"
 #include "src/relational/compression.h"
+#include "src/relational/cpu_executor.h"
+#include "src/relational/queries.h"
 #include "src/relational/sketches.h"
+#include "src/relational/table.h"
 #include "src/sim/engine.h"
 #include "src/sim/kernels.h"
 
@@ -158,6 +161,47 @@ void BM_SystolicTopK(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * stream.size());
 }
 BENCHMARK(BM_SystolicTopK)->Arg(10)->Arg(100);
+
+// The relational CPU executor at the perfbench farview_scan shape: 500k
+// rows; filters at selectivity 1.0 (qty >= 1) and 0.04 (qty >= 49);
+// Q1-lite; Q6-lite; Top-10. The Farview memory node makes this one call
+// per offloaded query.
+const rel::Table& FarviewScanTable() {
+  static const rel::Table table = [] {
+    rel::SyntheticTableSpec spec;
+    spec.num_rows = 500000;
+    spec.seed = 1;
+    return rel::MakeSyntheticTable(spec);
+  }();
+  return table;
+}
+
+rel::Program QtyAtLeast(int64_t qty) {
+  rel::FilterOp f;
+  f.conjuncts.push_back(rel::Predicate{4, rel::CmpOp::kGe, qty});
+  rel::Program p;
+  p.ops.push_back(f);
+  return p;
+}
+
+void BM_ExecuteCpu(benchmark::State& state, const rel::Program& program) {
+  const rel::Table& table = FarviewScanTable();
+  for (auto _ : state) {
+    auto out = rel::ExecuteCpu(program, table);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * table.num_rows());
+}
+BENCHMARK_CAPTURE(BM_ExecuteCpu, filter_sel_1_00, QtyAtLeast(1))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExecuteCpu, filter_sel_0_04, QtyAtLeast(49))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExecuteCpu, q1_lite, rel::MakeQ1Lite())
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExecuteCpu, q6_lite, rel::MakeQ6Lite())
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExecuteCpu, top10, rel::MakeTopExpensive())
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorStep(benchmark::State& state) {
   // Cost of one engine cycle for a 3-module pipeline — the simulator's

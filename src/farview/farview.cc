@@ -214,10 +214,21 @@ Status FarviewSystem::TransportFailure() const {
   return Status::OK();
 }
 
+Status FarviewSystem::CheckRequest(uint64_t table_id,
+                                   uint64_t program_id) const {
+  auto prog = programs_.find(program_id);
+  if (prog == programs_.end()) return Status::NotFound("unknown program id");
+  if (!node_->has_table(table_id)) return Status::NotFound("unknown table id");
+  return prog->second.Validate(node_->table(table_id).schema());
+}
+
 Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
     const std::vector<ConcurrentRequest>& requests, double* makespan_seconds) {
   if (requests.empty()) {
     return Status::InvalidArgument("no requests");
+  }
+  for (const ConcurrentRequest& r : requests) {
+    FPGADP_RETURN_NOT_OK(CheckRequest(r.table_id, r.program_id));
   }
   struct InFlight {
     uint64_t tag;
@@ -231,9 +242,6 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
   const uint32_t server = static_cast<uint32_t>(clients_.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     const ConcurrentRequest& r = requests[i];
-    if (programs_.find(r.program_id) == programs_.end()) {
-      return Status::NotFound("unknown program id");
-    }
     const uint64_t tag = next_tag_++;
     const auto client = static_cast<uint32_t>(i % clients_.size());
     net::Packet req;
@@ -307,9 +315,7 @@ uint64_t FarviewSystem::RegisterProgram(rel::Program program) {
 
 Result<QueryStats> FarviewSystem::RunOffloaded(uint64_t table_id,
                                                uint64_t program_id) {
-  if (programs_.find(program_id) == programs_.end()) {
-    return Status::NotFound("unknown program id");
-  }
+  FPGADP_RETURN_NOT_OK(CheckRequest(table_id, program_id));
   const uint64_t tag = next_tag_++;
   const sim::Cycle start = engine_.now();
   const uint64_t dram_before = node_->dram_bytes_read();
@@ -351,10 +357,7 @@ Result<QueryStats> FarviewSystem::RunOffloaded(uint64_t table_id,
 
 Result<QueryStats> FarviewSystem::RunFetchAll(uint64_t table_id,
                                               uint64_t program_id) {
-  auto prog_it = programs_.find(program_id);
-  if (prog_it == programs_.end()) {
-    return Status::NotFound("unknown program id");
-  }
+  FPGADP_RETURN_NOT_OK(CheckRequest(table_id, program_id));
   const rel::Table& table = node_->table(table_id);
   // The compute node fetches the stored image (compressed tables travel
   // compressed and are inflated in software on arrival).
@@ -389,7 +392,7 @@ Result<QueryStats> FarviewSystem::RunFetchAll(uint64_t table_id,
   }
 
   QueryStats stats;
-  auto result = rel::ExecuteCpu(prog_it->second, table);
+  auto result = rel::ExecuteCpu(programs_.at(program_id), table);
   if (!result.ok()) return result.status();
   stats.result = std::move(result).value();
   stats.cycles = engine_.now() - start;

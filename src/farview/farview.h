@@ -81,6 +81,7 @@ class MemoryNode : public sim::Module {
   void Tick(sim::Cycle cycle) override;
   bool Idle() const override { return !job_active_ && jobs_.empty(); }
 
+  bool has_table(uint64_t id) const { return tables_.count(id) != 0; }
   const rel::Table& table(uint64_t id) const { return tables_.at(id).table; }
   uint64_t table_bytes(uint64_t id) const {
     return tables_.at(id).table.total_bytes();
@@ -184,6 +185,10 @@ class FarviewSystem {
 
   /// Executes `program_id` on the memory node (operators run where the
   /// data lives); only result bytes cross the wire.
+  ///
+  /// Every Run* call checks its requests before posting any packet: an
+  /// unknown table or program id is NotFound, and a program that cannot
+  /// run over the table's schema is InvalidArgument (Program::Validate).
   Result<QueryStats> RunOffloaded(uint64_t table_id, uint64_t program_id);
 
   /// Baseline: RDMA-read the whole table to the compute node, then run the
@@ -205,6 +210,9 @@ class FarviewSystem {
  private:
   /// First transport failure across all endpoints, or OK.
   Status TransportFailure() const;
+
+  /// OK if `program_id` can run over `table_id` (see RunOffloaded).
+  Status CheckRequest(uint64_t table_id, uint64_t program_id) const;
 
  private:
   FarviewConfig config_;

@@ -12,6 +12,8 @@ namespace fpgadp::rel {
 /// Runs `program` over `input` with straightforward single-threaded C++
 /// operators — the software baseline every FPGA experiment compares against.
 /// Group-by output rows are sorted by group key so results are canonical.
+/// Returns InvalidArgument if `program` cannot run over `input`'s schema
+/// (see Program::Validate).
 Result<Table> ExecuteCpu(const Program& program, const Table& input);
 
 /// Individual operators (used directly by tests and by ExecuteCpu).

@@ -81,6 +81,9 @@ void OpKernel::Tick(sim::Cycle cycle) {
   }
 }
 
+namespace {
+
+/// Builds the ProcessFn implementing one operator descriptor.
 OpKernel::ProcessFn MakeOpProcessFn(const OpDesc& op) {
   if (const auto* f = std::get_if<FilterOp>(&op)) {
     FilterOp filter = *f;
@@ -178,8 +181,6 @@ OpKernel::ProcessFn MakeOpProcessFn(const OpDesc& op) {
   };
 }
 
-namespace {
-
 /// Converts a table into the beat sequence fed to a pipeline (rows + EOS).
 std::vector<Beat> TableToBeats(const Table& t) {
   std::vector<Beat> beats;
@@ -240,6 +241,7 @@ Result<FpgaRunStats> ExecuteFpga(const Program& program, const Table& input,
   if (options.lanes == 0) {
     return Status::InvalidArgument("lanes must be >= 1");
   }
+  FPGADP_RETURN_NOT_OK(program.Validate(input.schema()));
   const Schema out_schema = program.OutputSchema(input.schema());
   std::vector<OpKernel::ProcessFn> fns;
   for (const OpDesc& op : program.ops) fns.push_back(MakeOpProcessFn(op));

@@ -88,14 +88,11 @@ class OpKernel : public sim::Module {
   uint64_t consumed_ = 0;
 };
 
-/// Builds the ProcessFn implementing one operator descriptor. Exposed so
-/// Farview can assemble the same kernels inside its memory-node pipeline.
-OpKernel::ProcessFn MakeOpProcessFn(const OpDesc& op);
-
 /// Runs `program` over `input` as a simulated dataflow pipeline: one
 /// OpKernel per operator, connected by depth-`stream_depth` FIFOs, fed by a
 /// source at `lanes` tuples/cycle. Returns output (identical to ExecuteCpu)
-/// plus cycle-accurate timing.
+/// plus cycle-accurate timing, or InvalidArgument if `program` cannot run
+/// over `input`'s schema (see Program::Validate).
 Result<FpgaRunStats> ExecuteFpga(const Program& program, const Table& input,
                                  const FpgaOptions& options = {});
 

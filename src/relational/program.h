@@ -6,6 +6,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/relational/schema.h"
 
 namespace fpgadp::rel {
@@ -99,8 +100,15 @@ struct Program {
   /// Short textual form, e.g. "filter|project|agg(sum)".
   std::string ToString() const;
 
-  /// Schema of the program's output given `input` schema; also validates
-  /// column indices (FPGADP_CHECKs on out-of-range).
+  /// OK if the program can run over rows of `input`: every column it reads
+  /// is in range at its step, a projection keeps at most kMaxColumns
+  /// columns, and every top-N keeps n > 0 rows. Otherwise InvalidArgument
+  /// naming the first operator at fault. The executors and Farview check
+  /// this before running a program.
+  Status Validate(const Schema& input) const;
+
+  /// Schema of the program's output given `input` schema. The program must
+  /// be valid for `input` (see Validate); an invalid one FPGADP_CHECKs.
   Schema OutputSchema(const Schema& input) const;
 };
 

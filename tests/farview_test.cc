@@ -104,6 +104,47 @@ TEST(FarviewTest, UnknownProgramIsError) {
   EXPECT_EQ(sys.RunFetchAll(tid, 999).status().code(), StatusCode::kNotFound);
 }
 
+// A bad request fails before any packet is posted: the clock does not move
+// and the next good query runs as if the bad one had never been made.
+void ExpectRejectedWithoutTraffic(FarviewSystem& sys, uint64_t tid,
+                                  uint64_t pid, StatusCode code,
+                                  uint64_t good_tid, uint64_t good_pid) {
+  const sim::Cycle before = sys.engine().now();
+  EXPECT_EQ(sys.RunOffloaded(tid, pid).status().code(), code);
+  EXPECT_EQ(sys.RunFetchAll(tid, pid).status().code(), code);
+  double makespan = 0;
+  // The good request comes first: it must not be posted either.
+  EXPECT_EQ(sys.RunOffloadedConcurrently({{good_tid, good_pid}, {tid, pid}},
+                                         &makespan)
+                .status()
+                .code(),
+            code);
+  EXPECT_EQ(sys.engine().now(), before);
+  auto good = sys.RunOffloaded(good_tid, good_pid);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->result.row(0).Get(0), 10);
+}
+
+TEST(FarviewTest, UnknownTableIsNotFound) {
+  FarviewSystem sys;
+  const uint64_t tid = sys.LoadTable(TestTable(10));
+  const uint64_t pid = sys.RegisterProgram(CountProgram());
+  ExpectRejectedWithoutTraffic(sys, tid + 1, pid, StatusCode::kNotFound, tid,
+                               pid);
+}
+
+TEST(FarviewTest, ProgramThatCannotRunOverTheTableIsInvalidArgument) {
+  FarviewSystem sys;
+  const uint64_t tid = sys.LoadTable(TestTable(10));  // 5 columns
+  const uint64_t count = sys.RegisterProgram(CountProgram());
+  rel::Program bad;
+  rel::FilterOp f;
+  f.conjuncts.push_back(rel::Predicate{9, rel::CmpOp::kGe, 0});
+  bad.ops.push_back(f);
+  ExpectRejectedWithoutTraffic(sys, tid, sys.RegisterProgram(bad),
+                               StatusCode::kInvalidArgument, tid, count);
+}
+
 TEST(FarviewTest, BackToBackQueriesReuseTheSystem) {
   FarviewSystem sys;
   const uint64_t tid = sys.LoadTable(TestTable(3000));

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "src/common/random.h"
+#include "src/relational/agg_state.h"
 #include "src/relational/program.h"
 #include "src/relational/table.h"
 
@@ -200,6 +207,227 @@ TEST(HashJoinTest, RejectsBadKeys) {
   Table t = SmallTable();
   EXPECT_FALSE(HashJoinCpu(t, t, JoinSpec{99, 0}).ok());
   EXPECT_FALSE(HashJoinCpu(t, t, JoinSpec{0, 99}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Programs that cannot run over their input return InvalidArgument instead of
+// aborting.
+
+Program OneOp(OpDesc op) {
+  Program p;
+  p.ops.push_back(std::move(op));
+  return p;
+}
+
+TEST(ValidateTest, RejectsWhatCannotRunOverTheSchema) {
+  Table t = SmallTable();  // 5 columns
+  FilterOp filter9;
+  filter9.conjuncts.push_back(Predicate{9, CmpOp::kEq, 0});
+  TopNOp top9;
+  top9.order_column = 9;
+  TopNOp top0;
+  top0.n = 0;
+  Program past_projection = OneOp(ProjectOp{{0, 1}});
+  past_projection.ops.push_back(AggregateOp{AggKind::kSum, 3, true});
+  const std::vector<std::pair<std::string, Program>> bad = {
+      {"filter", OneOp(filter9)},
+      {"project column", OneOp(ProjectOp{{0, 9}})},
+      {"project width", OneOp(ProjectOp{{0, 1, 2, 3, 4, 0, 1, 2, 3}})},
+      {"aggregate", OneOp(AggregateOp{AggKind::kSum, 9, false})},
+      {"average", OneOp(AggregateOp{AggKind::kAvg, 9, false})},
+      {"group column", OneOp(GroupByOp{9, {AggKind::kCount, 0, false}})},
+      {"group aggregate", OneOp(GroupByOp{2, {AggKind::kMax, 9, false}})},
+      {"top-n column", OneOp(top9)},
+      {"top-n zero", OneOp(top0)},
+      {"column past a projection", past_projection},
+  };
+  for (const auto& [name, program] : bad) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(program.Validate(t.schema()).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ExecuteCpu(program, t).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A count reads no column, so its column index is not checked.
+  auto count = ExecuteCpu(OneOp(AggregateOp{AggKind::kCount, 9, false}), t);
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(count->row(0).Get(0), 1000);
+}
+
+// ---------------------------------------------------------------------------
+// The executor's exact output. ExecuteCpu runs a filter inside the scan of
+// the aggregate, group-by or top-N that follows it, keeps the top-N in a
+// bounded heap and groups in a hash map; every row and every float must be
+// what the plain composition, a stable sort and an ordered map give.
+
+::testing::AssertionResult SameTable(const Table& got, const Table& want) {
+  if (!(got.schema() == want.schema())) {
+    return ::testing::AssertionFailure() << "schemas differ";
+  }
+  if (got.num_rows() != want.num_rows()) {
+    return ::testing::AssertionFailure()
+           << got.num_rows() << " rows, want " << want.num_rows();
+  }
+  for (size_t i = 0; i < got.num_rows(); ++i) {
+    if (!(got.row(i) == want.row(i))) {
+      return ::testing::AssertionFailure() << "row " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// TopNCpu before the bounded heap, copied as it was.
+Table StableSortTopN(const TopNOp& op, const Table& input) {
+  // Stable sort keeps arrival order on ties, matching the systolic queue.
+  std::vector<size_t> order(input.num_rows());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  auto key_less = [&](size_t a, size_t b) {
+    if (op.is_double) {
+      const double ka = input.row(a).GetDouble(op.order_column);
+      const double kb = input.row(b).GetDouble(op.order_column);
+      return op.ascending ? ka < kb : ka > kb;
+    }
+    const int64_t ka = input.row(a).Get(op.order_column);
+    const int64_t kb = input.row(b).Get(op.order_column);
+    return op.ascending ? ka < kb : ka > kb;
+  };
+  std::stable_sort(order.begin(), order.end(), key_less);
+  Table out(input.schema());
+  const size_t n = std::min<size_t>(op.n, order.size());
+  out.Reserve(n);
+  for (size_t i = 0; i < n; ++i) out.Append(input.row(order[i]));
+  return out;
+}
+
+/// GroupByCpu before the hash map, copied as it was.
+Table OrderedMapGroupBy(const GroupByOp& op, const Table& input) {
+  std::map<int64_t, AggState> groups;  // ordered => canonical output
+  for (const Row& r : input.rows()) {
+    groups[r.Get(op.group_column)].Add(r, op.agg);
+  }
+  Program helper;
+  helper.ops.push_back(op);
+  Table out(helper.OutputSchema(input.schema()));
+  for (const auto& [key, state] : groups) {
+    Row r;
+    r.Set(0, key);
+    state.Finish(op.agg, r, 1);
+    out.Append(r);
+  }
+  return out;
+}
+
+constexpr AggKind kAllAggKinds[] = {AggKind::kSum, AggKind::kMin,
+                                    AggKind::kMax, AggKind::kCount,
+                                    AggKind::kAvg};
+
+/// One to three random conjuncts over key, cat, price and qty; some select
+/// every row and some none.
+FilterOp RandomFilter(Rng& rng) {
+  FilterOp f;
+  const uint64_t conjuncts = 1 + rng.NextBounded(3);
+  for (uint64_t c = 0; c < conjuncts; ++c) {
+    Predicate p;
+    p.column = 1 + static_cast<uint32_t>(rng.NextBounded(4));
+    p.op = static_cast<CmpOp>(rng.NextBounded(6));
+    if (p.column == 3) {
+      p.is_double = true;
+      p.dvalue = rng.NextDouble() * 1100.0;
+    } else {
+      const int64_t range[] = {0, 1 << 20, 64, 0, 55};
+      p.value = rng.NextInt(0, range[p.column]);
+    }
+    f.conjuncts.push_back(p);
+  }
+  return f;
+}
+
+Program FilterThen(const FilterOp& f, OpDesc op) {
+  Program p = OneOp(f);
+  p.ops.push_back(std::move(op));
+  return p;
+}
+
+TEST(FusedFilterTest, EqualsFilterThenOperatorOver50Seeds) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SyntheticTableSpec spec;
+    spec.num_rows = 3000;
+    spec.zipf_theta = 0.9;
+    spec.seed = seed;
+    const Table t = MakeSyntheticTable(spec);
+    Rng rng(seed * 7919);
+    const FilterOp f = RandomFilter(rng);
+    const Table survivors = FilterCpu(f, t);
+    for (AggKind kind : kAllAggKinds) {
+      for (bool is_double : {false, true}) {
+        const AggregateOp agg{kind, is_double ? 3u : 4u, is_double};
+        auto fused = ExecuteCpu(FilterThen(f, agg), t);
+        ASSERT_TRUE(fused.ok()) << fused.status();
+        EXPECT_TRUE(SameTable(*fused, AggregateCpu(agg, survivors)));
+
+        const GroupByOp g{2, agg};
+        auto grouped = ExecuteCpu(FilterThen(f, g), t);
+        ASSERT_TRUE(grouped.ok()) << grouped.status();
+        EXPECT_TRUE(SameTable(*grouped, GroupByCpu(g, survivors)));
+      }
+    }
+    for (uint32_t column : {2u, 3u}) {
+      for (bool ascending : {true, false}) {
+        TopNOp top;
+        top.order_column = column;
+        top.is_double = column == 3;
+        top.ascending = ascending;
+        top.n = 1 + static_cast<uint32_t>(rng.NextBounded(40));
+        auto fused = ExecuteCpu(FilterThen(f, top), t);
+        ASSERT_TRUE(fused.ok()) << fused.status();
+        EXPECT_TRUE(SameTable(*fused, TopNCpu(top, survivors)));
+      }
+    }
+  }
+}
+
+TEST(TopNTest, EqualsStableSortUnderHeavyTies) {
+  SyntheticTableSpec spec;
+  spec.num_rows = 100000;
+  spec.num_categories = 4;  // cat takes 4 values
+  spec.seed = 11;
+  Table t = MakeSyntheticTable(spec);
+  // price takes 5 values, two of them -0.0 and 0.0, which compare equal
+  // but differ in their bits.
+  const double prices[] = {-0.0, 0.0, 1.5, -2.25, 7.0};
+  Rng rng(12);
+  for (Row& r : t.rows()) r.SetDouble(3, prices[rng.NextBounded(5)]);
+  const uint32_t rows = static_cast<uint32_t>(t.num_rows());
+  for (uint32_t column : {2u, 3u}) {
+    for (bool ascending : {true, false}) {
+      for (uint32_t n : {0u, 1u, 10u, 64u, 1000u, rows + 1}) {
+        SCOPED_TRACE("column " + std::to_string(column) + " n " +
+                     std::to_string(n) + (ascending ? " asc" : " desc"));
+        TopNOp top;
+        top.order_column = column;
+        top.is_double = column == 3;
+        top.ascending = ascending;
+        top.n = n;
+        EXPECT_TRUE(SameTable(TopNCpu(top, t), StableSortTopN(top, t)));
+      }
+    }
+  }
+}
+
+TEST(GroupByTest, EqualsOrderedMapBitForBitOnSkewedGroups) {
+  SyntheticTableSpec spec;
+  spec.num_rows = 100000;
+  spec.num_categories = 64;
+  spec.zipf_theta = 0.99;
+  spec.seed = 13;
+  const Table t = MakeSyntheticTable(spec);
+  for (AggKind kind : kAllAggKinds) {
+    for (bool is_double : {false, true}) {
+      const GroupByOp g{2, AggregateOp{kind, is_double ? 3u : 4u, is_double}};
+      EXPECT_TRUE(SameTable(GroupByCpu(g, t), OrderedMapGroupBy(g, t)));
+    }
+  }
 }
 
 }  // namespace

@@ -208,6 +208,15 @@ TEST(FpgaExecutorTest, RejectsZeroLanes) {
   EXPECT_FALSE(ExecuteFpga(Program{}, SmallTable(10), bad).ok());
 }
 
+TEST(FpgaExecutorTest, RejectsProgramThatCannotRunOverTheSchema) {
+  Program prog;
+  FilterOp f;
+  f.conjuncts.push_back(Predicate{9, CmpOp::kEq, 0});  // 5-column table
+  prog.ops.push_back(f);
+  EXPECT_EQ(ExecuteFpga(prog, SmallTable(10)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 class SelectivitySweep : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(SelectivitySweep, CpuFpgaEquivalence) {

@@ -22,7 +22,10 @@
 #include "src/accl/collectives.h"
 #include "src/anns/dataset.h"
 #include "src/anns/ivf.h"
+#include "src/common/random.h"
 #include "src/device/device.h"
+#include "src/farview/farview.h"
+#include "src/kvs/smart_kvs.h"
 #include "src/microrec/cartesian.h"
 #include "src/microrec/engine.h"
 #include "src/microrec/model.h"
@@ -31,6 +34,7 @@
 #include "src/obs/metrics.h"
 #include "src/relational/fpga_executor.h"
 #include "src/relational/program.h"
+#include "src/relational/queries.h"
 #include "src/relational/table.h"
 #include "src/shard/partitioner.h"
 #include "src/shard/shard.h"
@@ -323,12 +327,98 @@ uint64_t ShardAnnsReshardedScenario() {
   return cycles.ok() ? cycles.value() : 0;
 }
 
+/// Which FarviewSystem entry point a Farview scenario drives.
+enum class FarviewRun { kOffload, kFetchAll, kConcurrent };
+
+/// bench_farview_offload's shape at small fixed size: a qty >= 40 filter
+/// over a 20k-row seed-21 table, offloaded to the memory node or fetched
+/// whole; the concurrent flavor runs Q1-lite and the top-10 query from two
+/// clients at once and locks the makespan.
+uint64_t FarviewScenario(FarviewRun mode) {
+  rel::SyntheticTableSpec spec;
+  spec.num_rows = 20000;
+  spec.num_categories = 16;
+  spec.seed = 21;
+  farview::FarviewSystem sys(farview::FarviewConfig(),
+                             mode == FarviewRun::kConcurrent ? 2 : 1);
+  const uint64_t tid = sys.LoadTable(rel::MakeSyntheticTable(spec));
+  if (mode == FarviewRun::kConcurrent) {
+    const uint64_t q1 = sys.RegisterProgram(rel::MakeQ1Lite());
+    const uint64_t top = sys.RegisterProgram(rel::MakeTopExpensive());
+    auto stats = sys.RunOffloadedConcurrently({{tid, q1}, {tid, top}}, nullptr);
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    // The system's Step() loops never flush observers, and its engine is
+    // destroyed after its modules: flush while they are alive.
+    sys.engine().FlushObservers();
+    return stats.ok() ? sys.engine().now() : 0;
+  }
+  rel::Program filter;
+  rel::FilterOp f;
+  f.conjuncts.push_back(rel::Predicate{4, rel::CmpOp::kGe, 40});
+  filter.ops.push_back(f);
+  const uint64_t pid = sys.RegisterProgram(filter);
+  auto stats = mode == FarviewRun::kOffload ? sys.RunOffloaded(tid, pid)
+                                            : sys.RunFetchAll(tid, pid);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  sys.engine().FlushObservers();  // see the concurrent branch
+  return stats.ok() ? stats->cycles : 0;
+}
+
+/// bench_smart_kvs's closed loop at small fixed size: client 0 preloads 200
+/// keys, then two clients issue 300 GETs each over the loaded keys; the
+/// count covers both phases.
+uint64_t KvsGetScenario() {
+  net::Fabric::Config fc;
+  fc.clock_hz = 200e6;
+  net::Fabric fabric("fab", 3, fc);
+  kvs::SmartNicKvs server("kvs", 2, &fabric, kvs::SmartNicKvs::Config());
+  kvs::KvClient c0("client0", 0, 2, &fabric);
+  kvs::KvClient c1("client1", 1, 2, &fabric);
+  sim::Engine engine;
+  fabric.RegisterWith(engine);
+  server.RegisterWith(engine);
+  engine.AddModule(&c0);
+  engine.AddModule(&c1);
+  constexpr uint64_t kKeys = 200, kGets = 300;
+  for (uint64_t k = 0; k < kKeys; ++k) c0.Put(k, k * 3, k);
+  while (c0.responses_received() < kKeys) engine.Step();
+  Rng rng(17);
+  for (uint64_t i = 0; i < kGets; ++i) {
+    c0.Get(rng.NextBounded(kKeys), i);
+    c1.Get(rng.NextBounded(kKeys), i);
+  }
+  while (c0.responses_received() + c1.responses_received() <
+         kKeys + 2 * kGets) {
+    engine.Step();
+  }
+  engine.FlushObservers();
+  EXPECT_EQ(server.hits(), 2 * kGets);
+  return engine.now();
+}
+
+/// bench_accl_collectives' TCP row at small fixed size: ring all-reduce of
+/// 4096 floats across 8 ranks over the TCP transport.
+uint64_t AcclAllReduceTcpScenario() {
+  accl::Communicator comm(8, {}, 200e6, accl::Transport::kTcp);
+  std::vector<std::vector<float>> buffers(8, std::vector<float>(4096));
+  for (size_t r = 0; r < buffers.size(); ++r) {
+    for (size_t i = 0; i < buffers[r].size(); ++i) {
+      buffers[r][i] = float(r + i) * 0.25f;
+    }
+  }
+  auto stats = comm.AllReduce(buffers, accl::Algo::kRing);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  return stats.ok() ? stats->cycles : 0;
+}
+
 const std::vector<std::string> kScenarios = {
     "rdma_64x4k",  "rdma_1x1m",      "line_rate_filter",
     "hash_join",   "hbm_scaling",    "accl_broadcast",
     "shard_anns",  "shard_anns_tree", "shard_kvs_switch",
     "shard_kvs_failover", "shard_anns_resharded",
     "shard_anns_scatter_tree",
+    "farview_offload", "farview_fetch_all", "farview_concurrent",
+    "kvs_gets",    "accl_allreduce_tcp",
 };
 
 uint64_t RunScenario(const std::string& name, Driver driver = Driver::kRun) {
@@ -360,6 +450,15 @@ uint64_t RunScenario(const std::string& name, Driver driver = Driver::kRun) {
   if (name == "shard_kvs_switch") return ShardKvsSwitchScenario();
   if (name == "shard_kvs_failover") return ShardKvsFailoverScenario();
   if (name == "shard_anns_resharded") return ShardAnnsReshardedScenario();
+  if (name == "farview_offload") return FarviewScenario(FarviewRun::kOffload);
+  if (name == "farview_fetch_all") {
+    return FarviewScenario(FarviewRun::kFetchAll);
+  }
+  if (name == "farview_concurrent") {
+    return FarviewScenario(FarviewRun::kConcurrent);
+  }
+  if (name == "kvs_gets") return KvsGetScenario();
+  if (name == "accl_allreduce_tcp") return AcclAllReduceTcpScenario();
   ADD_FAILURE() << "unknown scenario " << name;
   return 0;
 }

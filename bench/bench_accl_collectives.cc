@@ -3,8 +3,15 @@
 // Shape to verify: ring all-reduce approaches the bandwidth-optimal
 // 2(p-1)/p * n/B time and stays nearly flat in p; tree algorithms win on
 // latency for small payloads; linear broadcast degrades linearly with p.
+//
+// The bench exits non-zero, naming the shape on stderr, when one fails:
+// ring all-reduce within 1.15x of the bandwidth optimum at every rank
+// count, binomial broadcast faster than linear at 32 ranks, the 32 KiB
+// pipelined chain faster than binomial, and TCP at most 10 % slower than
+// RDMA for every building block.
 
 #include <iostream>
+#include <string>
 
 #include "src/accl/collectives.h"
 #include "src/common/random.h"
@@ -30,6 +37,13 @@ std::vector<std::vector<float>> Buffers(uint32_t p, size_t n, uint64_t seed) {
 
 int main(int argc, char** argv) {
   fpgadp::bench::Session session(argc, argv);
+  bool shapes_hold = true;
+  auto expect = [&](bool holds, const std::string& shape) {
+    if (!holds) {
+      std::cerr << "E7 shape failed: " << shape << "\n";
+      shapes_hold = false;
+    }
+  };
   std::cout << "=== E7: collectives latency/throughput vs cluster size ===\n";
   std::cout << "100 Gbps per port, 1 us wire+switch, 4 MiB all-reduce / "
                "1 MiB broadcast payloads\n\n";
@@ -53,6 +67,9 @@ int main(int argc, char** argv) {
     const double optimal =
         2.0 * double(p - 1) / double(p) * double(n * sizeof(float)) /
         line_rate;
+    expect(ring->seconds / optimal <= 1.15,
+           "ring all-reduce over 1.15x optimal at " + std::to_string(p) +
+               " ranks");
     ar.AddRow({std::to_string(p), TablePrinter::Fmt(ring->seconds * 1e3, 2),
                TablePrinter::Fmt(tree->seconds * 1e3, 2),
                TablePrinter::Fmt(ring->seconds / optimal, 2) + "x",
@@ -73,6 +90,10 @@ int main(int argc, char** argv) {
       std::cerr << "broadcast failed\n";
       return 1;
     }
+    if (p == 32) {
+      expect(tree->seconds < lin->seconds,
+             "binomial broadcast not faster than linear at 32 ranks");
+    }
     bc.AddRow({std::to_string(p), TablePrinter::Fmt(lin->seconds * 1e3, 2),
                TablePrinter::Fmt(tree->seconds * 1e3, 2),
                TablePrinter::Fmt(lin->seconds / tree->seconds, 2) + "x"});
@@ -86,13 +107,19 @@ int main(int argc, char** argv) {
     auto base = Buffers(16, bn, 200);
     auto tree_buffers = base;
     auto tree = comm.Broadcast(0, tree_buffers, Algo::kTree);
+    expect(tree.ok(), "16-rank binomial broadcast failed");
     if (tree.ok()) {
       const uint64_t seg_choices[] = {8ull << 10, 32ull << 10, 128ull << 10,
                                       uint64_t(bn) * 4};
       for (uint64_t seg : seg_choices) {
         auto b = base;
         auto seg_stats = comm.BroadcastSegmented(0, b, seg);
+        expect(seg_stats.ok(), "pipelined chain broadcast failed");
         if (!seg_stats.ok()) continue;
+        if (seg == 32ull << 10) {
+          expect(seg_stats->seconds < tree->seconds,
+                 "32 KiB pipelined chain not faster than binomial");
+        }
         pb.AddRow({TablePrinter::FmtCount(seg) + " B",
                    TablePrinter::Fmt(seg_stats->seconds * 1e3, 2),
                    TablePrinter::Fmt(tree->seconds / seg_stats->seconds, 2) +
@@ -111,7 +138,10 @@ int main(int argc, char** argv) {
     auto run_pair = [&](const char* name, auto&& fn) {
       auto r = fn(rdma);
       auto t = fn(tcp);
+      expect(r.ok() && t.ok(), std::string(name) + " failed");
       if (r.ok() && t.ok()) {
+        expect(t->seconds / r->seconds <= 1.10,
+               std::string(name) + ": TCP over 10 % slower than RDMA");
         tp.AddRow({name, TablePrinter::Fmt(r->seconds * 1e3, 2),
                    TablePrinter::Fmt(t->seconds * 1e3, 2),
                    TablePrinter::Fmt(t->seconds / r->seconds, 2) + "x"});
@@ -140,5 +170,5 @@ int main(int argc, char** argv) {
                "broadcast removes the tree root's log2(p) copy cost; the\n"
                "TCP transport (ACCL's wire protocol) adds bounded "
                "session/segmentation overhead.\n";
-  return 0;
+  return shapes_hold ? 0 : 1;
 }

@@ -130,7 +130,9 @@ void WriteJsonNumber(std::ostream& os, double value) {
 }  // namespace
 
 Session::~Session() {
-  if (!json_path_.empty()) {
+  if (failed_ && !json_path_.empty()) {
+    std::cerr << "[bench] run failed; " << json_path_ << " left untouched\n";
+  } else if (!json_path_.empty()) {
     const double wall_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)

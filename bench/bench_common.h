@@ -40,7 +40,8 @@ namespace fpgadp::bench {
 ///                    AddResult(), plus the bench's total wall-clock, as a
 ///                    JSON file on exit — the machine-readable complement
 ///                    to the printed tables, for diffing perf trajectories
-///                    across commits.
+///                    across commits. A run marked Fail() leaves the file
+///                    untouched.
 ///
 /// The session installs the process-global trace writer / metrics registry
 /// (see obs/trace.h), which every Engine picks up when it starts running —
@@ -84,6 +85,14 @@ class Session {
   bool json_enabled() const { return !json_path_.empty(); }
   const std::string& json_path() const { return json_path_; }
 
+  /// Marks the run failed, so the destructor writes no JSON (a failed run
+  /// must not replace a committed baseline with partial rows). Returns
+  /// `exit_code`, for `return session.Fail();` from main.
+  int Fail(int exit_code = 1) {
+    failed_ = true;
+    return exit_code;
+  }
+
  private:
   struct ResultRow {
     std::string name;
@@ -98,6 +107,7 @@ class Session {
   std::chrono::steady_clock::time_point start_;
   uint64_t fault_seed_ = 1;
   double drop_rate_ = 0;
+  bool failed_ = false;
 };
 
 }  // namespace fpgadp::bench

@@ -400,7 +400,7 @@ int RunFailoverSweep(bench::Session& session, bool smoke) {
   std::cout << "\n(all rows asserted bit-identical between Run() and the "
                "Step() loop; recovery budget "
             << kRecoveryBudget << " cycles, see EXPERIMENTS.md E25)\n";
-  return ok ? 0 : 1;
+  return ok ? 0 : session.Fail();
 }
 
 }  // namespace
@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
   } else if (!shard::ParseGatherTopology(gather_flag, &gather.topology)) {
     std::cerr << "FAIL: unknown --gather=" << gather_flag
               << " (want flat|tree|switch|auto)\n";
-    return 1;
+    return session.Fail();
   } else if (gather.topology != shard::GatherTopology::kFlat) {
     gather.coordinator_ports = 2;
     // Lossy sweeps run under this config too: a lost child contribution
@@ -585,5 +585,5 @@ int main(int argc, char** argv) {
               << kInteractiveSlo << ")\n";
     ok = false;
   }
-  return ok ? 0 : 1;
+  return ok ? 0 : session.Fail();
 }

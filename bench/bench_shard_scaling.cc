@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
       if (replication < 1 || replication > 4) {
         std::cerr << "FAIL: --replication wants 1..4, got " << argv[i] + 14
                   << "\n";
-        return 1;
+        return session.Fail();
       }
     }
   }
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
   } else {
     std::cerr << "FAIL: unknown --gather=" << gather_flag
               << " (want flat|flat4|tree|switch|scatter|auto|all)\n";
-    return 1;
+    return session.Fail();
   }
 
   Sizes sizes;
@@ -343,7 +343,7 @@ int main(int argc, char** argv) {
   auto index = anns::IvfPqIndex::Build(data.base, data.dim, iopts);
   if (!index.ok()) {
     std::cerr << "FAIL: index build: " << index.status() << "\n";
-    return 1;
+    return session.Fail();
   }
 
   const double clock_hz = net::Fabric::Config{}.clock_hz;
@@ -436,7 +436,7 @@ int main(int argc, char** argv) {
   if (std::find(gathers.begin(), gathers.end(), "flat") == gathers.end()) {
     std::cout << "[note] --gather=" << gather_flag
               << " skips the flat incumbent; speedup assertions skipped\n";
-    return ok ? 0 : 1;
+    return ok ? 0 : session.Fail();
   }
 
   const double want = smoke ? 2.0 : 3.0;
@@ -529,5 +529,5 @@ int main(int argc, char** argv) {
     std::cout << "[auto] picker within 5% of the best static topology at "
                  "every (workload, shard count)\n";
   }
-  return ok ? 0 : 1;
+  return ok ? 0 : session.Fail();
 }

@@ -474,5 +474,5 @@ int main(int argc, char** argv) {
                "Step() loop)\n";
 
   if (smoke && !CheckGoldenFilter()) ok = false;
-  return ok ? 0 : 1;
+  return ok ? 0 : session.Fail();
 }

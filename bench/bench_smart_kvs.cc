@@ -45,10 +45,8 @@ double MeasureOpsPerSec(uint32_t num_clients, int ops_per_client,
   // Preload: 2000 keys via PUTs from client 0 (excluded from timing).
   const uint64_t kKeys = 2000;
   for (uint64_t k = 0; k < kKeys; ++k) clients[0]->Put(k, k * 3, k);
-  uint64_t guard = 0;
-  while (clients[0]->responses_received() < kKeys && guard++ < (1ull << 26)) {
-    engine.Step();
-  }
+  engine.Run(1ull << 26,
+             [&] { return clients[0]->responses_received() >= kKeys; });
   net::Packet drain;
   while (clients[0]->PollResponse(&drain)) {
   }
@@ -63,14 +61,11 @@ double MeasureOpsPerSec(uint32_t num_clients, int ops_per_client,
   const uint64_t base = kKeys;  // client 0 already has the preload acks
   const uint64_t want = uint64_t(num_clients) * ops_per_client;
   const sim::Cycle start = engine.now();
-  uint64_t got = 0;
-  guard = 0;
-  while (got < want && guard++ < (1ull << 26)) {
-    engine.Step();
-    got = 0;
+  engine.Run(1ull << 26, [&] {
+    uint64_t got = 0;
     for (const auto& c : clients) got += c->responses_received();
-    got -= base;
-  }
+    return got - base >= want;
+  });
   const double seconds = double(engine.now() - start) / 200e6;
   return double(want) / seconds;
 }

@@ -25,10 +25,8 @@ int main() {
   engine.AddModule(&client);
 
   auto run_until = [&](uint64_t responses) {
-    uint64_t guard = 0;
-    while (client.responses_received() < responses && guard++ < (1u << 24)) {
-      engine.Step();
-    }
+    engine.Run(1u << 24,
+               [&] { return client.responses_received() >= responses; });
   };
 
   // Populate 10k keys.

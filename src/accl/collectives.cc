@@ -27,7 +27,9 @@ class RankProgram : public sim::Module {
   };
 
   RankProgram(std::string name, net::RdmaEndpoint* ep, std::vector<S> steps)
-      : sim::Module(std::move(name)), ep_(ep), steps_(std::move(steps)) {}
+      : sim::Module(std::move(name)), ep_(ep), steps_(std::move(steps)) {
+    ep_->SetWakeListener(this);
+  }
 
   void Tick(sim::Cycle) override {
     bool progressed = false;
@@ -63,6 +65,12 @@ class RankProgram : public sim::Module {
   bool Idle() const override { return pc_ == steps_.size(); }
   bool Done() const { return pc_ == steps_.size(); }
 
+  /// A tick runs the schedule until a receive finds no matching message,
+  /// so only a delivery can unblock it: the endpoint wakes the program.
+  sim::Cycle NextEventCycle(sim::Cycle) const override {
+    return sim::kNoEventCycle;
+  }
+
  private:
   net::RdmaEndpoint* ep_;
   std::vector<S> steps_;
@@ -83,7 +91,9 @@ class TcpRankProgram : public sim::Module {
   };
 
   TcpRankProgram(std::string name, net::TcpStack* stack, std::vector<S> steps)
-      : sim::Module(std::move(name)), stack_(stack), steps_(std::move(steps)) {}
+      : sim::Module(std::move(name)), stack_(stack), steps_(std::move(steps)) {
+    stack_->SetReadListener(this);
+  }
 
   void Tick(sim::Cycle) override {
     bool progressed = false;
@@ -107,6 +117,12 @@ class TcpRankProgram : public sim::Module {
 
   bool Idle() const override { return pc_ == steps_.size(); }
   bool Done() const { return pc_ == steps_.size(); }
+
+  /// Blocked only on a receive: the stack wakes the program when bytes
+  /// become readable.
+  sim::Cycle NextEventCycle(sim::Cycle) const override {
+    return sim::kNoEventCycle;
+  }
 
  private:
   net::TcpStack* stack_;
@@ -184,7 +200,6 @@ Result<CollectiveStats> Communicator::RunScheduleOnce(
     }
   }
 
-  uint64_t cycles = 0;
   auto all_done = [&] {
     for (const auto& p : programs) {
       if (!p->Done()) return false;
@@ -195,7 +210,7 @@ Result<CollectiveStats> Communicator::RunScheduleOnce(
     return true;
   };
   // A transport that exhausted its retry cap can never finish its
-  // schedule; stop stepping as soon as one gives up.
+  // schedule; stop as soon as one gives up.
   auto transport_failure = [&]() -> Status {
     for (const auto& ep : eps) {
       if (ep->failed()) return ep->status();
@@ -206,12 +221,13 @@ Result<CollectiveStats> Communicator::RunScheduleOnce(
     return Status::OK();
   };
   Status failure;
-  while (!all_done() && cycles < max_cycles_) {
-    engine.Step();
-    ++cycles;
+  const auto transport_failed = [&] {
     failure = transport_failure();
-    if (!failure.ok()) break;
-  }
+    return !failure.ok();
+  };
+  // An unfinished schedule timed out, whether the budget ran out or the
+  // engine went quiet; `failure` and all_done() say why the run ended.
+  engine.Run(max_cycles_, [&] { return transport_failed() || all_done(); });
   // Record per-rank completion for graceful degradation before failing.
   last_outcome_.rank_done.assign(world_size_, false);
   last_outcome_.ranks_completed = 0;
@@ -225,16 +241,12 @@ Result<CollectiveStats> Communicator::RunScheduleOnce(
   if (!failure.ok()) return failure;
   if (!all_done()) return Status::Timeout("collective did not complete");
   // Drain in-flight completions so the fabric's byte counter is final.
-  while (!engine.QuiescedNow() && cycles < max_cycles_) {
-    engine.Step();
-    ++cycles;
-    failure = transport_failure();
-    if (!failure.ok()) return failure;
-  }
+  engine.Run(max_cycles_ - engine.now(), transport_failed);
+  if (!failure.ok()) return failure;
 
   CollectiveStats stats;
-  stats.cycles = cycles;
-  stats.seconds = CyclesToSeconds(cycles, clock_hz_);
+  stats.cycles = engine.now();
+  stats.seconds = CyclesToSeconds(stats.cycles, clock_hz_);
   stats.wire_bytes = fabric.payload_bytes_delivered();
   stats.bus_bw =
       stats.seconds > 0 ? double(payload_bytes) / stats.seconds : 0;

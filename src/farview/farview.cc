@@ -28,7 +28,13 @@ MemoryNode::MemoryNode(std::string name, uint32_t node_id, net::Fabric* fabric,
                        const FarviewConfig& config)
     : sim::Module(std::move(name)), config_(config),
       endpoint_(this->name() + ".ep", node_id, fabric, config.reliability),
-      dram_(this->name() + ".dram", config.ddr_channels, DdrConfig(config)) {}
+      dram_(this->name() + ".dram", config.ddr_channels, DdrConfig(config)) {
+  for (uint32_t ch = 0; ch < dram_.num_channels(); ++ch) {
+    dram_.request(ch).BindProducer(this);
+    dram_.response(ch).BindConsumer(this);
+  }
+  endpoint_.SetWakeListener(this);
+}
 
 uint64_t MemoryNode::StoreTable(rel::Table table, uint64_t stored_bytes,
                                 bool compressed) {
@@ -197,8 +203,7 @@ FarviewSystem::FarviewSystem(const FarviewConfig& config, uint32_t num_clients)
                 f.clock_hz = config.clock_hz;
                 return f;
               }()),
-      clients_(MakeClients(num_clients, &fabric_, config.reliability)),
-      client_(*clients_[0]) {
+      clients_(MakeClients(num_clients, &fabric_, config.reliability)) {
   node_ = std::make_unique<MemoryNode>("memnode", num_clients, &fabric_,
                                        config_);
   fabric_.RegisterWith(engine_);
@@ -254,11 +259,12 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
     flight.push_back({tag, client});
   }
   size_t remaining = flight.size();
-  const uint64_t kMaxCycles = 1ull << 30;
+  Status failure;
   net::Packet resp;
-  for (uint64_t i = 0; i < kMaxCycles && remaining > 0; ++i) {
-    engine_.Step();
-    if (Status failure = TransportFailure(); !failure.ok()) return failure;
+  // Each request completes on the cycle its final chunk is delivered.
+  const auto stop = [&] {
+    failure = TransportFailure();
+    if (!failure.ok()) return true;
     for (auto& f : flight) {
       if (f.done) continue;
       while (clients_[f.client]->PollRecv(&resp)) {
@@ -277,9 +283,14 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
         if (f.done) break;
       }
     }
-  }
+    return remaining == 0;
+  };
+  // `stop` records why the run ended: a batch still incomplete timed out,
+  // whether the budget ran out or the engine went quiet.
+  engine_.Run(1ull << 30, stop);
+  FPGADP_RETURN_NOT_OK(failure);
   if (remaining > 0) {
-    return Status::Timeout("concurrent offload batch did not complete");
+    return Status::Timeout("offload batch did not complete");
   }
   std::vector<QueryStats> out;
   out.reserve(flight.size());
@@ -315,42 +326,11 @@ uint64_t FarviewSystem::RegisterProgram(rel::Program program) {
 
 Result<QueryStats> FarviewSystem::RunOffloaded(uint64_t table_id,
                                                uint64_t program_id) {
-  FPGADP_RETURN_NOT_OK(CheckRequest(table_id, program_id));
-  const uint64_t tag = next_tag_++;
-  const sim::Cycle start = engine_.now();
   const uint64_t dram_before = node_->dram_bytes_read();
-
-  net::Packet req;
-  req.dst = static_cast<uint32_t>(clients_.size());  // the memory node
-  req.kind = net::OpKind::kOffloadReq;
-  req.tag = tag;
-  req.addr = table_id;
-  req.user = program_id;
-  client_.PostPacket(req);
-
-  net::Packet resp;
-  bool got = false;
-  uint64_t payload = 0;
-  const uint64_t kMaxCycles = 1ull << 28;
-  for (uint64_t i = 0; i < kMaxCycles && !got; ++i) {
-    engine_.Step();
-    if (Status failure = TransportFailure(); !failure.ok()) return failure;
-    while (client_.PollRecv(&resp)) {
-      if (resp.kind != net::OpKind::kOffloadResp || resp.tag != tag) continue;
-      payload += resp.bytes;
-      if (resp.user == 1) {  // final chunk
-        got = true;
-        break;
-      }
-    }
-  }
-  if (!got) return Status::Timeout("offloaded query did not complete");
-
-  QueryStats stats;
-  stats.result = node_->TakeResult(tag);
-  stats.cycles = engine_.now() - start;
-  stats.seconds = CyclesToSeconds(stats.cycles, config_.clock_hz);
-  stats.wire_bytes = payload;  // request is header-only
+  FPGADP_ASSIGN_OR_RETURN(
+      std::vector<QueryStats> batch,
+      RunOffloadedConcurrently({{table_id, program_id}}, nullptr));
+  QueryStats stats = std::move(batch.front());
   stats.dram_bytes = node_->dram_bytes_read() - dram_before;
   return stats;
 }
@@ -369,24 +349,29 @@ Result<QueryStats> FarviewSystem::RunFetchAll(uint64_t table_id,
   // bandwidth-bound. (The memory node's NIC DMAs from DRAM at memory
   // bandwidth, which exceeds line rate, so the network is the bottleneck.)
   const uint64_t kChunk = 1ull << 20;
+  net::RdmaEndpoint& client = *clients_[0];
   const auto server = static_cast<uint32_t>(clients_.size());
   uint64_t issued_tags = 0;
   for (uint64_t off = 0; off < total; off += kChunk) {
-    client_.PostRead(server, off, std::min(kChunk, total - off),
-                     issued_tags++);
+    client.PostRead(server, off, std::min(kChunk, total - off), issued_tags++);
   }
   if (total == 0) issued_tags = 0;
   uint64_t completed = 0;
-  const uint64_t kMaxCycles = 1ull << 30;
+  Status failure;
   net::Completion c;
-  for (uint64_t i = 0; i < kMaxCycles && completed < issued_tags; ++i) {
-    engine_.Step();
-    while (client_.PollCompletion(&c)) {
-      if (c.status != StatusCode::kOk) return client_.status();
+  const auto stop = [&] {
+    while (client.PollCompletion(&c)) {
+      if (c.status != StatusCode::kOk) {
+        failure = client.status();
+        return true;
+      }
       if (c.kind == net::OpKind::kReadResp) ++completed;
     }
-    if (Status failure = TransportFailure(); !failure.ok()) return failure;
-  }
+    failure = TransportFailure();
+    return !failure.ok() || completed >= issued_tags;
+  };
+  engine_.Run(1ull << 30, stop);  // see RunOffloadedConcurrently
+  FPGADP_RETURN_NOT_OK(failure);
   if (completed < issued_tags) {
     return Status::Timeout("fetch-all transfer did not complete");
   }

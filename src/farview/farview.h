@@ -75,11 +75,29 @@ class MemoryNode : public sim::Module {
   /// step a real deployment does once per prepared statement).
   void RegisterProgram(uint64_t program_id, rel::Program program);
 
-  /// Registers this module plus its endpoint and DRAM with `engine`.
+  /// Registers this module plus its endpoint and DRAM with `engine`, in
+  /// that order.
   void RegisterWith(sim::Engine& engine);
 
   void Tick(sim::Cycle cycle) override;
-  bool Idle() const override { return !job_active_ && jobs_.empty(); }
+  /// A delivered but unpolled request is pending work (the node registers
+  /// before its endpoint, so it polls a delivery one cycle later).
+  bool Idle() const override {
+    return !job_active_ && jobs_.empty() && endpoint_.recv_available() == 0;
+  }
+  /// A fixed-rate actor: a queued job starts next tick, arrived tuples
+  /// stream through `pipeline_lanes` per cycle, and a page issues whenever
+  /// its channel has room. Otherwise it waits on an edge: a page arrival, a
+  /// drained request FIFO (the channels register after the node), or a
+  /// request (the endpoint wakes it).
+  sim::Cycle NextEventCycle(sim::Cycle now) const override {
+    if (!job_active_) return jobs_.empty() ? sim::kNoEventCycle : now;
+    const auto ch = static_cast<uint32_t>(pages_issued_ % dram_.num_channels());
+    const bool can_issue =
+        pages_issued_ < pages_total_ && dram_.request(ch).CanWrite();
+    if (tuples_processed_ < tuples_arrived_ || can_issue) return now;
+    return sim::kNoEventCycle;
+  }
 
   bool has_table(uint64_t id) const { return tables_.count(id) != 0; }
   const rel::Table& table(uint64_t id) const { return tables_.at(id).table; }
@@ -219,7 +237,6 @@ class FarviewSystem {
   sim::Engine engine_;
   net::Fabric fabric_;
   std::vector<std::unique_ptr<net::RdmaEndpoint>> clients_;
-  net::RdmaEndpoint& client_;  ///< Alias of clients_[0] (single-client API).
   std::unique_ptr<MemoryNode> node_;
   std::map<uint64_t, rel::Program> programs_;
   uint64_t next_program_id_ = 1;

@@ -34,6 +34,11 @@ SmartNicKvs::SmartNicKvs(std::string name, uint32_t node_id,
               return mc;
             }()) {
   FPGADP_CHECK(fabric_ != nullptr);
+  // The Tick touches this node's port pair and the NIC's DRAM pair.
+  fabric_->ingress(node_id_).BindConsumer(this);
+  fabric_->egress(node_id_).BindProducer(this);
+  dram_req_.BindProducer(this);
+  dram_resp_.BindConsumer(this);
 }
 
 void SmartNicKvs::RegisterWith(sim::Engine& engine) {
@@ -108,6 +113,8 @@ KvClient::KvClient(std::string name, uint32_t node_id, uint32_t server,
       fabric_(fabric), retry_(retry) {
   FPGADP_CHECK(fabric_ != nullptr);
   FPGADP_CHECK(retry_.backoff >= 1.0);
+  fabric_->egress(node_id_).BindProducer(this);
+  fabric_->ingress(node_id_).BindConsumer(this);
 }
 
 KvClient::KvClient(std::string name, uint32_t node_id, uint32_t server,
@@ -117,6 +124,7 @@ KvClient::KvClient(std::string name, uint32_t node_id, uint32_t server,
 bool KvClient::reliable() const { return fabric_->lossy(); }
 
 void KvClient::Get(uint64_t key, uint64_t tag) {
+  WakeUp();  // queued requests ship from the next tick
   net::Packet p;
   p.src = node_id_;
   p.dst = server_;
@@ -128,6 +136,7 @@ void KvClient::Get(uint64_t key, uint64_t tag) {
 }
 
 void KvClient::Put(uint64_t key, uint64_t value, uint64_t tag) {
+  WakeUp();
   net::Packet p;
   p.src = node_id_;
   p.dst = server_;

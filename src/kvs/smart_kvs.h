@@ -1,6 +1,7 @@
 #ifndef FPGADP_KVS_SMART_KVS_H_
 #define FPGADP_KVS_SMART_KVS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -57,6 +58,11 @@ class SmartNicKvs : public sim::Module {
 
   void Tick(sim::Cycle cycle) override;
   bool Idle() const override { return in_flight_.empty(); }
+  /// Purely reactive: a tick acts only on a committed request or bucket
+  /// access, and a bound input left holding one re-arms the NIC.
+  sim::Cycle NextEventCycle(sim::Cycle) const override {
+    return sim::kNoEventCycle;
+  }
 
   uint64_t gets() const { return gets_; }
   uint64_t puts() const { return puts_; }
@@ -121,6 +127,15 @@ class KvClient : public sim::Module {
   void Tick(sim::Cycle cycle) override;
   bool Idle() const override {
     return queue_.empty() && outstanding_.empty();
+  }
+  /// Queued requests ship from the next tick (or wait out a full egress
+  /// port); otherwise the earliest retry deadline (lossy fabric only).
+  sim::Cycle NextEventCycle(sim::Cycle now) const override {
+    sim::Cycle next = queue_.empty() ? sim::kNoEventCycle : now;
+    for (const auto& [tag, o] : outstanding_) {
+      next = std::min(next, o.next_retry);
+    }
+    return std::max(next, now);
   }
 
   uint64_t responses_received() const { return responses_; }

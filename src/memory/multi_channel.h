@@ -39,6 +39,7 @@ class MultiChannelMemory {
 
   uint32_t num_channels() const { return static_cast<uint32_t>(channels_.size()); }
   sim::Stream<MemRequest>& request(uint32_t c) { return *req_[c]; }
+  const sim::Stream<MemRequest>& request(uint32_t c) const { return *req_[c]; }
   sim::Stream<MemResponse>& response(uint32_t c) { return *resp_[c]; }
   const MemoryChannel& channel(uint32_t c) const { return *channels_[c]; }
 

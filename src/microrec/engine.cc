@@ -86,7 +86,13 @@ class LookupDispatcher : public sim::Module {
                    uint32_t jobs_in_flight, uint32_t vector_bytes)
       : sim::Module(std::move(name)), jobs_(jobs), hbm_(hbm), out_(out),
         jobs_in_flight_(jobs_in_flight), vector_bytes_(vector_bytes),
-        issued_(jobs->size(), 0), outstanding_(jobs->size(), 0) {}
+        issued_(jobs->size(), 0), outstanding_(jobs->size(), 0) {
+    for (uint32_t c = 0; c < hbm_->num_channels(); ++c) {
+      hbm_->request(c).BindProducer(this);
+      hbm_->response(c).BindConsumer(this);
+    }
+    out_->BindProducer(this);
+  }
 
   void Tick(sim::Cycle) override {
     bool progressed = false;
@@ -133,6 +139,16 @@ class LookupDispatcher : public sim::Module {
 
   bool Idle() const override {
     return released_ == jobs_->size() && ready_.empty();
+  }
+
+  /// Acts every cycle while it can admit, issue or release work — issue and
+  /// release even into a full FIFO, which a consumer registered earlier may
+  /// drain within the cycle. Otherwise it waits for vector fetches.
+  sim::Cycle NextEventCycle(sim::Cycle now) const override {
+    const bool can_admit = admitted_ < jobs_->size() &&
+                           admitted_ - completed_admissions() < jobs_in_flight_;
+    if (can_admit || issue_head_ < admitted_ || !ready_.empty()) return now;
+    return sim::kNoEventCycle;
   }
 
  private:

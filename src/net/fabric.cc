@@ -126,7 +126,6 @@ Fabric::Fabric(std::string name, uint32_t num_nodes, const Config& config)
     egress_.back()->BindConsumer(this);
     ingress_.back()->BindProducer(this);
   }
-  SetEventSafe();
 }
 
 sim::Cycle Fabric::NextEventCycle(sim::Cycle now) const {

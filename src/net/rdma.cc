@@ -30,11 +30,10 @@ RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric,
   // endpoints gives the event scheduler its arrival and drain edges.
   fabric_->egress(node_id_).BindProducer(this);
   fabric_->ingress(node_id_).BindConsumer(this);
-  // Event-safe: NextEventCycle covers posted work and retransmission
-  // timers, the ingress bind covers arrivals, and Post* self-wakes. A
-  // skipped endpoint has an empty outbox, no pending arrivals, and no
-  // timer due — cycles the serial tick would have spent idle.
-  SetEventSafe();
+  // NextEventCycle covers posted work and retransmission timers, the
+  // ingress bind covers arrivals, and Post* self-wakes. A skipped endpoint
+  // has an empty outbox, no pending arrivals, and no timer due — cycles the
+  // serial tick would have spent idle.
 }
 
 RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric)

@@ -90,8 +90,8 @@ class RdmaEndpoint : public sim::Module {
   /// Registers the module that polls this endpoint's completion/receive
   /// queues. Under event-driven scheduling the endpoint wakes it whenever a
   /// tick is about to deliver a new completion or received message, so the
-  /// poller may sleep between deliveries. Optional: pollers that never
-  /// sleep (always-active modules) need no listener.
+  /// poller may sleep between deliveries. A harness polling between cycles
+  /// (a Run() stop predicate) needs no listener.
   void SetWakeListener(sim::Module* listener) { listener_ = listener; }
 
   /// True once any op exhausted its retry cap; status() then carries

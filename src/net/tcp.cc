@@ -54,6 +54,7 @@ TcpStack::TcpStack(std::string name, uint32_t node_id, Fabric* fabric)
 void TcpStack::Connect(uint32_t peer) {
   Connection& c = Conn(peer);
   if (c.established || c.syn_sent || c.failed) return;
+  WakeUp();
   c.syn_sent = true;  // SYN goes out on the next Tick
 }
 
@@ -63,6 +64,7 @@ bool TcpStack::Connected(uint32_t peer) const {
 }
 
 void TcpStack::Send(uint32_t peer, uint64_t bytes) {
+  WakeUp();  // queued data ships from the next tick
   Connect(peer);
   Conn(peer).tx_pending += bytes;
 }
@@ -250,7 +252,9 @@ void TcpStack::Tick(sim::Cycle cycle) {
   auto& ig = fabric_->ingress(node_id_);
   const bool rel = reliable();
 
-  // Service arrivals.
+  // Service arrivals, waking the reader first: its skipped ticks settle
+  // against the state before any byte became readable.
+  if (listener_ != nullptr && ig.CanRead()) listener_->WakeUp();
   while (ig.CanRead()) {
     Packet p = ig.Read();
     progressed = true;

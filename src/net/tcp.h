@@ -88,6 +88,11 @@ class TcpStack : public sim::Module {
   /// Consumes up to `max_bytes` from `peer`'s stream; returns the amount.
   uint64_t Read(uint32_t peer, uint64_t max_bytes);
 
+  /// Registers the module that Read()s this stack. The stack wakes it before
+  /// each tick that handles arrivals (which may make bytes readable), so the
+  /// reader may sleep between arrivals under event-driven scheduling.
+  void SetReadListener(sim::Module* listener) { listener_ = listener; }
+
   void Tick(sim::Cycle cycle) override;
   bool Idle() const override;
 
@@ -160,6 +165,7 @@ class TcpStack : public sim::Module {
   std::deque<Packet> pending_acks_;  ///< ACK/SYN-ACK deferred by port pressure.
   std::deque<Packet> retransmit_q_;  ///< Retransmits deferred by port pressure.
   std::set<uint32_t> syn_emitted_;   ///< Peers whose SYN already left.
+  sim::Module* listener_ = nullptr;  ///< Woken before arrivals are handled.
   Status status_;
   uint64_t segments_sent_ = 0;
   uint64_t bytes_acked_ = 0;

@@ -16,10 +16,9 @@ FrontDoor::FrontDoor(std::string name, shard::ShardCoordinator* coordinator,
   FPGADP_CHECK(workload != nullptr);
   FPGADP_CHECK(!config_.classes.empty());
   FPGADP_CHECK(config_.num_requests > 0);
-  // Event-safe: NextEventCycle covers the arrival schedule and unpolled
-  // outcomes, and the coordinator wakes this module at every finalize.
+  // NextEventCycle covers the arrival schedule and unpolled outcomes, and
+  // the coordinator wakes this module at every finalize.
   coordinator_->SetOutcomeListener(this);
-  SetEventSafe();
   stats_.resize(config_.classes.size());
 
   double total_weight = 0.0;

@@ -50,12 +50,11 @@ ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
   FPGADP_CHECK(config_.window > 0);
   FPGADP_CHECK(config_.feasibility_headroom_pct > 0 &&
                config_.feasibility_headroom_pct <= 100);
-  // Event-safe: NextEventCycle covers queued slices, gather and beacon
-  // deadlines; the endpoints wake the coordinator on every delivery; and
-  // ingress (Submit / TrySubmit via Enqueue) self-wakes. A skipped window
-  // is a run of no-progress ticks, which AttributeSkip reproduces.
+  // NextEventCycle covers queued slices, gather and beacon deadlines; the
+  // endpoints wake the coordinator on every delivery; and ingress (Submit /
+  // TrySubmit via Enqueue) self-wakes. A skipped window is a run of
+  // no-progress ticks, which AttributeSkip reproduces.
   for (net::RdmaEndpoint* ep : endpoints_) ep->SetWakeListener(this);
-  SetEventSafe();
   shard_queue_.resize(num_shards_);
   in_flight_.assign(num_shards_, 0);
   queue_hwm_.assign(num_shards_, 0);
@@ -743,10 +742,9 @@ ShardServer::ShardServer(std::string name, uint32_t shard_id,
   FPGADP_CHECK(workload_ != nullptr);
   FPGADP_CHECK(endpoint_ != nullptr);
   FPGADP_CHECK(config_.max_queue > 0);
-  // Event-safe: NextEventCycle covers the pipeline, merge timeouts, beacon
-  // posts and chunk pacing; the endpoint wakes the server on arrivals.
+  // NextEventCycle covers the pipeline, merge timeouts, beacon posts and
+  // chunk pacing; the endpoint wakes the server on arrivals.
   endpoint_->SetWakeListener(this);
-  SetEventSafe();
   if (elastic_ != nullptr && elastic_->config.beacon_interval_cycles > 0) {
     FPGADP_CHECK(plan_ != nullptr);
     next_beacon_at_ = elastic_->config.beacon_interval_cycles;

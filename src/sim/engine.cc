@@ -80,15 +80,14 @@ void Engine::RebuildSchedule() {
   }
   // Cache each stream's endpoint registration indices so event-mode commit
   // and drain edges arm the neighbour with one array write instead of a
-  // pointer lookup. A conflicted stream has an ambiguous endpoint set and
-  // gets none (RebuildEventState then demotes the engine to always-active).
+  // pointer lookup. (A conflicted stream never reaches the event loop: Run()
+  // rejects it.)
   std::unordered_map<const Module*, size_t> index;
   index.reserve(modules_.size());
   for (size_t i = 0; i < modules_.size(); ++i) index[modules_[i]] = i;
   for (StreamBase* s : streams_) {
     s->producer_index_ = StreamBase::kNoEndpoint;
     s->consumer_index_ = StreamBase::kNoEndpoint;
-    if (s->bind_conflict()) continue;
     const auto ip = index.find(s->producer());
     const auto ic = index.find(s->consumer());
     if (ip != index.end()) s->producer_index_ = ip->second;
@@ -298,21 +297,35 @@ bool Engine::QuiescedNow() const {
   return true;
 }
 
-Result<Cycle> Engine::Run(uint64_t max_cycles) {
+Result<Cycle> Engine::Run(uint64_t max_cycles, const StopFn& stop) {
+  // Such a stream has no single endpoint for its edges to arm.
+  for (const StreamBase* s : streams_) {
+    if (s->bind_conflict()) {
+      return Status::InvalidArgument("stream " + s->name() +
+                                     " has two producers or two consumers");
+    }
+  }
   if (!observability_checked_) SetupObservability();
   if (schedule_dirty_) RebuildSchedule();
   // Observers need every cycle visited: per-cycle span tracking and
   // periodic sampling read each one, and observers must never perturb what
   // they measure, so the skipping is what yields, not the probes.
-  if (trace_ || metrics_) return StepUntilQuiesced(*this, max_cycles);
-  return RunEventDriven(max_cycles);
+  if (trace_ || metrics_) return StepUntilQuiesced(*this, max_cycles, stop);
+  return RunEventDriven(max_cycles, stop);
 }
 
-Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles) {
+Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles,
+                                const Engine::StopFn& stop) {
   const Cycle limit = engine.now() + max_cycles;
-  while (engine.now() < limit && !engine.QuiescedNow()) engine.Step();
+  for (;;) {
+    if ((stop && stop()) || engine.QuiescedNow()) {
+      engine.FlushObservers();
+      return engine.now();
+    }
+    if (engine.now() >= limit) break;
+    engine.Step();
+  }
   engine.FlushObservers();
-  if (engine.QuiescedNow()) return engine.now();
   return Status::Timeout("engine did not quiesce within " +
                          std::to_string(max_cycles) + " cycles");
 }
@@ -320,10 +333,10 @@ Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles) {
 // --- Event-driven core ------------------------------------------------------
 //
 // Correctness frame: Step() ticks EVERY module EVERY cycle, so extra ticks
-// are always safe — the only dangerous direction is skipping
-// one. A module's tick may be skipped at cycle c only when it is certified
-// (SetEventSafe: an unarmed tick is a no-op except for stall attribution,
-// which AttributeSkip reproduces in closed form) AND nothing armed it for c.
+// are always safe — the only dangerous direction is skipping one. A module's
+// tick is skipped at cycle c only when nothing armed it for c, and by the
+// module contract (Module::NextEventCycle) an unarmed tick is a no-op except
+// for stall attribution, which AttributeSkip reproduces in closed form.
 // Arming is over-approximate everywhere: residual committed items on a bound
 // input, any commit on a bound input, a drain of a full bound output, an
 // explicit WakeUp, or the module's own NextEventCycle hint each force a tick.
@@ -339,21 +352,6 @@ void Engine::RebuildEventState() {
   run_next_sorted_ = true;
   qc_module_ = kNone;
   qc_stream_ = kNone;
-  // A bind-conflicted stream has an ambiguous writer set, so its commit edge
-  // cannot be attributed to one endpoint pair; rather than risk a missed
-  // wake, demote every module to always-active (exactly Step()'s behavior,
-  // just driven from the event loop).
-  bool edges_ok = true;
-  for (const StreamBase* s : streams_) {
-    if (s->bind_conflict()) {
-      edges_ok = false;
-      break;
-    }
-  }
-  always_active_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (!edges_ok || !modules_[i]->event_safe()) always_active_.push_back(i);
-  }
   // Bound-input lists drive the post-tick residual re-arm (ReArmModule).
   bound_inputs_.assign(n, {});
   for (const StreamBase* s : streams_) {
@@ -435,7 +433,7 @@ void Engine::BuildRunList(Cycle c) {
   // Fast path for dense flow-through phases: every armed module was armed
   // for c by the previous cycle's in-order re-arms — the list is already
   // sorted and deduped, so the run list is a pointer swap.
-  if (heap_pops_.empty() && always_active_.empty() && run_next_sorted_) {
+  if (heap_pops_.empty() && run_next_sorted_) {
     std::swap(run_now_, run_next_);
     run_next_.clear();
     return;
@@ -443,7 +441,6 @@ void Engine::BuildRunList(Cycle c) {
   run_now_.clear();
   run_now_.insert(run_now_.end(), run_next_.begin(), run_next_.end());
   run_now_.insert(run_now_.end(), heap_pops_.begin(), heap_pops_.end());
-  run_now_.insert(run_now_.end(), always_active_.begin(), always_active_.end());
   std::sort(run_now_.begin(), run_now_.end());
   run_now_.erase(std::unique(run_now_.begin(), run_now_.end()),
                  run_now_.end());
@@ -452,10 +449,6 @@ void Engine::BuildRunList(Cycle c) {
 }
 
 void Engine::ArmNext(size_t i) {
-  // Always-active modules join every run list; arming them would leave a
-  // stale next_run_ behind (they never pass through ReArmModule to clear
-  // it). Their next_run_ stays kNoEventCycle forever.
-  if (!modules_[i]->event_safe()) return;
   const Cycle nc = now_ + 1;
   if (next_run_[i] == nc) return;  // already queued in run_next_
   next_run_[i] = nc;
@@ -472,7 +465,6 @@ void Engine::WakeModule(size_t t) {
   // there — settling against it would double-count genuinely ticked
   // cycles.)
   if (event_saturated_) return;
-  if (!modules_[t]->event_safe()) return;
   if (event_dispatching_) {
     const Cycle c = now_;
     if (next_run_[t] == c) return;  // already runs (or ran) this cycle
@@ -510,7 +502,7 @@ void Engine::WakeModule(size_t t) {
     return;
   }
   // Outside dispatch (harness Submit between runs): arm at now_. Run()
-  // re-seeds every certified module on entry anyway, so this is mostly
+  // re-seeds every module on entry anyway, so this is mostly
   // belt-and-braces for state mutated between Run() calls.
   if (next_run_[t] <= now_) return;  // already armed at or before now
   SettleTo(t, now_);
@@ -530,9 +522,9 @@ void Engine::ReArmModule(size_t i, Cycle c) {
     }
   }
   const Cycle h = modules_[i]->NextEventCycle(c);
-  FPGADP_DCHECK(h == kNoEventCycle || h == kAlwaysActive || h >= c);
+  FPGADP_DCHECK(h >= c);
   if (h == kNoEventCycle) return;  // sleeps until a wake edge
-  if (h == kAlwaysActive || h <= c + 1) {
+  if (h <= c + 1) {
     ArmNext(i);
     return;
   }
@@ -547,13 +539,7 @@ void Engine::SeedAllArmed() {
   run_now_.clear();
   run_next_.clear();
   run_next_sorted_ = true;
-  size_t aa = 0;
   for (size_t i = 0; i < modules_.size(); ++i) {
-    if (aa < always_active_.size() && always_active_[aa] == i) {
-      ++aa;
-      next_run_[i] = kNoEventCycle;
-      continue;
-    }
     next_run_[i] = now_;
     run_next_.push_back(i);
   }
@@ -569,15 +555,14 @@ void Engine::DispatchCycle(Cycle c) {
     const size_t i = run_now_[cursor];
     current_ticking_index_ = i;
     if (accounted_[i] != c) SettleTo(i, c);
-    const bool certified = modules_[i]->event_safe();
     // Clear the arm BEFORE ticking so a self-WakeUp during the tick is seen
     // as a fresh request, and so a hintless sleeper never leaves a stale
     // next_run_ that would swallow a later wake.
-    if (certified) next_run_[i] = kNoEventCycle;
+    next_run_[i] = kNoEventCycle;
     modules_[i]->Tick(c);
     modules_[i]->FinalizeTick();
     accounted_[i] = c + 1;
-    if (certified) ReArmModule(i, c);
+    ReArmModule(i, c);
   }
   event_dispatching_ = false;
   // Commit phase. Committed data becomes readable at c+1, so every commit
@@ -606,80 +591,45 @@ void Engine::DispatchCycle(Cycle c) {
   }
 }
 
-Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
+Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles,
+                                     const StopFn& stop) {
   const Cycle limit = now_ + max_cycles;
   if (!event_state_valid_) RebuildEventState();
   // Entry seeding: harnesses may have preloaded streams, committed them
   // manually, swapped fault injectors, or submitted work without a wake
   // since the last Run() — none of which a previous run's sleep decisions
-  // can know about. Arm every certified module once at now_ and drop the
-  // stale calendar; one no-op tick per module per Run() is
-  // attribution-identical by the event-safe contract, and timer re-arms
-  // repopulate the heap from fresh hints.
+  // can know about. Arm every module once at now_ and drop the stale
+  // calendar; one no-op tick per module per Run() is attribution-identical
+  // by the module contract, and timer re-arms repopulate the heap from
+  // fresh hints.
   SeedAllArmed();
   qc_module_ = kNone;
   qc_stream_ = kNone;
   dense_streak_ = 0;
-  while (now_ < limit) {
-    // Quiescence is checked every VISITED cycle, like the Step() loop; the
-    // gaps in between are provably frozen (unarmed certified modules do not
-    // tick, and Idle()/InFlight() are pure state functions), so no jump can
-    // overshoot the quiesce cycle.
-    if (EventQuiesced()) {
-      for (size_t i = 0; i < modules_.size(); ++i) SettleTo(i, now_);
-      FlushObservers();
-      return now_;
+  // Set when the run ends by `stop` or quiescence rather than the budget.
+  bool done = false;
+  for (;;) {
+    // `stop` and quiescence are checked every VISITED cycle, like the
+    // Step() loop; the gaps in between are provably frozen (unarmed modules
+    // do not tick, and Idle()/InFlight() are pure state functions), so no
+    // jump can overshoot the cycle either would end the run on.
+    if ((stop && stop()) || EventQuiesced()) {
+      done = true;
+      break;
     }
+    if (now_ >= limit) break;
     BuildRunList(now_);
-    if (run_now_.empty()) {
-      if (commit_queue_->empty()) {
-        // Nothing armed and nothing staged: state is frozen until the next
-        // calendar entry. Jump there (clamped to the budget; an empty heap
-        // is a genuine deadlock, which runs the budget out just as
-        // per-cycle ticking would). Attribution settles lazily.
-        const Cycle head = heap_.empty() ? kNoEventCycle : heap_.front().first;
-        now_ = std::min(head, limit);
-        dense_streak_ = 0;
-        continue;
-      }
-      // A harness staged writes between runs: dispatch a commit-only cycle
-      // so the commit edge arms the consumers.
-    } else if (!always_active_.empty() &&
-               run_now_.size() == always_active_.size()) {
-      // The run list is exactly the always-active set (it is always a
-      // subset). Those modules carry no event certification, so they can
-      // only be skipped when the whole system is frozen: every stream empty
-      // and every hint beyond now_+1 (the NextEventCycle contract).
-      bool streams_empty = true;
-      for (const StreamBase* s : streams_) {
-        if (s->InFlight()) {
-          streams_empty = false;
-          break;
-        }
-      }
-      if (streams_empty) {
-        Cycle target = heap_.empty() ? kNoEventCycle : heap_.front().first;
-        for (size_t i : always_active_) {
-          const Cycle hint = modules_[i]->NextEventCycle(now_);
-          FPGADP_DCHECK(hint == kNoEventCycle || hint == kAlwaysActive ||
-                        hint >= now_);
-          if (hint == kAlwaysActive) {
-            target = now_;
-            break;
-          }
-          if (hint < target) target = hint;
-          if (target <= now_ + 1) break;
-        }
-        if (target > now_ + 1) {
-          // The armed set re-forms at the target: always-active modules
-          // join every run list and the calendar entry that defined the
-          // target is still queued. (run_now_ is discarded, not consumed —
-          // nothing in it was de-armed.)
-          now_ = std::min(target, limit);
-          dense_streak_ = 0;
-          continue;
-        }
-      }
+    if (run_now_.empty() && commit_queue_->empty()) {
+      // Nothing armed and nothing staged: state is frozen until the next
+      // calendar entry. Jump there (clamped to the budget; an empty heap is
+      // a genuine deadlock, which runs the budget out just as per-cycle
+      // ticking would). Attribution settles lazily. (An empty run list
+      // with staged writes — a harness wrote between runs — dispatches a
+      // commit-only cycle so the commit edge arms the consumers.)
+      const Cycle head = heap_.empty() ? kNoEventCycle : heap_.front().first;
+      now_ = std::min(head, limit);
+      dense_streak_ = 0;
+      continue;
     }
     if (run_now_.size() == modules_.size()) {
       // A full run list means the cycle costs exactly what Step() charges,
@@ -713,6 +663,10 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
         flushed_ = false;
         std::vector<StreamBase*>* const cq = commit_queue_.get();
         while (now_ < limit) {
+          if (stop && stop()) {
+            done = true;
+            break;
+          }
           // Inline quiesce check with QuiescedNow()'s exact shape (first
           // in-flight stream answers in one non-virtual load); an
           // out-of-line EventQuiesced() call here measurably taxed the
@@ -732,7 +686,10 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
                 break;
               }
             }
-            if (all_idle) break;
+            if (all_idle) {
+              done = true;
+              break;
+            }
           }
           // TickAndCommit body inlined, commit queue deref hoisted: the
           // saturated loop is the one place the engine spends whole phases
@@ -766,6 +723,7 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
         SeedAllArmed();
         for (StreamBase* s : *drain_queue_) s->drained_pending_ = false;
         drain_queue_->clear();
+        if (done) break;
         continue;
       }
       DispatchCycle(now_);
@@ -779,11 +737,11 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles) {
     flushed_ = false;
     ++now_;
   }
-  // Budget exhausted (or a jump clamped to it): settle every module through
-  // the final cycle, then classify exactly like the Step() loop.
+  // Settle every module through the final cycle, then classify exactly
+  // like the Step() loop.
   for (size_t i = 0; i < modules_.size(); ++i) SettleTo(i, now_);
   FlushObservers();
-  if (QuiescedNow()) return now_;
+  if (done) return now_;
   return Status::Timeout("engine did not quiesce within " +
                          std::to_string(max_cycles) + " cycles");
 }

@@ -2,6 +2,7 @@
 #define FPGADP_SIM_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,11 +57,10 @@ constexpr bool DefaultFastForward() { return true; }
 /// calendar heap, ticks a module only when armed (its own NextEventCycle
 /// hint, residual items on a bound input stream, a stream commit or drain
 /// edge, or an explicit WakeUp), and jumps over cycles with no armed work.
-/// Modules not SetEventSafe() are ticked every visited cycle, and the engine
-/// jumps past them only when every stream is empty and every hint lies
-/// beyond the next cycle. A run with a trace writer or metrics registry
-/// attached is a StepUntilQuiesced() loop instead, because per-cycle probes
-/// need every cycle. See DESIGN.md "Scheduler".
+/// Every module follows that one contract (see Module::NextEventCycle). A
+/// run with a trace writer or metrics registry attached is a
+/// StepUntilQuiesced() loop instead, because per-cycle probes need every
+/// cycle. See DESIGN.md "Scheduler".
 class Engine {
  public:
   /// `clock_hz` is the modeled kernel clock, used only by reporting helpers.
@@ -94,10 +94,18 @@ class Engine {
   /// the engine this way.
   void Step();
 
-  /// Runs until every module is idle and every stream is drained, or until
-  /// `max_cycles` additional cycles have elapsed (then returns Timeout).
-  /// Returns the total elapsed cycle count on success.
-  Result<Cycle> Run(uint64_t max_cycles);
+  /// Early-exit predicate for Run(), evaluated between cycles: it may read
+  /// and poll module state.
+  using StopFn = std::function<bool()>;
+
+  /// Runs until `stop` returns true, every module is idle and every stream
+  /// drained, or `max_cycles` more cycles elapse (then Timeout); returns the
+  /// elapsed cycle count. `stop` is evaluated on entry and at every visited
+  /// cycle, before the quiescence test. A jump skips only cycles in which no
+  /// module ticks, so the run ends on the cycle a Step() loop polling `stop`
+  /// after each step would. A stream bound to two producers or two consumers
+  /// is InvalidArgument, before any cycle elapses.
+  Result<Cycle> Run(uint64_t max_cycles, const StopFn& stop = {});
 
   /// True iff all modules are idle and all streams drained.
   bool QuiescedNow() const;
@@ -175,12 +183,11 @@ class Engine {
   // --- Event-driven core --------------------------------------------------
 
   /// The unobserved Run() loop: builds each cycle's armed-module run list
-  /// from the calendar heap, the previous cycle's next-cycle arms, and the
-  /// always-active set; dispatches it; and jumps over cycles with no armed
-  /// work.
-  Result<Cycle> RunEventDriven(uint64_t max_cycles);
+  /// from the calendar heap and the previous cycle's next-cycle arms;
+  /// dispatches it; and jumps over cycles with no armed work.
+  Result<Cycle> RunEventDriven(uint64_t max_cycles, const StopFn& stop);
   /// (Re)allocates the per-module activation arrays and the per-stream
-  /// wake-edge plumbing; arms every event-certified module at now_.
+  /// wake-edge plumbing.
   void RebuildEventState();
   /// Brings every module's skipped-cycle attribution up to now_ and drops
   /// the event state. Called before any every-module stepping (Step,
@@ -194,15 +201,15 @@ class Engine {
   bool EventQuiesced();
   /// Pops the run list for cycle `c` into run_now_ (sorted, deduped).
   void BuildRunList(Cycle c);
-  /// Arms every event-certified module at now_ and drops the calendar:
-  /// the event loop's entry seeding, also used to re-enter bookkeeping
-  /// after a saturated phase (see RunEventDriven).
+  /// Arms every module at now_ and drops the calendar: the event loop's
+  /// entry seeding, also used to re-enter bookkeeping after a saturated
+  /// phase (see RunEventDriven).
   void SeedAllArmed();
   /// Ticks the armed modules of cycle `c` in registration order, commits
   /// dirty streams, and arms stream edges.
   void DispatchCycle(Cycle c);
-  /// Post-tick re-arm for a certified module: bound-input residual first
-  /// (no virtual call), then the NextEventCycle hint.
+  /// Post-tick re-arm: bound-input residual first (no virtual call), then
+  /// the NextEventCycle hint.
   void ReArmModule(size_t i, Cycle c);
   /// Arms module `i` for the cycle after the one being dispatched.
   void ArmNext(size_t i);
@@ -233,11 +240,10 @@ class Engine {
   // and the stale one is dropped (or deduped) at pop time. Arms for the
   // cycle right after the one being dispatched accumulate in run_next_
   // (sortedness tracked while building, sorted only when a wake broke the
-  // order), which becomes the seed of the next cycle's run list. Modules
-  // not event_safe() live in always_active_ and join every run list —
-  // exactly Step()'s behavior for them. accounted_[i] is the cycle (exclusive)
-  // through which module i's stall attribution is settled; gaps settle
-  // lazily at the next tick, wake, or Run() exit.
+  // order), which becomes the seed of the next cycle's run list.
+  // accounted_[i] is the cycle (exclusive) through which module i's stall
+  // attribution is settled; gaps settle lazily at the next tick, wake, or
+  // Run() exit.
   bool event_state_valid_ = false;
   bool event_dispatching_ = false;
   // True while the event loop runs its saturated-phase inner loop (every
@@ -258,7 +264,6 @@ class Engine {
   std::vector<size_t> run_next_;
   bool run_next_sorted_ = true;
   std::vector<size_t> heap_pops_;
-  std::vector<size_t> always_active_;
   // Bound input streams per module (consumer side), for the residual-item
   // re-arm check that avoids the virtual hint call on flow-through paths.
   std::vector<std::vector<const StreamBase*>> bound_inputs_;
@@ -280,12 +285,14 @@ class Engine {
       std::make_shared<std::vector<StreamBase*>>();
 };
 
-/// Drives `engine` one Step() at a time until it quiesces or `max_cycles`
-/// more cycles elapse, with Run()'s return contract and observer flush.
-/// Every module ticks every cycle and no cycle is skipped, so this loop is
-/// the oracle differential tests compare Run() against; Run() itself takes
-/// it when a trace writer or metrics registry is attached.
-Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles);
+/// Drives `engine` one Step() at a time until `stop` returns true, it
+/// quiesces, or `max_cycles` more cycles elapse, with Run()'s return
+/// contract, `stop` evaluation points and observer flush. Every module
+/// ticks every cycle and no cycle is skipped, so this loop is the oracle
+/// differential tests compare Run() against; Run() itself takes it when a
+/// trace writer or metrics registry is attached.
+Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles,
+                                const Engine::StopFn& stop = {});
 
 }  // namespace fpgadp::sim
 

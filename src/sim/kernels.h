@@ -40,7 +40,6 @@ class VectorSource : public Module {
     FPGADP_CHECK(out_ != nullptr);
     FPGADP_CHECK(lanes_ > 0);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle) override {
@@ -95,7 +94,6 @@ class VectorSink : public Module {
     FPGADP_CHECK(in_ != nullptr);
     FPGADP_CHECK(lanes_ > 0);
     in_->BindConsumer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle) override {
@@ -156,7 +154,6 @@ class TransformKernel : public Module {
     FPGADP_CHECK(timing_.ii > 0 && timing_.lanes > 0);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {
@@ -274,7 +271,6 @@ class ReduceKernel : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {
@@ -356,7 +352,6 @@ class DelayLine : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {

@@ -18,15 +18,9 @@ namespace fpgadp::sim {
 using Cycle = uint64_t;
 
 /// Sentinel NextEventCycle() value: the module has no self-scheduled future
-/// event — it only reacts to stream traffic (or is finished entirely).
+/// event — it only reacts to stream traffic and wakeups (or is finished
+/// entirely).
 inline constexpr Cycle kNoEventCycle = ~Cycle{0};
-
-/// Sentinel NextEventCycle() value: the module declines to hint at all and
-/// must be ticked every cycle. This is the base-class default, so an
-/// un-audited module is *explicitly* always-active instead of silently
-/// returning "now" — the engine DCHECKs that every hint is one of the two
-/// sentinels or a cycle >= now, making a buggy hint fail loud.
-inline constexpr Cycle kAlwaysActive = ~Cycle{0} - 1;
 
 class Engine;
 
@@ -74,26 +68,21 @@ class Module {
   /// streams are drained.
   virtual bool Idle() const = 0;
 
-  /// Scheduling hint: the earliest cycle >= `now` at which this module
-  /// could possibly make forward progress, given that every stream in the
-  /// system is empty and stays empty until then. Timer- and latency-driven
-  /// modules (memory channels, retransmission timers, delay lines) return
-  /// their next deadline; purely reactive modules return kNoEventCycle. The
-  /// conservative default — kAlwaysActive, "tick me every cycle" — disables
-  /// skipping past an un-audited module, so subclasses opt in explicitly.
+  /// Scheduling hint, asked after each tick under Run(): the earliest cycle
+  /// >= `now` at which the module could make progress without a wake edge.
+  /// Timer- and latency-driven modules (memory channels, retransmission
+  /// timers, delay lines) return their next deadline; purely reactive ones
+  /// return kNoEventCycle.
   ///
-  /// Contract: if every module's hint is > c for all cycles in [now, c],
-  /// then ticking the system through [now, c) is a no-op except for stall
-  /// attribution, which AccountSkip() reproduces in closed form.
-  ///
-  /// Run() additionally requires (for SetEventSafe modules) that a hint
-  /// <= now is returned whenever the module holds output it could not
-  /// deliver (full output stream), so a drained consumer re-opens the path
-  /// on the very next cycle.
-  virtual Cycle NextEventCycle(Cycle now) const {
-    (void)now;
-    return kAlwaysActive;
-  }
+  /// The one scheduling contract: a tick Run() skips (no hint due, no
+  /// committed item on a bound input, no commit or drain edge, no WakeUp)
+  /// is a no-op except for stall attribution, which AttributeSkip()
+  /// reproduces in closed form. So a module binds every stream its Tick
+  /// touches (Stream::BindProducer/BindConsumer, in the constructor), calls
+  /// WakeUp() before any mutation of its state from outside its Tick, and
+  /// hints <= now while it holds output a full stream refused, so a
+  /// consumer that drains earlier in the cycle re-opens the path at once.
+  virtual Cycle NextEventCycle(Cycle now) const = 0;
 
   /// Engine-driven bulk attribution for a skipped gap: accounts the
   /// `to - from` skipped cycles exactly as the per-cycle Tick()s would have
@@ -108,15 +97,6 @@ class Module {
       attributed_ = ticked_;
     }
   }
-
-  /// True iff the module is certified for event-driven scheduling: ticking
-  /// it while unarmed (no pending hint, no residual on a bound input stream,
-  /// no wakeup) is a no-op except for stall attribution, which AttributeSkip
-  /// reproduces. Run() ticks uncertified modules every visited cycle, as
-  /// Step() does, and skips cycles past them only when every stream is
-  /// empty and every module's NextEventCycle hint lies beyond the next
-  /// cycle.
-  bool event_safe() const { return event_safe_; }
 
   /// Requests a tick from the event-driven scheduler: at the current cycle
   /// when called from inside another module's Tick() (the engine preserves
@@ -213,12 +193,6 @@ class Module {
     (void)to;
   }
 
-  /// Certifies this module for event-driven scheduling (see event_safe()).
-  /// Call from the subclass constructor, after binding every stream the
-  /// Tick touches: the engine re-arms a certified module whenever a bound
-  /// input stream holds residual items, so binds double as wake edges.
-  void SetEventSafe() { event_safe_ = true; }
-
   obs::TraceWriter* trace_writer() const { return trace_writer_; }
   int trace_pid() const { return trace_pid_; }
   int trace_tid() const { return trace_tid_; }
@@ -233,7 +207,6 @@ class Module {
   uint64_t idle_cycles_ = 0;
   uint64_t attributed_ = 0;
   uint64_t ticked_ = 0;
-  bool event_safe_ = false;
   /// Set by Engine::AddModule so WakeUp() can reach the scheduler. Nothing
   /// enforces one engine per module: the last AddModule wins, so a module
   /// may move to a fresh engine after its old one died, but must never be

@@ -83,9 +83,7 @@ class StreamBase {
   /// drain of a full stream arms the producer. A stream may legitimately
   /// have an unbound side (driven from outside the engine, e.g. a test
   /// harness); a side bound twice to *different* modules marks the stream
-  /// conflicted, which makes Run() tick every module of the engine every
-  /// visited cycle (the scheduler cannot attribute an edge to an unknown
-  /// set of writers).
+  /// conflicted, which Run() rejects.
   void BindProducer(Module* m) {
     if (producer_ != nullptr && producer_ != m) bind_conflict_ = true;
     producer_ = m;

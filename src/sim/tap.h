@@ -35,7 +35,6 @@ class StreamTap : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {

@@ -33,7 +33,6 @@ class VarStage : public Module {
     FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
     in_->BindConsumer(this);
     out_->BindProducer(this);
-    SetEventSafe();
   }
 
   void Tick(Cycle cycle) override {

@@ -3,8 +3,9 @@
 // determinism cases over real pipelines live in engine_parallel_test.
 //
 // The correctness frame is that Step() ticks every module on every cycle,
-// so EXTRA ticks are always harmless (an unarmed certified module's Tick is
-// a no-op except for stall attribution) and only a MISSED tick can diverge.
+// so EXTRA ticks are always harmless (by the module contract an unarmed
+// module's Tick is a no-op except for stall attribution) and only a MISSED
+// tick can diverge.
 // Every test here therefore compares Run() against a StepUntilQuiesced()
 // loop over the same topology: elapsed cycles, per-module stall buckets,
 // and (where a tick log is kept) the exact dispatch sequence.
@@ -19,9 +20,13 @@
 //    a reactive consumer; drain edge re-opens a blocked producer),
 //  * the saturated-phase fast path (dense streak entry, wake-while-
 //    saturated, quiesce inside the fast loop, staggered exit),
-//  * idle-gap jumps past modules without event certification,
+//  * idle-gap jumps between timer deadlines,
 //  * Step()/Run() interleaving (Step ticks every module and must settle
-//    event bookkeeping first).
+//    event bookkeeping first),
+//  * a stop predicate ending the run on the Step() loop's cycle: on entry,
+//    after a jump, inside the saturated loop, and at the budget,
+//  * a stream bound to two producers (no single edge target) rejected by
+//    Run() before any cycle elapses.
 //
 // The differential suite reruns the three sharded workloads (ANNS top-k,
 // KVS multi-get, partitioned hash join) across 100 seeded deployments,
@@ -42,6 +47,9 @@
 #include "src/anns/dataset.h"
 #include "src/anns/ivf.h"
 #include "src/common/check.h"
+#include "src/net/fabric.h"
+#include "src/net/rdma.h"
+#include "src/net/tcp.h"
 #include "src/relational/cpu_executor.h"
 #include "src/relational/table.h"
 #include "src/shard/gather.h"
@@ -57,7 +65,6 @@ namespace {
 
 using sim::Cycle;
 using sim::Engine;
-using sim::kAlwaysActive;
 using sim::kNoEventCycle;
 using sim::Module;
 using sim::StallKind;
@@ -67,9 +74,10 @@ using sim::Stream;
 /// it must reproduce.
 enum class Driver { kRun, kStep };
 
-Result<Cycle> Drive(Engine& e, Driver d, uint64_t max_cycles) {
-  return d == Driver::kRun ? e.Run(max_cycles)
-                           : sim::StepUntilQuiesced(e, max_cycles);
+Result<Cycle> Drive(Engine& e, Driver d, uint64_t max_cycles,
+                    const Engine::StopFn& stop = {}) {
+  return d == Driver::kRun ? e.Run(max_cycles, stop)
+                           : sim::StepUntilQuiesced(e, max_cycles, stop);
 }
 
 /// Global dispatch sequence: (cycle, module name) appended on every Tick.
@@ -103,9 +111,7 @@ void ExpectSameBuckets(const Buckets& ref, const Buckets& got,
 class SelfArmWorker : public Module {
  public:
   SelfArmWorker(std::string name, uint64_t n, TickLog* log = nullptr)
-      : Module(std::move(name)), n_(n), log_(log) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), n_(n), log_(log) {}
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
     if (done_ < n_) {
@@ -131,9 +137,7 @@ class SelfArmWorker : public Module {
 class MailboxSleeper : public Module {
  public:
   MailboxSleeper(std::string name, TickLog* log = nullptr)
-      : Module(std::move(name)), log_(log) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), log_(log) {}
   void Deliver() { mailbox_ = true; }
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
@@ -167,9 +171,7 @@ class WakerModule : public Module {
       : Module(std::move(name)),
         fire_cycle_(fire_cycle),
         targets_(std::move(targets)),
-        log_(log) {
-    SetEventSafe();
-  }
+        log_(log) {}
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
     if (!fired_ && c >= fire_cycle_) {
@@ -200,9 +202,7 @@ class WakerModule : public Module {
 class CancellableTimer : public Module {
  public:
   CancellableTimer(std::string name, Cycle deadline)
-      : Module(std::move(name)), deadline_(deadline) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), deadline_(deadline) {}
   void Cancel() { cancelled_ = true; }
   void Tick(Cycle c) override {
     if (!done_ && (cancelled_ || c >= deadline_)) {
@@ -233,7 +233,6 @@ class BurstProducer : public Module {
         count_(count),
         burst_(burst) {
     out_->BindProducer(this);
-    SetEventSafe();
   }
   void Tick(Cycle c) override {
     if (emitted_ < count_ && c >= Cycle(emitted_) * period_) {
@@ -265,7 +264,6 @@ class GreedyConsumer : public Module {
   GreedyConsumer(std::string name, Stream<int>* in, TickLog* log = nullptr)
       : Module(std::move(name)), in_(in), log_(log) {
     in_->BindConsumer(this);
-    SetEventSafe();
   }
   void Tick(Cycle c) override {
     if (log_) log_->push_back({c, this->name()});
@@ -303,7 +301,6 @@ class TrickleProducer : public Module {
                   BlockedPolicy policy)
       : Module(std::move(name)), out_(out), total_(total), policy_(policy) {
     out_->BindProducer(this);
-    SetEventSafe();
   }
   void Tick(Cycle) override {
     if (sent_ == total_) return;
@@ -346,7 +343,6 @@ class TimedPopper : public Module {
   TimedPopper(std::string name, Stream<int>* in, Cycle period)
       : Module(std::move(name)), in_(in), period_(period) {
     in_->BindConsumer(this);
-    SetEventSafe();
   }
   void Tick(Cycle c) override {
     if (c % period_ == 0 && in_->CanRead()) {
@@ -375,9 +371,7 @@ class TimedPopper : public Module {
 class DenseWorker : public Module {
  public:
   DenseWorker(std::string name, Cycle end_cycle)
-      : Module(std::move(name)), end_(end_cycle) {
-    SetEventSafe();
-  }
+      : Module(std::move(name)), end_(end_cycle) {}
   void PokeAt(Cycle c, Module* target) {
     poke_cycle_ = c;
     poke_target_ = target;
@@ -403,18 +397,12 @@ class DenseWorker : public Module {
 };
 
 /// Fires `fires` times, `period` cycles apart (first at cycle `period`),
-/// hinting its next deadline in between. Optionally event-certified; the
-/// uncertified flavor is the shape of TCP, ACCL, KVS and MicroRec drivers,
-/// which Run() ticks on every visited cycle but may still jump past while
-/// the whole system is frozen. Counts its own ticks.
+/// hinting its next deadline in between. Counts its own ticks.
 class PeriodicTimer : public Module {
  public:
-  PeriodicTimer(std::string name, Cycle period, uint32_t fires,
-                bool certified)
+  PeriodicTimer(std::string name, Cycle period, uint32_t fires)
       : Module(std::move(name)), period_(period), fires_(fires),
-        deadline_(period) {
-    if (certified) SetEventSafe();
-  }
+        deadline_(period) {}
   void Tick(Cycle c) override {
     ++ticks_;
     if (fired_ < fires_ && c >= deadline_) {
@@ -503,7 +491,7 @@ TEST(EngineEventTest, WakesDispatchInRegistrationOrderDeterministically) {
   const SimpleRun second = run_event();
   EXPECT_EQ(first.log, second.log) << "event dispatch must be deterministic";
   EXPECT_EQ(first.cycles, second.cycles);
-  // Entry seeding ticks every certified module once at cycle 0; the only
+  // Entry seeding ticks every module once at cycle 0; the only
   // other dispatches are the wake cycle, in registration order.
   const TickLog expected = {{0, "waker"}, {0, "a"}, {0, "b"}, {0, "c"},
                            {5, "waker"}, {5, "a"}, {5, "b"}, {5, "c"}};
@@ -562,9 +550,7 @@ TEST(EngineEventTest, StaleCalendarEntryDoesNotDelayQuiesce) {
     // after the canceller, so it observes the cancel the same cycle.
     class Canceller : public Module {
      public:
-      Canceller(CancellableTimer* t) : Module("cancel"), t_(t) {
-        SetEventSafe();
-      }
+      Canceller(CancellableTimer* t) : Module("cancel"), t_(t) {}
       void Tick(Cycle c) override {
         if (!fired_ && c >= 5) {
           t_->Cancel();
@@ -718,38 +704,35 @@ TEST(EngineEventTest, SaturatedPhaseQuiesceInsideFastLoopMatchesStep) {
   ExpectSameRun(ref, event, "saturated-quiesce");
 }
 
-TEST(EngineEventTest, UncertifiedTimerJumpsIdleGaps) {
-  constexpr uint32_t kUncertifiedFires = 12, kCertifiedFires = 7;
+TEST(EngineEventTest, TimersJumpIdleGaps) {
+  constexpr uint32_t kFastFires = 12, kSlowFires = 7;
   struct TimerRun {
     SimpleRun run;
-    uint64_t uncertified_ticks = 0;
+    uint64_t fast_ticks = 0;
   };
   auto run = [](Driver d) {
     TimerRun r;
-    PeriodicTimer uncertified("uncertified", 1000, kUncertifiedFires,
-                              /*certified=*/false);
-    PeriodicTimer certified("certified", 1700, kCertifiedFires,
-                            /*certified=*/true);
+    PeriodicTimer fast("fast", 1000, kFastFires);
+    PeriodicTimer slow("slow", 1700, kSlowFires);
     Engine e;
-    e.AddModule(&uncertified);
-    e.AddModule(&certified);
+    e.AddModule(&fast);
+    e.AddModule(&slow);
     auto cycles = Drive(e, d, 1000000);
     EXPECT_TRUE(cycles.ok());
     r.run.cycles = cycles.ok() ? *cycles : 0;
-    r.run.buckets = {BucketsOf(uncertified), BucketsOf(certified)};
-    r.uncertified_ticks = uncertified.ticks();
+    r.run.buckets = {BucketsOf(fast), BucketsOf(slow)};
+    r.fast_ticks = fast.ticks();
     return r;
   };
   const TimerRun ref = run(Driver::kStep);
   const TimerRun event = run(Driver::kRun);
-  ExpectSameRun(ref.run, event.run, "uncertified-timer");
+  ExpectSameRun(ref.run, event.run, "timers");
   EXPECT_EQ(ref.run.cycles, Cycle(12000) + 1);
-  EXPECT_EQ(ref.uncertified_ticks, ref.run.cycles);
-  // Run() visits only the entry cycle and the cycles some timer fires on;
-  // every gap between them is frozen (no stream traffic, every hint beyond
-  // the next cycle), so the uncertified timer's tick count is bounded by
-  // the events, not by the 12,001 elapsed cycles.
-  EXPECT_LE(event.uncertified_ticks, 1 + kUncertifiedFires + kCertifiedFires);
+  EXPECT_EQ(ref.fast_ticks, ref.run.cycles);
+  // Run() ticks a timer only at entry and at its own deadlines; every gap
+  // between events is a jump, so the tick count is bounded by the events,
+  // not by the 12,001 elapsed cycles.
+  EXPECT_EQ(event.fast_ticks, 1 + kFastFires);
 }
 
 TEST(EngineEventTest, StepRunInterleavingMatchesStep) {
@@ -776,6 +759,71 @@ TEST(EngineEventTest, StepRunInterleavingMatchesStep) {
   const SimpleRun ref = run(Driver::kStep);
   const SimpleRun event = run(Driver::kRun);
   ExpectSameRun(ref, event, "step-run-interleave");
+}
+
+TEST(EngineEventTest, StopEndsRunOnTheStepLoopCycle) {
+  // Five dense workers (alone, they engage the saturated loop), joined by a
+  // 1000-cycle timer (the jumps) when the predicate watches the timer.
+  auto run = [](Driver d, uint64_t budget, uint64_t busy_target,
+                bool on_timer) {
+    SimpleRun r;
+    std::vector<std::unique_ptr<DenseWorker>> workers;
+    for (int i = 0; i < 5; ++i) {
+      workers.push_back(std::make_unique<DenseWorker>(
+          "w" + std::to_string(i), /*end_cycle=*/400));
+    }
+    PeriodicTimer timer("timer", 1000, 12);
+    Engine e;
+    for (auto& w : workers) e.AddModule(w.get());
+    if (on_timer) e.AddModule(&timer);
+    const Module& watched = on_timer ? static_cast<const Module&>(timer)
+                                     : *workers[0];
+    auto cycles = Drive(e, d, budget, [&] {
+      return watched.busy_cycles() >= busy_target;
+    });
+    EXPECT_TRUE(cycles.ok()) << cycles.status();
+    r.cycles = cycles.ok() ? *cycles : 0;
+    for (auto& w : workers) r.buckets.push_back(BucketsOf(*w));
+    r.buckets.push_back(BucketsOf(timer));
+    return r;
+  };
+  struct Case {
+    const char* label;
+    uint64_t budget, busy_target;
+    bool on_timer;
+    Cycle want;
+  };
+  for (const Case& c : {Case{"entry", 100000, 0, false, 0},
+                        Case{"saturated", 100000, 150, false, 150},
+                        Case{"after-jump", 100000, 5, true, 5001},
+                        Case{"budget", 3001, 3, true, 3001}}) {
+    const SimpleRun ref = run(Driver::kStep, c.budget, c.busy_target,
+                              c.on_timer);
+    EXPECT_EQ(ref.cycles, c.want) << c.label;
+    ExpectSameRun(ref, run(Driver::kRun, c.budget, c.busy_target, c.on_timer),
+                  c.label);
+  }
+}
+
+TEST(EngineEventTest, BindConflictIsInvalidArgument) {
+  // An RDMA endpoint and a TCP stack on one node both write its egress port
+  // and both read its ingress port: no single module to arm on an edge.
+  net::Fabric::Config fc;
+  fc.clock_hz = 200e6;
+  net::Fabric fabric("fab", 2, fc);
+  net::RdmaEndpoint rdma("rdma", 0, &fabric);
+  net::TcpStack tcp("tcp", 0, &fabric);
+  Engine e;
+  fabric.RegisterWith(e);
+  e.AddModule(&rdma);
+  e.AddModule(&tcp);
+  rdma.PostSend(1, 64, /*tag=*/1);
+  auto run = e.Run(1000);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("fab.eg0"), std::string::npos)
+      << run.status();
+  EXPECT_EQ(e.now(), 0u);
 }
 
 // ---------------------------------------------------------------------------

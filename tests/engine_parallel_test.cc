@@ -2,7 +2,10 @@
 // the event-driven Run() must reproduce the Step() loop bit-for-bit —
 // cycle counts, per-module stall attribution, stream traffic, completion
 // timestamps, and fault outcomes. Every test here runs the same workload
-// under both drivers and diffs everything observable.
+// under both drivers and diffs everything observable. The library drivers
+// (Farview, ACCL, KVS, MicroRec) run over a lossy fabric where they have
+// one, so retransmission timers and the injector's seeded draws are part
+// of what must match.
 //
 // The file keeps its name from when it also covered the parallel tick and
 // its thread pool; both were removed, leaving Run() the only scheduler that
@@ -17,11 +20,19 @@
 #include <utility>
 #include <vector>
 
+#include "src/accl/collectives.h"
+#include "src/device/device.h"
+#include "src/farview/farview.h"
+#include "src/kvs/smart_kvs.h"
+#include "src/microrec/cartesian.h"
+#include "src/microrec/engine.h"
+#include "src/microrec/model.h"
 #include "src/net/fabric.h"
 #include "src/net/rdma.h"
 #include "src/obs/metrics.h"
 #include "src/relational/fpga_executor.h"
 #include "src/relational/program.h"
+#include "src/relational/queries.h"
 #include "src/relational/table.h"
 #include "src/sim/engine.h"
 #include "src/sim/kernels.h"
@@ -136,51 +147,6 @@ TEST(EngineDeterminismTest, KernelPipelineMatchesStep) {
   ExpectSamePipeline(ref, RunKernelPipeline(Driver::kRun), "kernel-pipeline");
 }
 
-/// Forwards everything readable, with no event certification: Run() must
-/// tick it every visited cycle, exactly as Step() does.
-class UncertifiedPassthrough : public Module {
- public:
-  UncertifiedPassthrough(std::string name, Stream<int64_t>* in,
-                         Stream<int64_t>* out)
-      : Module(std::move(name)), in_(in), out_(out) {}
-  void Tick(Cycle) override {
-    bool progressed = false;
-    while (in_->CanRead() && out_->CanWrite()) {
-      out_->Write(in_->Read());
-      progressed = true;
-    }
-    if (progressed) MarkBusy();
-  }
-  bool Idle() const override { return true; }
-
- private:
-  Stream<int64_t>* in_;
-  Stream<int64_t>* out_;
-};
-
-PipelineResult RunUncertifiedPipeline(Driver d) {
-  std::vector<int64_t> data(1000);
-  for (size_t i = 0; i < data.size(); ++i) data[i] = int64_t(i);
-  Stream<int64_t> s0("s0", 4), s1("s1", 4);
-  sim::VectorSource<int64_t> src("src", data, &s0);
-  UncertifiedPassthrough mid("mid", &s0, &s1);
-  sim::VectorSink<int64_t> sink("sink", &s1);
-  Engine e;
-  e.AddModule(&src);
-  e.AddModule(&mid);
-  e.AddModule(&sink);
-  e.AddStream(&s0);
-  e.AddStream(&s1);
-  return RunPipeline(d, e, {&src, &mid, &sink}, {&s0, &s1}, sink);
-}
-
-TEST(EngineDeterminismTest, UncertifiedModuleMatchesStep) {
-  const PipelineResult ref = RunUncertifiedPipeline(Driver::kStep);
-  EXPECT_EQ(ref.collected.size(), 1000u);
-  ExpectSamePipeline(ref, RunUncertifiedPipeline(Driver::kRun),
-                     "uncertified-pipeline");
-}
-
 // ExecuteFpga builds its engine internally; a metrics registry attached to
 // it turns its Run() into the Step() loop, so the observed run is the
 // reference for the plain one.
@@ -290,6 +256,306 @@ TEST(EngineDeterminismTest, FaultOutcomeMatchesStep) {
   const LossyRdmaResult ref = RunLossyRdma(Driver::kStep, 0.9, 2);
   EXPECT_TRUE(ref.failed);
   EXPECT_EQ(RunLossyRdma(Driver::kRun, 0.9, 2), ref);
+}
+
+// ---------------------------------------------------------------------------
+// The library drivers: FarviewSystem, Communicator and MicroRecEngine run
+// their engines through Run(max_cycles, stop). An attached metrics registry
+// turns each of those runs into the StepUntilQuiesced() loop with the same
+// predicate — the reference the plain run must reproduce.
+
+/// Attaches a process-global metrics registry for a Step()-driven scope, so
+/// engines built inside library calls take the Step() loop too.
+class ScopedDriver {
+ public:
+  explicit ScopedDriver(Driver d) {
+    if (d == Driver::kStep) obs::SetGlobalMetrics(&registry_);
+  }
+  ~ScopedDriver() { obs::SetGlobalMetrics(nullptr); }
+
+ private:
+  obs::MetricsRegistry registry_;
+};
+
+/// Drops, corruption, duplicates and delay spikes at once, each at `rate`.
+net::FaultInjector::Config LossyFabric(uint64_t seed, double rate) {
+  net::FaultInjector::Config fc;
+  fc.seed = seed;
+  fc.drop_rate = rate;
+  fc.corrupt_rate = rate;
+  fc.duplicate_rate = rate;
+  fc.delay_rate = rate;
+  return fc;
+}
+
+std::vector<uint64_t> FaultCounts(const net::FaultInjector& injector) {
+  std::vector<uint64_t> counts;
+  for (net::FaultKind kind :
+       {net::FaultKind::kDrop, net::FaultKind::kCorrupt,
+        net::FaultKind::kDuplicate, net::FaultKind::kDelay,
+        net::FaultKind::kLinkFlap}) {
+    counts.push_back(injector.fault_count(kind));
+  }
+  return counts;
+}
+
+uint64_t Sum(const std::vector<uint64_t>& v) {
+  uint64_t sum = 0;
+  for (uint64_t x : v) sum += x;
+  return sum;
+}
+
+std::vector<std::vector<int64_t>> RowsOf(const rel::Table& table) {
+  std::vector<std::vector<int64_t>> rows;
+  for (const rel::Row& row : table.rows()) {
+    rows.emplace_back(row.slots.begin(), row.slots.end());
+  }
+  return rows;
+}
+
+enum class FarviewRun { kOffload, kFetchAll, kConcurrent };
+
+struct FarviewResult {
+  std::vector<uint64_t> cycles, wire_bytes, dram_bytes;
+  std::vector<std::vector<std::vector<int64_t>>> rows;
+  Cycle now = 0;
+  std::vector<Buckets> buckets;  // memory node, its endpoint
+  std::vector<uint64_t> retries;  // node endpoint's protocol counters
+  std::vector<uint64_t> faults;
+};
+
+FarviewResult RunLossyFarview(Driver d, FarviewRun mode) {
+  net::FaultInjector injector(LossyFabric(71, 0.05));
+  farview::FarviewSystem sys(farview::FarviewConfig(),
+                             mode == FarviewRun::kConcurrent ? 2 : 1);
+  sys.set_fault_injector(&injector);
+  obs::MetricsRegistry registry;
+  if (d == Driver::kStep) sys.engine().EnableMetrics(&registry);
+  rel::SyntheticTableSpec spec;
+  spec.num_rows = 30000;
+  spec.seed = 5;
+  const uint64_t tid = sys.LoadTable(rel::MakeSyntheticTable(spec));
+  rel::Program filter;
+  rel::FilterOp f;
+  f.conjuncts.push_back(rel::Predicate{4, rel::CmpOp::kGe, 30});
+  filter.ops.push_back(f);
+  const uint64_t pf = sys.RegisterProgram(filter);
+  const uint64_t q6 = sys.RegisterProgram(rel::MakeQ6Lite());
+  const uint64_t top = sys.RegisterProgram(rel::MakeTopExpensive());
+
+  std::vector<farview::QueryStats> stats;
+  if (mode == FarviewRun::kConcurrent) {
+    auto batch = sys.RunOffloadedConcurrently(
+        {{tid, pf}, {tid, q6}, {tid, top}}, nullptr);
+    EXPECT_TRUE(batch.ok()) << batch.status();
+    if (batch.ok()) stats = std::move(batch).value();
+  } else {
+    for (uint64_t pid : {pf, q6}) {
+      auto s = mode == FarviewRun::kOffload ? sys.RunOffloaded(tid, pid)
+                                            : sys.RunFetchAll(tid, pid);
+      EXPECT_TRUE(s.ok()) << s.status();
+      if (s.ok()) stats.push_back(std::move(s).value());
+    }
+  }
+  FarviewResult r;
+  for (const farview::QueryStats& s : stats) {
+    r.cycles.push_back(s.cycles);
+    r.wire_bytes.push_back(s.wire_bytes);
+    r.dram_bytes.push_back(s.dram_bytes);
+    r.rows.push_back(RowsOf(s.result));
+  }
+  r.now = sys.engine().now();
+  const net::RdmaEndpoint& ep = sys.memory_node().endpoint();
+  r.buckets = {BucketsOf(sys.memory_node()), BucketsOf(ep)};
+  r.retries = {ep.retransmits(), ep.acks_sent(), ep.nacks_sent(),
+               ep.duplicates_discarded()};
+  r.faults = FaultCounts(injector);
+  return r;
+}
+
+void ExpectSameFarview(FarviewRun mode, const std::string& label) {
+  const FarviewResult ref = RunLossyFarview(Driver::kStep, mode);
+  const FarviewResult got = RunLossyFarview(Driver::kRun, mode);
+  ASSERT_FALSE(ref.cycles.empty()) << label;
+  EXPECT_GT(Sum(ref.faults), 0u) << label << ": no fault injected";
+  EXPECT_EQ(got.cycles, ref.cycles) << label;
+  EXPECT_EQ(got.wire_bytes, ref.wire_bytes) << label;
+  EXPECT_EQ(got.dram_bytes, ref.dram_bytes) << label;
+  EXPECT_EQ(got.rows, ref.rows) << label;
+  EXPECT_EQ(got.now, ref.now) << label;
+  ExpectSameBuckets(ref.buckets[0], got.buckets[0], label + " node");
+  ExpectSameBuckets(ref.buckets[1], got.buckets[1], label + " node.ep");
+  EXPECT_EQ(got.retries, ref.retries) << label;
+  EXPECT_EQ(got.faults, ref.faults) << label;
+}
+
+TEST(LibraryDriverTest, LossyFarviewOffloadMatchesStep) {
+  ExpectSameFarview(FarviewRun::kOffload, "offload");
+}
+
+TEST(LibraryDriverTest, LossyFarviewFetchAllMatchesStep) {
+  ExpectSameFarview(FarviewRun::kFetchAll, "fetch-all");
+}
+
+TEST(LibraryDriverTest, LossyFarviewConcurrentMatchesStep) {
+  ExpectSameFarview(FarviewRun::kConcurrent, "concurrent");
+}
+
+struct AcclResult {
+  uint64_t cycles = 0, wire_bytes = 0;
+  uint32_t attempts = 0;
+  std::vector<bool> rank_done;
+  std::vector<std::vector<float>> buffers;
+  std::vector<uint64_t> faults;
+  bool operator==(const AcclResult&) const = default;
+};
+
+/// Tree broadcast of 64 KiB from rank 1 across `ranks` ranks. The
+/// communicator's modules are internal, so the comparison covers what it
+/// reports: cycles, wire bytes (retransmitted payload included), attempts,
+/// per-rank completion, the buffers and the injector's draws.
+AcclResult RunLossyBroadcast(Driver d, accl::Transport transport,
+                             uint32_t ranks, uint64_t seed) {
+  ScopedDriver driver(d);
+  net::FaultInjector injector(LossyFabric(seed, 0.02));
+  accl::Communicator comm(ranks, net::Fabric::Config{}, 200e6, transport);
+  comm.set_fault_injector(&injector);
+  std::vector<std::vector<float>> buffers(ranks, std::vector<float>(16384));
+  for (size_t i = 0; i < buffers[1].size(); ++i) buffers[1][i] = float(i);
+  auto stats = comm.Broadcast(1, buffers, accl::Algo::kTree);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  AcclResult r;
+  if (stats.ok()) {
+    r.cycles = stats->cycles;
+    r.wire_bytes = stats->wire_bytes;
+    r.attempts = stats->attempts;
+  }
+  r.rank_done = comm.last_outcome().rank_done;
+  r.buffers = std::move(buffers);
+  r.faults = FaultCounts(injector);
+  return r;
+}
+
+TEST(LibraryDriverTest, LossyAcclBroadcastOverRdmaMatchesStep) {
+  const AcclResult ref =
+      RunLossyBroadcast(Driver::kStep, accl::Transport::kRdma, 8, 13);
+  EXPECT_GT(Sum(ref.faults), 0u);
+  EXPECT_EQ(RunLossyBroadcast(Driver::kRun, accl::Transport::kRdma, 8, 13),
+            ref);
+}
+
+TEST(LibraryDriverTest, LossyAcclBroadcastOverTcpMatchesStep) {
+  const AcclResult ref =
+      RunLossyBroadcast(Driver::kStep, accl::Transport::kTcp, 4, 73);
+  EXPECT_GT(ref.faults[0], 0u);
+  EXPECT_EQ(RunLossyBroadcast(Driver::kRun, accl::Transport::kTcp, 4, 73),
+            ref);
+}
+
+struct KvsResult {
+  std::vector<Cycle> phase_end;
+  // (tag, op, key, value, bytes) per response, per client.
+  std::vector<std::vector<std::vector<uint64_t>>> responses;
+  std::vector<Buckets> buckets;   // fabric, server, client 0, client 1
+  std::vector<uint64_t> retries;  // per client: retries, dups, corrupt
+  uint64_t server_corrupt = 0;
+  std::vector<uint64_t> faults;
+};
+
+/// Client 0 PUTs 60 keys, then both clients GET 80 keys each (hits and
+/// misses), each phase run until every response arrived.
+KvsResult RunLossyKvs(Driver d) {
+  net::FaultInjector injector(LossyFabric(79, 0.01));
+  net::Fabric::Config fcfg;
+  fcfg.clock_hz = 200e6;
+  net::Fabric fabric("fab", 3, fcfg);
+  fabric.set_fault_injector(&injector);
+  kvs::SmartNicKvs server("kvs", 2, &fabric, kvs::SmartNicKvs::Config());
+  kvs::KvClient c0("client0", 0, 2, &fabric);
+  kvs::KvClient c1("client1", 1, 2, &fabric);
+  Engine engine;
+  fabric.RegisterWith(engine);
+  server.RegisterWith(engine);
+  engine.AddModule(&c0);
+  engine.AddModule(&c1);
+  KvsResult r;
+  r.responses.resize(2);
+  auto run_until = [&](uint64_t responses) {
+    const Engine::StopFn stop = [&] {
+      return c0.responses_received() + c1.responses_received() >= responses;
+    };
+    auto run = d == Driver::kRun
+                   ? engine.Run(1 << 22, stop)
+                   : sim::StepUntilQuiesced(engine, 1 << 22, stop);
+    EXPECT_TRUE(run.ok()) << run.status();
+    r.phase_end.push_back(engine.now());
+    net::Packet p;
+    for (size_t c = 0; c < 2; ++c) {
+      kvs::KvClient& client = c == 0 ? c0 : c1;
+      while (client.PollResponse(&p)) {
+        r.responses[c].push_back({p.tag, p.user, p.addr, p.user2, p.bytes});
+      }
+    }
+  };
+  for (uint64_t k = 0; k < 60; ++k) c0.Put(k, k * 7 + 1, k);
+  run_until(60);
+  for (uint64_t i = 0; i < 80; ++i) {
+    c0.Get(i, 100 + i);
+    c1.Get(79 - i, 100 + i);
+  }
+  run_until(220);
+  r.buckets = {BucketsOf(fabric), BucketsOf(server), BucketsOf(c0),
+               BucketsOf(c1)};
+  for (const kvs::KvClient* c : {&c0, &c1}) {
+    r.retries.push_back(c->retries());
+    r.retries.push_back(c->duplicates_discarded());
+    r.retries.push_back(c->corrupt_discarded());
+  }
+  r.server_corrupt = server.corrupt_discarded();
+  r.faults = FaultCounts(injector);
+  return r;
+}
+
+TEST(LibraryDriverTest, LossyKvsGetPutMatchesStep) {
+  const KvsResult ref = RunLossyKvs(Driver::kStep);
+  const KvsResult got = RunLossyKvs(Driver::kRun);
+  ASSERT_EQ(ref.responses[0].size() + ref.responses[1].size(), 220u);
+  EXPECT_GT(ref.retries[0] + ref.retries[3], 0u);
+  EXPECT_EQ(got.phase_end, ref.phase_end);
+  EXPECT_EQ(got.responses, ref.responses);
+  ASSERT_EQ(got.buckets.size(), ref.buckets.size());
+  for (size_t i = 0; i < ref.buckets.size(); ++i) {
+    ExpectSameBuckets(ref.buckets[i], got.buckets[i],
+                      "kvs module " + std::to_string(i));
+  }
+  EXPECT_EQ(got.retries, ref.retries);
+  EXPECT_EQ(got.server_corrupt, ref.server_corrupt);
+  EXPECT_EQ(got.faults, ref.faults);
+}
+
+/// One MicroRec inference (plus RunBatch's single-inference latency run)
+/// on 4 HBM channels. MicroRec has no fabric, so no injector: the lookup
+/// dispatcher, the channels and the MLP stage are the modules under test.
+TEST(LibraryDriverTest, MicroRecInferenceMatchesStep) {
+  const microrec::RecModel model = microrec::MakeTypicalModel(
+      /*num_tables=*/12, /*seed=*/11, 1000, 50000, 16);
+  microrec::MicroRecConfig cfg;
+  cfg.sram_budget_bytes = 0;
+  cfg.override_hbm_channels = 4;
+  auto engine = microrec::MicroRecEngine::Create(
+      &model, microrec::PlanWithoutCartesian(model), device::AlveoU280(), cfg);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto run = [&](Driver d) {
+    ScopedDriver driver(d);
+    return engine->RunBatch(1, 5);
+  };
+  const auto ref = run(Driver::kStep);
+  const auto got = run(Driver::kRun);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->cycles, ref->cycles);
+  EXPECT_EQ(got->hbm_bytes, ref->hbm_bytes);
+  EXPECT_EQ(got->latency_us, ref->latency_us);
 }
 
 }  // namespace

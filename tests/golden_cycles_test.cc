@@ -347,9 +347,6 @@ uint64_t FarviewScenario(FarviewRun mode) {
     const uint64_t top = sys.RegisterProgram(rel::MakeTopExpensive());
     auto stats = sys.RunOffloadedConcurrently({{tid, q1}, {tid, top}}, nullptr);
     EXPECT_TRUE(stats.ok()) << stats.status();
-    // The system's Step() loops never flush observers, and its engine is
-    // destroyed after its modules: flush while they are alive.
-    sys.engine().FlushObservers();
     return stats.ok() ? sys.engine().now() : 0;
   }
   rel::Program filter;
@@ -360,7 +357,6 @@ uint64_t FarviewScenario(FarviewRun mode) {
   auto stats = mode == FarviewRun::kOffload ? sys.RunOffloaded(tid, pid)
                                             : sys.RunFetchAll(tid, pid);
   EXPECT_TRUE(stats.ok()) << stats.status();
-  sys.engine().FlushObservers();  // see the concurrent branch
   return stats.ok() ? stats->cycles : 0;
 }
 
@@ -381,17 +377,19 @@ uint64_t KvsGetScenario() {
   engine.AddModule(&c1);
   constexpr uint64_t kKeys = 200, kGets = 300;
   for (uint64_t k = 0; k < kKeys; ++k) c0.Put(k, k * 3, k);
-  while (c0.responses_received() < kKeys) engine.Step();
+  auto loaded = engine.Run(1u << 20,
+                           [&] { return c0.responses_received() >= kKeys; });
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
   Rng rng(17);
   for (uint64_t i = 0; i < kGets; ++i) {
     c0.Get(rng.NextBounded(kKeys), i);
     c1.Get(rng.NextBounded(kKeys), i);
   }
-  while (c0.responses_received() + c1.responses_received() <
-         kKeys + 2 * kGets) {
-    engine.Step();
-  }
-  engine.FlushObservers();
+  auto served = engine.Run(1u << 20, [&] {
+    return c0.responses_received() + c1.responses_received() >=
+           kKeys + 2 * kGets;
+  });
+  EXPECT_TRUE(served.ok()) << served.status();
   EXPECT_EQ(server.hits(), 2 * kGets);
   return engine.now();
 }

@@ -146,6 +146,9 @@ TEST(StallAttributionTest, FallbackAttributesUnclassifiedModules) {
     Inert() : Module("inert") {}
     void Tick(sim::Cycle) override {}
     bool Idle() const override { return true; }
+    sim::Cycle NextEventCycle(sim::Cycle) const override {
+      return sim::kNoEventCycle;
+    }
   };
   Inert inert;
   Engine e;

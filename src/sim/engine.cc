@@ -338,8 +338,9 @@ Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles,
 // module contract (Module::NextEventCycle) an unarmed tick is a no-op except
 // for stall attribution, which AttributeSkip reproduces in closed form.
 // Arming is over-approximate everywhere: residual committed items on a bound
-// input, any commit on a bound input, a drain of a full bound output, an
-// explicit WakeUp, or the module's own NextEventCycle hint each force a tick.
+// input (unless the module left them unread and hinted when it reads again),
+// any commit on a bound input, a drain of a full bound output, an explicit
+// WakeUp, or the module's own NextEventCycle hint each force a tick.
 
 void Engine::RebuildEventState() {
   const size_t n = modules_.size();
@@ -354,7 +355,7 @@ void Engine::RebuildEventState() {
   qc_stream_ = kNone;
   // Bound-input lists drive the post-tick residual re-arm (ReArmModule).
   bound_inputs_.assign(n, {});
-  for (const StreamBase* s : streams_) {
+  for (StreamBase* s : streams_) {
     if (s->consumer_index_ != StreamBase::kNoEndpoint) {
       bound_inputs_[s->consumer_index_].push_back(s);
     }
@@ -512,18 +513,27 @@ void Engine::WakeModule(size_t t) {
 }
 
 void Engine::ReArmModule(size_t i, Cycle c) {
-  // Residual committed items on a bound input mean the module has readable
-  // work next cycle: arm it without the virtual hint call. This is the hot
-  // re-arm path on dense flow-through pipelines.
-  for (const StreamBase* s : bound_inputs_[i]) {
-    if (s->committed_count_ > 0) {
-      ArmNext(i);
-      return;
-    }
+  // Residual committed items on a bound input the module read this tick
+  // mean it reads on next cycle: arm it without the virtual hint call. This
+  // is the hot re-arm path on dense flow-through pipelines. Residual it left
+  // unread (a full controller queue, a closed issue gate) re-arms a hintless
+  // module too; a module with a hint has put the cycle it reads again in it.
+  bool read_residual = false, unread_residual = false;
+  for (StreamBase* s : bound_inputs_[i]) {
+    const bool read = s->total_popped_ != s->popped_at_rearm_;
+    s->popped_at_rearm_ = s->total_popped_;
+    if (s->committed_count_ > 0) (read ? read_residual : unread_residual) = true;
+  }
+  if (read_residual) {
+    ArmNext(i);
+    return;
   }
   const Cycle h = modules_[i]->NextEventCycle(c);
   FPGADP_DCHECK(h >= c);
-  if (h == kNoEventCycle) return;  // sleeps until a wake edge
+  if (h == kNoEventCycle) {  // sleeps until a wake edge
+    if (unread_residual) ArmNext(i);
+    return;
+  }
   if (h <= c + 1) {
     ArmNext(i);
     return;

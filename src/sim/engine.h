@@ -208,8 +208,8 @@ class Engine {
   /// Ticks the armed modules of cycle `c` in registration order, commits
   /// dirty streams, and arms stream edges.
   void DispatchCycle(Cycle c);
-  /// Post-tick re-arm: bound-input residual first (no virtual call), then
-  /// the NextEventCycle hint.
+  /// Post-tick re-arm: residual on a bound input the module just read first
+  /// (no virtual call), then the NextEventCycle hint.
   void ReArmModule(size_t i, Cycle c);
   /// Arms module `i` for the cycle after the one being dispatched.
   void ArmNext(size_t i);
@@ -266,7 +266,7 @@ class Engine {
   std::vector<size_t> heap_pops_;
   // Bound input streams per module (consumer side), for the residual-item
   // re-arm check that avoids the virtual hint call on flow-through paths.
-  std::vector<std::vector<const StreamBase*>> bound_inputs_;
+  std::vector<std::vector<StreamBase*>> bound_inputs_;
   // Cached quiescence blocker (module / stream index; ~0 = none cached).
   size_t qc_module_ = ~size_t{0};
   size_t qc_stream_ = ~size_t{0};

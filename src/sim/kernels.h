@@ -222,10 +222,13 @@ class TransformKernel : public Module {
   bool Idle() const override { return pipe_.empty(); }
 
   /// Empty pipeline: reactive (waiting on input). Otherwise the front
-  /// in-flight item retires when its latency elapses.
+  /// in-flight item retires when its latency elapses, and readable input
+  /// issues when the II gate opens.
   Cycle NextEventCycle(Cycle now) const override {
     if (pipe_.empty()) return kNoEventCycle;
-    return pipe_.front().ready > now ? pipe_.front().ready : now;
+    Cycle next = pipe_.front().ready;
+    if (in_->CanRead()) next = std::min(next, next_issue_);
+    return std::max(next, now);
   }
 
   /// Items consumed from the input stream.

@@ -74,14 +74,17 @@ class Module {
   /// timers, delay lines) return their next deadline; purely reactive ones
   /// return kNoEventCycle.
   ///
-  /// The one scheduling contract: a tick Run() skips (no hint due, no
-  /// committed item on a bound input, no commit or drain edge, no WakeUp)
-  /// is a no-op except for stall attribution, which AttributeSkip()
-  /// reproduces in closed form. So a module binds every stream its Tick
-  /// touches (Stream::BindProducer/BindConsumer, in the constructor), calls
-  /// WakeUp() before any mutation of its state from outside its Tick, and
-  /// hints <= now while it holds output a full stream refused, so a
-  /// consumer that drains earlier in the cycle re-opens the path at once.
+  /// The one scheduling contract: a tick Run() skips (no hint due, no commit
+  /// or drain edge, no WakeUp, no item left on a bound input the module
+  /// read last tick) is a no-op except for stall attribution, which
+  /// AttributeSkip() reproduces in closed form. So a module binds every
+  /// stream its Tick touches (Stream::BindProducer/BindConsumer, in the
+  /// constructor), calls WakeUp() before any mutation of its state from
+  /// outside its Tick, hints <= now while it holds output a full stream
+  /// refused (a consumer that drains earlier in the cycle re-opens the path
+  /// at once), and, when it leaves readable input unread, either hints the
+  /// cycle it reads again or returns kNoEventCycle (Run() then re-ticks it
+  /// next cycle).
   virtual Cycle NextEventCycle(Cycle now) const = 0;
 
   /// Engine-driven bulk attribution for a skipped gap: accounts the

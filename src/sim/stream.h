@@ -158,6 +158,9 @@ class StreamBase {
   static constexpr size_t kNoEndpoint = ~size_t{0};
   size_t producer_index_ = kNoEndpoint;
   size_t consumer_index_ = kNoEndpoint;
+  /// TotalPopped() when the consumer was last re-armed: a difference means
+  /// the consumer read during its latest tick (Engine::ReArmModule).
+  uint64_t popped_at_rearm_ = 0;
 };
 
 /// Bounded FIFO channel between two modules — the simulator analog of

@@ -116,7 +116,8 @@ PipelineResult RunPipeline(Driver d, Engine& e,
   return r;
 }
 
-PipelineResult RunKernelPipeline(Driver d) {
+PipelineResult RunKernelPipeline(Driver d,
+                                 sim::KernelTiming timing = {1, 2, 12}) {
   std::vector<int64_t> data(5000);
   for (size_t i = 0; i < data.size(); ++i) data[i] = int64_t(i) * 3 - 1000;
   Stream<int64_t> s0("s0", 8), s1("s1", 8), s2("s2", 8);
@@ -127,7 +128,7 @@ PipelineResult RunKernelPipeline(Driver d) {
         if (v % 7 == 0) return std::nullopt;  // line-rate filter
         return v * 2;
       },
-      sim::KernelTiming{1, 2, 12});
+      timing);
   sim::DelayLine<int64_t> wire("wire", &s1, &s2, /*latency=*/25, /*lanes=*/2);
   sim::VectorSink<int64_t> sink("sink", &s2, /*lanes=*/2);
   Engine e;
@@ -145,6 +146,43 @@ TEST(EngineDeterminismTest, KernelPipelineMatchesStep) {
   const PipelineResult ref = RunKernelPipeline(Driver::kStep);
   EXPECT_FALSE(ref.collected.empty());
   ExpectSamePipeline(ref, RunKernelPipeline(Driver::kRun), "kernel-pipeline");
+}
+
+// An II of 3 under a 10-cycle latency: the map kernel leaves readable input
+// unread while items are in flight, so Run() must wake it when its issue
+// gate opens, not when its oldest item retires.
+TEST(EngineDeterminismTest, GatedKernelPipelineMatchesStep) {
+  const sim::KernelTiming gated{3, 1, 10};
+  const PipelineResult ref = RunKernelPipeline(Driver::kStep, gated);
+  EXPECT_FALSE(ref.collected.empty());
+  ExpectSamePipeline(ref, RunKernelPipeline(Driver::kRun, gated),
+                     "gated-kernel-pipeline");
+}
+
+// A reduction with an II of 4 gives no hint mid-fold: the input it leaves
+// unread behind its closed issue gate must re-arm it every cycle.
+PipelineResult RunGatedReduce(Driver d) {
+  std::vector<int64_t> data(600);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = int64_t(i) % 13;
+  Stream<int64_t> s0("s0", 8), s1("s1", 2);
+  sim::VectorSource<int64_t> src("src", data, &s0, /*lanes=*/2);
+  sim::ReduceKernel<int64_t, int64_t> sum(
+      "sum", &s0, &s1, 0, [](int64_t& acc, const int64_t& v) { acc += v; },
+      data.size(), sim::KernelTiming{4, 1, 1});
+  sim::VectorSink<int64_t> sink("sink", &s1);
+  Engine e;
+  e.AddModule(&src);
+  e.AddModule(&sum);
+  e.AddModule(&sink);
+  e.AddStream(&s0);
+  e.AddStream(&s1);
+  return RunPipeline(d, e, {&src, &sum, &sink}, {&s0, &s1}, sink);
+}
+
+TEST(EngineDeterminismTest, GatedReduceMatchesStep) {
+  const PipelineResult ref = RunGatedReduce(Driver::kStep);
+  ASSERT_EQ(ref.collected.size(), 1u);
+  ExpectSamePipeline(ref, RunGatedReduce(Driver::kRun), "gated-reduce");
 }
 
 // ExecuteFpga builds its engine internally; a metrics registry attached to

@@ -86,11 +86,11 @@ class Session {
   const std::string& json_path() const { return json_path_; }
 
   /// Marks the run failed, so the destructor writes no JSON (a failed run
-  /// must not replace a committed baseline with partial rows). Returns
-  /// `exit_code`, for `return session.Fail();` from main.
-  int Fail(int exit_code = 1) {
+  /// must not replace a committed baseline with partial rows). Returns the
+  /// exit code 1, for `return session.Fail();` from main.
+  int Fail() {
     failed_ = true;
-    return exit_code;
+    return 1;
   }
 
  private:

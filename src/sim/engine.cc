@@ -518,15 +518,15 @@ void Engine::ReArmModule(size_t i, Cycle c) {
   // is the hot re-arm path on dense flow-through pipelines. Residual it left
   // unread (a full controller queue, a closed issue gate) re-arms a hintless
   // module too; a module with a hint has put the cycle it reads again in it.
-  bool read_residual = false, unread_residual = false;
+  bool unread_residual = false;
   for (StreamBase* s : bound_inputs_[i]) {
-    const bool read = s->total_popped_ != s->popped_at_rearm_;
-    s->popped_at_rearm_ = s->total_popped_;
-    if (s->committed_count_ > 0) (read ? read_residual : unread_residual) = true;
-  }
-  if (read_residual) {
-    ArmNext(i);
-    return;
+    if (s->committed_count_ == 0) continue;
+    if (s->total_popped_ != s->popped_at_rearm_) {
+      s->popped_at_rearm_ = s->total_popped_;
+      ArmNext(i);
+      return;
+    }
+    unread_residual = true;
   }
   const Cycle h = modules_[i]->NextEventCycle(c);
   FPGADP_DCHECK(h >= c);

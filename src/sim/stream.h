@@ -158,8 +158,9 @@ class StreamBase {
   static constexpr size_t kNoEndpoint = ~size_t{0};
   size_t producer_index_ = kNoEndpoint;
   size_t consumer_index_ = kNoEndpoint;
-  /// TotalPopped() when the consumer was last re-armed: a difference means
-  /// the consumer read during its latest tick (Engine::ReArmModule).
+  /// TotalPopped() when a re-arm of the consumer last found items left here
+  /// after a read (Engine::ReArmModule). A difference means the consumer
+  /// read since; a stale value can only cost an extra tick.
   uint64_t popped_at_rearm_ = 0;
 };
 

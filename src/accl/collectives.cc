@@ -65,8 +65,7 @@ class RankProgram : public sim::Module {
   bool Idle() const override { return pc_ == steps_.size(); }
   bool Done() const { return pc_ == steps_.size(); }
 
-  /// A tick runs the schedule until a receive finds no matching message,
-  /// so only a delivery can unblock it: the endpoint wakes the program.
+  /// Only a delivery unblocks a receive: the endpoint wakes the program.
   sim::Cycle NextEventCycle(sim::Cycle) const override {
     return sim::kNoEventCycle;
   }
@@ -118,8 +117,7 @@ class TcpRankProgram : public sim::Module {
   bool Idle() const override { return pc_ == steps_.size(); }
   bool Done() const { return pc_ == steps_.size(); }
 
-  /// Blocked only on a receive: the stack wakes the program when bytes
-  /// become readable.
+  /// Only arrivals unblock a receive: the stack wakes the program.
   sim::Cycle NextEventCycle(sim::Cycle) const override {
     return sim::kNoEventCycle;
   }
@@ -225,8 +223,7 @@ Result<CollectiveStats> Communicator::RunScheduleOnce(
     failure = transport_failure();
     return !failure.ok();
   };
-  // An unfinished schedule timed out, whether the budget ran out or the
-  // engine went quiet; `failure` and all_done() say why the run ended.
+  // `failure` and all_done() say why the run ended.
   engine.Run(max_cycles_, [&] { return transport_failed() || all_done(); });
   // Record per-rank completion for graceful degradation before failing.
   last_outcome_.rank_done.assign(world_size_, false);

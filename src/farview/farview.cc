@@ -261,7 +261,6 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
   size_t remaining = flight.size();
   Status failure;
   net::Packet resp;
-  // Each request completes on the cycle its final chunk is delivered.
   const auto stop = [&] {
     failure = TransportFailure();
     if (!failure.ok()) return true;
@@ -285,9 +284,7 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
     }
     return remaining == 0;
   };
-  // `stop` records why the run ended: a batch still incomplete timed out,
-  // whether the budget ran out or the engine went quiet.
-  engine_.Run(1ull << 30, stop);
+  engine_.Run(1ull << 30, stop);  // `failure`, `remaining` say how it ended
   FPGADP_RETURN_NOT_OK(failure);
   if (remaining > 0) {
     return Status::Timeout("offload batch did not complete");
@@ -370,7 +367,7 @@ Result<QueryStats> FarviewSystem::RunFetchAll(uint64_t table_id,
     failure = TransportFailure();
     return !failure.ok() || completed >= issued_tags;
   };
-  engine_.Run(1ull << 30, stop);  // see RunOffloadedConcurrently
+  engine_.Run(1ull << 30, stop);  // `failure`, `completed` say how it ended
   FPGADP_RETURN_NOT_OK(failure);
   if (completed < issued_tags) {
     return Status::Timeout("fetch-all transfer did not complete");

@@ -75,21 +75,17 @@ class MemoryNode : public sim::Module {
   /// step a real deployment does once per prepared statement).
   void RegisterProgram(uint64_t program_id, rel::Program program);
 
-  /// Registers this module plus its endpoint and DRAM with `engine`, in
-  /// that order.
+  /// Registers this module plus its endpoint and DRAM with `engine`.
   void RegisterWith(sim::Engine& engine);
 
   void Tick(sim::Cycle cycle) override;
-  /// A delivered but unpolled request is pending work (the node registers
-  /// before its endpoint, so it polls a delivery one cycle later).
+  /// Counts delivered, unpolled requests: the node polls one cycle later.
   bool Idle() const override {
     return !job_active_ && jobs_.empty() && endpoint_.recv_available() == 0;
   }
-  /// A fixed-rate actor: a queued job starts next tick, arrived tuples
-  /// stream through `pipeline_lanes` per cycle, and a page issues whenever
-  /// its channel has room. Otherwise it waits on an edge: a page arrival, a
-  /// drained request FIFO (the channels register after the node), or a
-  /// request (the endpoint wakes it).
+  /// A fixed-rate actor: acts each cycle while a job waits, tuples await
+  /// the pipeline, or the next page's channel has room; else it waits on a
+  /// page arrival, a FIFO drain (channels register after it) or a request.
   sim::Cycle NextEventCycle(sim::Cycle now) const override {
     if (!job_active_) return jobs_.empty() ? sim::kNoEventCycle : now;
     const auto ch = static_cast<uint32_t>(pages_issued_ % dram_.num_channels());

@@ -34,7 +34,6 @@ SmartNicKvs::SmartNicKvs(std::string name, uint32_t node_id,
               return mc;
             }()) {
   FPGADP_CHECK(fabric_ != nullptr);
-  // The Tick touches this node's port pair and the NIC's DRAM pair.
   fabric_->ingress(node_id_).BindConsumer(this);
   fabric_->egress(node_id_).BindProducer(this);
   dram_req_.BindProducer(this);

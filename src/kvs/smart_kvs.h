@@ -58,8 +58,7 @@ class SmartNicKvs : public sim::Module {
 
   void Tick(sim::Cycle cycle) override;
   bool Idle() const override { return in_flight_.empty(); }
-  /// Purely reactive: a tick acts only on a committed request or bucket
-  /// access, and a bound input left holding one re-arms the NIC.
+  /// Reactive: it acts only on a request or bucket access on a bound input.
   sim::Cycle NextEventCycle(sim::Cycle) const override {
     return sim::kNoEventCycle;
   }
@@ -128,8 +127,7 @@ class KvClient : public sim::Module {
   bool Idle() const override {
     return queue_.empty() && outstanding_.empty();
   }
-  /// Queued requests ship from the next tick (or wait out a full egress
-  /// port); otherwise the earliest retry deadline (lossy fabric only).
+  /// Queued requests ship next tick; else the earliest retry deadline.
   sim::Cycle NextEventCycle(sim::Cycle now) const override {
     sim::Cycle next = queue_.empty() ? sim::kNoEventCycle : now;
     for (const auto& [tag, o] : outstanding_) {

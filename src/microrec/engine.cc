@@ -141,9 +141,8 @@ class LookupDispatcher : public sim::Module {
     return released_ == jobs_->size() && ready_.empty();
   }
 
-  /// Acts every cycle while it can admit, issue or release work — issue and
-  /// release even into a full FIFO, which a consumer registered earlier may
-  /// drain within the cycle. Otherwise it waits for vector fetches.
+  /// Acts while it can admit, issue or release work (even into a full FIFO,
+  /// which an earlier-registered consumer may drain within the cycle).
   sim::Cycle NextEventCycle(sim::Cycle now) const override {
     const bool can_admit = admitted_ < jobs_->size() &&
                            admitted_ - completed_admissions() < jobs_in_flight_;

@@ -252,8 +252,7 @@ void TcpStack::Tick(sim::Cycle cycle) {
   auto& ig = fabric_->ingress(node_id_);
   const bool rel = reliable();
 
-  // Service arrivals, waking the reader first: its skipped ticks settle
-  // against the state before any byte became readable.
+  // Service arrivals, waking the reader before any byte becomes readable.
   if (listener_ != nullptr && ig.CanRead()) listener_->WakeUp();
   while (ig.CanRead()) {
     Packet p = ig.Read();

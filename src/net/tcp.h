@@ -88,9 +88,8 @@ class TcpStack : public sim::Module {
   /// Consumes up to `max_bytes` from `peer`'s stream; returns the amount.
   uint64_t Read(uint32_t peer, uint64_t max_bytes);
 
-  /// Registers the module that Read()s this stack. The stack wakes it before
-  /// each tick that handles arrivals (which may make bytes readable), so the
-  /// reader may sleep between arrivals under event-driven scheduling.
+  /// Registers the module that Read()s this stack; it is woken before each
+  /// tick that handles arrivals, so it may sleep between them.
   void SetReadListener(sim::Module* listener) { listener_ = listener; }
 
   void Tick(sim::Cycle cycle) override;

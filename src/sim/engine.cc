@@ -80,8 +80,7 @@ void Engine::RebuildSchedule() {
   }
   // Cache each stream's endpoint registration indices so event-mode commit
   // and drain edges arm the neighbour with one array write instead of a
-  // pointer lookup. (A conflicted stream never reaches the event loop: Run()
-  // rejects it.)
+  // pointer lookup.
   std::unordered_map<const Module*, size_t> index;
   index.reserve(modules_.size());
   for (size_t i = 0; i < modules_.size(); ++i) index[modules_[i]] = i;
@@ -298,8 +297,7 @@ bool Engine::QuiescedNow() const {
 }
 
 Result<Cycle> Engine::Run(uint64_t max_cycles, const StopFn& stop) {
-  // Such a stream has no single endpoint for its edges to arm.
-  for (const StreamBase* s : streams_) {
+  for (const StreamBase* s : streams_) {  // no single endpoint to arm
     if (s->bind_conflict()) {
       return Status::InvalidArgument("stream " + s->name() +
                                      " has two producers or two consumers");
@@ -513,11 +511,9 @@ void Engine::WakeModule(size_t t) {
 }
 
 void Engine::ReArmModule(size_t i, Cycle c) {
-  // Residual committed items on a bound input the module read this tick
-  // mean it reads on next cycle: arm it without the virtual hint call. This
-  // is the hot re-arm path on dense flow-through pipelines. Residual it left
-  // unread (a full controller queue, a closed issue gate) re-arms a hintless
-  // module too; a module with a hint has put the cycle it reads again in it.
+  // Items left on a bound input the module read this tick: it reads on next
+  // cycle (the hot path on flow-through pipelines, no virtual call). Items
+  // left unread re-arm only a hintless module; a hint says when it reads.
   bool unread_residual = false;
   for (StreamBase* s : bound_inputs_[i]) {
     if (s->committed_count_ == 0) continue;
@@ -619,10 +615,9 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles,
   // Set when the run ends by `stop` or quiescence rather than the budget.
   bool done = false;
   for (;;) {
-    // `stop` and quiescence are checked every VISITED cycle, like the
-    // Step() loop; the gaps in between are provably frozen (unarmed modules
-    // do not tick, and Idle()/InFlight() are pure state functions), so no
-    // jump can overshoot the cycle either would end the run on.
+    // `stop` and quiescence are checked every VISITED cycle; the gaps in
+    // between are frozen (unarmed modules do not tick), so no jump can
+    // overshoot the cycle either would end the run on.
     if ((stop && stop()) || EventQuiesced()) {
       done = true;
       break;
@@ -630,12 +625,10 @@ Result<Cycle> Engine::RunEventDriven(uint64_t max_cycles,
     if (now_ >= limit) break;
     BuildRunList(now_);
     if (run_now_.empty() && commit_queue_->empty()) {
-      // Nothing armed and nothing staged: state is frozen until the next
-      // calendar entry. Jump there (clamped to the budget; an empty heap is
-      // a genuine deadlock, which runs the budget out just as per-cycle
-      // ticking would). Attribution settles lazily. (An empty run list
-      // with staged writes — a harness wrote between runs — dispatches a
-      // commit-only cycle so the commit edge arms the consumers.)
+      // Nothing armed and nothing staged (staged harness writes dispatch a
+      // commit-only cycle): state is frozen until the next calendar entry.
+      // Jump there, clamped to the budget; an empty heap is a deadlock,
+      // which runs the budget out as per-cycle ticking would.
       const Cycle head = heap_.empty() ? kNoEventCycle : heap_.front().first;
       now_ = std::min(head, limit);
       dense_streak_ = 0;

@@ -158,9 +158,8 @@ class StreamBase {
   static constexpr size_t kNoEndpoint = ~size_t{0};
   size_t producer_index_ = kNoEndpoint;
   size_t consumer_index_ = kNoEndpoint;
-  /// TotalPopped() when a re-arm of the consumer last found items left here
-  /// after a read (Engine::ReArmModule). A difference means the consumer
-  /// read since; a stale value can only cost an extra tick.
+  /// TotalPopped() at the consumer's last re-arm that found items left after
+  /// a read (Engine::ReArmModule); stale values only add a tick.
   uint64_t popped_at_rearm_ = 0;
 };
 

@@ -15,12 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/accl/collectives.h"
+#include "src/common/random.h"
 #include "src/device/device.h"
 #include "src/farview/farview.h"
 #include "src/kvs/smart_kvs.h"
@@ -38,6 +40,8 @@
 #include "src/sim/kernels.h"
 #include "src/sim/module.h"
 #include "src/sim/stream.h"
+#include "src/sim/tap.h"
+#include "src/sim/var_stage.h"
 
 namespace fpgadp {
 namespace {
@@ -183,6 +187,85 @@ TEST(EngineDeterminismTest, GatedReduceMatchesStep) {
   const PipelineResult ref = RunGatedReduce(Driver::kStep);
   ASSERT_EQ(ref.collected.size(), 1u);
   ExpectSamePipeline(ref, RunGatedReduce(Driver::kRun), "gated-reduce");
+}
+
+// 50 seeded chains of 1-5 random stages (map/filter kernels with random II,
+// lanes and latency, delay lines, variable-cost stages, taps) over random
+// FIFO depths: the shapes where a stage leaves input unread behind its own
+// timing (an II gate, a full delay window, a held item, a blocked output).
+PipelineResult RunRandomChain(Driver d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int64_t> data(200 + rng.NextBounded(600));
+  for (size_t i = 0; i < data.size(); ++i) data[i] = int64_t(rng.Next() % 1000);
+  const size_t stages = 1 + rng.NextBounded(5);
+  std::vector<std::unique_ptr<Stream<int64_t>>> streams;
+  for (size_t i = 0; i <= stages; ++i) {
+    streams.push_back(std::make_unique<Stream<int64_t>>(
+        "s" + std::to_string(i), 1 + rng.NextBounded(8)));
+  }
+  std::vector<std::unique_ptr<Module>> owned;
+  sim::VectorSource<int64_t> src("src", data, streams[0].get(),
+                                 1 + uint32_t(rng.NextBounded(3)));
+  for (size_t i = 0; i < stages; ++i) {
+    Stream<int64_t>* in = streams[i].get();
+    Stream<int64_t>* out = streams[i + 1].get();
+    const std::string name = "st" + std::to_string(i);
+    switch (rng.NextBounded(4)) {
+      case 0: {
+        const sim::KernelTiming t{1 + uint32_t(rng.NextBounded(4)),
+                                  1 + uint32_t(rng.NextBounded(3)),
+                                  1 + uint32_t(rng.NextBounded(12))};
+        owned.push_back(std::make_unique<sim::TransformKernel<int64_t, int64_t>>(
+            name, in, out,
+            [](const int64_t& v) -> std::optional<int64_t> {
+              if (v % 5 == 0) return std::nullopt;
+              return v * 3 + 1;
+            },
+            t));
+        break;
+      }
+      case 1:
+        owned.push_back(std::make_unique<sim::DelayLine<int64_t>>(
+            name, in, out, uint32_t(rng.NextBounded(20)),
+            1 + uint32_t(rng.NextBounded(3))));
+        break;
+      case 2:
+        owned.push_back(std::make_unique<sim::VarStage<int64_t, int64_t>>(
+            name, in, out, [](const int64_t& v) { return v + 1; },
+            [](const int64_t& v) { return uint64_t(v % 6); }));
+        break;
+      default:
+        owned.push_back(
+            std::make_unique<sim::StreamTap<int64_t>>(name, in, out));
+        break;
+    }
+  }
+  sim::VectorSink<int64_t> sink("sink", streams.back().get(),
+                                1 + uint32_t(rng.NextBounded(3)));
+  Engine e;
+  e.AddModule(&src);
+  std::vector<const Module*> modules = {&src};
+  for (auto& m : owned) {
+    e.AddModule(m.get());
+    modules.push_back(m.get());
+  }
+  e.AddModule(&sink);
+  modules.push_back(&sink);
+  std::vector<const sim::StreamBase*> stream_ptrs;
+  for (auto& st : streams) {
+    e.AddStream(st.get());
+    stream_ptrs.push_back(st.get());
+  }
+  return RunPipeline(d, e, modules, stream_ptrs, sink);
+}
+
+TEST(EngineDeterminismTest, RandomKernelChains50SeedsMatchStep) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const PipelineResult ref = RunRandomChain(Driver::kStep, seed);
+    EXPECT_FALSE(ref.collected.empty()) << "seed " << seed;
+    ExpectSamePipeline(ref, RunRandomChain(Driver::kRun, seed),
+                       "random-chain seed " + std::to_string(seed));
+  }
 }
 
 // ExecuteFpga builds its engine internally; a metrics registry attached to

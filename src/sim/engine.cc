@@ -343,6 +343,7 @@ Result<Cycle> StepUntilQuiesced(Engine& engine, uint64_t max_cycles,
 void Engine::RebuildEventState() {
   const size_t n = modules_.size();
   next_run_.assign(n, kNoEventCycle);
+  queued_at_.assign(n, kNoEventCycle);
   accounted_.assign(n, now_);
   heap_.clear();
   heap_pops_.clear();
@@ -423,6 +424,7 @@ void Engine::BuildRunList(Cycle c) {
     std::pop_heap(heap_.begin(), heap_.end(), HeapLater);
     const auto [cycle, idx] = heap_.back();
     heap_.pop_back();
+    if (queued_at_[idx] == cycle) queued_at_[idx] = kNoEventCycle;
     if (next_run_[idx] != cycle) continue;  // stale entry
     // Nothing may be overdue: jumps target the heap head, so a live entry
     // below c would mean a skipped armed tick.
@@ -505,9 +507,7 @@ void Engine::WakeModule(size_t t) {
   // belt-and-braces for state mutated between Run() calls.
   if (next_run_[t] <= now_) return;  // already armed at or before now
   SettleTo(t, now_);
-  next_run_[t] = now_;
-  heap_.emplace_back(now_, t);
-  std::push_heap(heap_.begin(), heap_.end(), HeapLater);
+  QueueAt(t, now_);
 }
 
 void Engine::ReArmModule(size_t i, Cycle c) {
@@ -535,13 +535,23 @@ void Engine::ReArmModule(size_t i, Cycle c) {
     return;
   }
   if (next_run_[i] == c + 1) return;  // a wake already armed it sooner
+  QueueAt(i, h);
+}
+
+void Engine::QueueAt(size_t i, Cycle h) {
   next_run_[i] = h;
+  // A module woken before its timer re-hints the same deadline on every
+  // early tick; its queued entry turns live again instead of gaining a
+  // duplicate, so the calendar does not grow with early wakes.
+  if (queued_at_[i] == h) return;
+  queued_at_[i] = h;
   heap_.emplace_back(h, i);
   std::push_heap(heap_.begin(), heap_.end(), HeapLater);
 }
 
 void Engine::SeedAllArmed() {
   heap_.clear();
+  std::fill(queued_at_.begin(), queued_at_.end(), kNoEventCycle);
   run_now_.clear();
   run_next_.clear();
   run_next_sorted_ = true;

@@ -213,6 +213,8 @@ class Engine {
   void ReArmModule(size_t i, Cycle c);
   /// Arms module `i` for the cycle after the one being dispatched.
   void ArmNext(size_t i);
+  /// Arms module `i` for cycle `h` through the calendar heap.
+  void QueueAt(size_t i, Cycle h);
   /// Event-mode wake entry point (Module::WakeUp): arms the target while
   /// preserving Step()'s registration-order visibility — a target whose
   /// index precedes the in-flight tick is armed for the next cycle (Step()
@@ -237,7 +239,9 @@ class Engine {
   // cycle it will next tick at, or kNoEventCycle when unarmed. The calendar
   // heap_ is a lazy-delete min-heap of (cycle, index) pairs — an entry is
   // live iff it still matches next_run_; re-arms simply push a second entry
-  // and the stale one is dropped (or deduped) at pop time. Arms for the
+  // and the stale one is dropped (or deduped) at pop time. queued_at_[i] is
+  // the cycle of module i's newest unpopped entry, so re-arming at that
+  // cycle revives the entry rather than duplicating it. Arms for the
   // cycle right after the one being dispatched accumulate in run_next_
   // (sortedness tracked while building, sorted only when a wake broke the
   // order), which becomes the seed of the next cycle's run list.
@@ -258,6 +262,7 @@ class Engine {
   uint32_t dense_streak_ = 0;
   size_t current_ticking_index_ = 0;
   std::vector<Cycle> next_run_;
+  std::vector<Cycle> queued_at_;
   std::vector<Cycle> accounted_;
   std::vector<std::pair<Cycle, size_t>> heap_;
   std::vector<size_t> run_now_;

@@ -282,32 +282,57 @@ TEST(AdmissionTest, HeadroomTightensTheBudget) {
 }
 
 TEST(AdmissionTest, ServedSlicesReleaseBacklogAndTrainTheEstimator) {
-  SyntheticWorkload::Config wc;
-  wc.num_shards = 1;
-  wc.jitter_pct = 0;
-  SyntheticWorkload wl(wc);
-  shard::ShardCluster::Config cc;
-  cc.num_shards = 1;
-  cc.coordinator.admission = shard::AdmissionPolicy::kDeadlineFeasible;
-  cc.coordinator.initial_service_estimate_cycles = 64;
-  shard::ShardCluster cluster(&wl, cc);
-  auto& coord = cluster.coordinator();
-  const uint64_t before = coord.service_estimate(0);
-  EXPECT_EQ(before, 64u);
-  ASSERT_TRUE(coord.TrySubmit(wl.AddRequest(500), OneSlice(0, 500), 0,
-                              1u << 20));
-  ASSERT_TRUE(cluster.Run().ok());
-  shard::PartialOutcome out;
-  ASSERT_TRUE(cluster.PollOutcome(&out));
-  EXPECT_TRUE(out.status.ok());
-  EXPECT_EQ(coord.queued_cost(0), 0u);  // backlog released on resolve
-  // One EWMA step toward the observed 500-cycle service moved the estimate
-  // up, and the response replaced the configured wire guess with the
-  // measured round-trip-minus-service.
-  EXPECT_GT(coord.service_estimate(0), before);
-  EXPECT_GT(coord.wire_estimate(), 0u);
-  EXPECT_NE(coord.wire_estimate(),
-            shard::ShardCoordinator::Config{}.initial_wire_estimate_cycles);
+  // Every gather topology must train the estimator: with no published
+  // per-slice estimates, deadline-feasibility admission runs on the EWMA
+  // and the wire floor alone.
+  constexpr uint32_t kShards = 4;
+  constexpr uint64_t kService = 500;
+  constexpr int kRequests = 40;
+  for (shard::GatherTopology topology :
+       {shard::GatherTopology::kFlat, shard::GatherTopology::kTree,
+        shard::GatherTopology::kSwitch}) {
+    SCOPED_TRACE(shard::GatherTopologyName(topology));
+    SyntheticWorkload::Config wc;
+    wc.num_shards = kShards;
+    wc.fanout = kShards;
+    wc.jitter_pct = 0;
+    wc.publish_estimates = false;
+    SyntheticWorkload wl(wc);
+    shard::ShardCluster::Config cc;
+    cc.num_shards = kShards;
+    cc.gather.topology = topology;
+    cc.coordinator.admission = shard::AdmissionPolicy::kDeadlineFeasible;
+    cc.coordinator.initial_service_estimate_cycles = 64;
+    shard::ShardCluster cluster(&wl, cc);
+    auto& coord = cluster.coordinator();
+    for (uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(coord.service_estimate(s), 64u);
+    }
+    for (int i = 0; i < kRequests; ++i) {
+      const uint64_t id = wl.AddRequest(kService);
+      ASSERT_TRUE(coord.TrySubmit(id, wl.Scatter(id), 0, 1u << 20));
+    }
+    ASSERT_TRUE(cluster.Run().ok());
+    shard::PartialOutcome out;
+    int completed = 0;
+    while (cluster.PollOutcome(&out)) {
+      EXPECT_TRUE(out.status.ok());
+      ++completed;
+    }
+    EXPECT_EQ(completed, kRequests);
+    // 40 EWMA steps (alpha 1/8) from the 64-cycle seed land within 10
+    // cycles of the measured service; the backlog drained on resolve.
+    for (uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(coord.queued_cost(s), 0u);
+      EXPECT_GE(coord.service_estimate(s), kService - 10);
+      EXPECT_LE(coord.service_estimate(s), kService);
+    }
+    // The responses replaced the configured wire guess with the measured
+    // round-trip-minus-service.
+    EXPECT_GT(coord.wire_estimate(), 0u);
+    EXPECT_NE(coord.wire_estimate(),
+              shard::ShardCoordinator::Config{}.initial_wire_estimate_cycles);
+  }
 }
 
 // ---------------------------------------------------------------------------

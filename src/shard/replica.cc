@@ -1,10 +1,8 @@
 #include "src/shard/replica.h"
 
 #include <algorithm>
-#include <string>
 
 #include "src/common/check.h"
-#include "src/obs/metrics.h"
 
 namespace fpgadp::shard {
 
@@ -120,72 +118,6 @@ bool ElasticState::Busy(uint32_t shard) const {
     if (m.plan.source == shard || m.plan.target == shard) return true;
   }
   return false;
-}
-
-Autoscaler::Decision Autoscaler::Evaluate(
-    const obs::MetricsRegistry& registry, const std::string& coord_name,
-    const std::string& fabric_name, uint32_t num_shards,
-    uint32_t coordinator_ports, uint64_t elapsed_cycles) const {
-  Decision d;
-  const std::string coord_base = "shard." + coord_name;
-  const auto gauge = [&](const std::string& key) -> double {
-    const obs::Gauge* g = registry.FindGauge(key);
-    return g == nullptr ? 0.0 : g->value();
-  };
-
-  double max_queue_hwm = 0.0;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    max_queue_hwm = std::max(
-        max_queue_hwm,
-        gauge(coord_base + ".queue_hwm.shard" + std::to_string(s)));
-  }
-  const double shed = gauge(coord_base + ".ingress_shed");
-  double max_port_util = 0.0;
-  if (elapsed_cycles > 0) {
-    for (uint32_t p = 0; p < coordinator_ports; ++p) {
-      const double busy = gauge("net." + fabric_name + ".port" +
-                                std::to_string(p) + ".rx_busy_cycles");
-      max_port_util =
-          std::max(max_port_util, busy / static_cast<double>(elapsed_cycles));
-    }
-  }
-
-  if (num_shards < config_.max_shards) {
-    if (shed >= config_.ingress_shed_high) {
-      d.action = Action::kAdd;
-      d.reason = "ingress_shed=" + std::to_string(shed);
-      return d;
-    }
-    if (max_queue_hwm >= config_.queue_hwm_high) {
-      d.action = Action::kAdd;
-      d.reason = "queue_hwm=" + std::to_string(max_queue_hwm);
-      return d;
-    }
-    if (max_port_util >= config_.port_util_high) {
-      d.action = Action::kAdd;
-      d.reason = "port_util=" + std::to_string(max_port_util);
-      return d;
-    }
-  }
-
-  if (num_shards > config_.min_shards && shed < 1.0 &&
-      max_port_util <= config_.port_util_low &&
-      max_queue_hwm <= config_.port_util_low * config_.queue_hwm_high) {
-    d.action = Action::kDrain;
-    d.reason = "idle: port_util=" + std::to_string(max_port_util);
-    // Drain the coldest shard: fewest slices served across its servers.
-    double coldest = -1.0;
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      const double served =
-          gauge("shard.shard" + std::to_string(s) + ".served");
-      if (coldest < 0.0 || served < coldest) {
-        coldest = served;
-        d.shard = s;
-      }
-    }
-    return d;
-  }
-  return d;
 }
 
 }  // namespace fpgadp::shard

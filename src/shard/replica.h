@@ -2,14 +2,9 @@
 #define FPGADP_SHARD_REPLICA_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/sim/module.h"
-
-namespace fpgadp::obs {
-class MetricsRegistry;
-}  // namespace fpgadp::obs
 
 namespace fpgadp::shard {
 
@@ -147,58 +142,6 @@ struct ElasticState {
   ReplicaSet replicas;
   std::vector<Migration> migrations;
   uint64_t next_migration_seq = 1;
-};
-
-/// A policy hook, not a control loop: reads the gauges a ShardCluster
-/// exports into a MetricsRegistry (coordinator queue high-watermarks,
-/// `ingress_shed`, fabric port utilization) and recommends adding or
-/// draining a shard. The driver (a bench sweep, an operator script)
-/// applies the decision between runs — shard count is construction-time
-/// state, so the hook deliberately returns intent instead of mutating the
-/// cluster mid-tick.
-class Autoscaler {
- public:
-  struct Config {
-    /// Recommend kAdd when any shard's queue high-watermark reaches this.
-    double queue_hwm_high = 12.0;
-    /// Recommend kAdd when the coordinator shed this many requests.
-    double ingress_shed_high = 1.0;
-    /// Recommend kAdd when any coordinator port's receive utilization
-    /// (rx_busy_cycles / elapsed) reaches this fraction.
-    double port_util_high = 0.80;
-    /// Recommend kDrain when every signal is below this fraction of its
-    /// high threshold (ports below port_util_low, no sheds, queues under
-    /// low-fraction of queue_hwm_high).
-    double port_util_low = 0.10;
-    uint32_t min_shards = 1;
-    uint32_t max_shards = 64;
-  };
-
-  enum class Action : uint8_t { kHold = 0, kAdd = 1, kDrain = 2 };
-
-  struct Decision {
-    Action action = Action::kHold;
-    /// kDrain: the coldest shard (lowest served count) to migrate off.
-    uint32_t shard = 0;
-    std::string reason;
-  };
-
-  explicit Autoscaler(const Config& config) : config_(config) {}
-
-  /// Evaluates the gauges `ShardCluster::ExportMetrics`-style exports left
-  /// in `registry`. `coord_name`/`fabric_name` are the module names the
-  /// gauge keys embed; `elapsed_cycles` normalizes port busy-cycles into
-  /// utilization. Safe to call any time outside a tick phase.
-  Decision Evaluate(const obs::MetricsRegistry& registry,
-                    const std::string& coord_name,
-                    const std::string& fabric_name, uint32_t num_shards,
-                    uint32_t coordinator_ports,
-                    uint64_t elapsed_cycles) const;
-
-  const Config& config() const { return config_; }
-
- private:
-  Config config_;
 };
 
 }  // namespace fpgadp::shard

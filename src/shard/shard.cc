@@ -1261,17 +1261,6 @@ ShardCluster::ShardCluster(Workload* workload, const Config& config)
   }
 }
 
-Autoscaler::Decision ShardCluster::EvaluateAutoscaler(
-    const Autoscaler& autoscaler) const {
-  obs::MetricsRegistry registry;
-  coordinator_->ExportCustomMetrics(registry);
-  for (const auto& server : servers_) server->ExportCustomMetrics(registry);
-  fabric_.ExportCustomMetrics(registry);
-  return autoscaler.Evaluate(registry, coordinator_->name(), fabric_.name(),
-                             config_.num_shards, plan_.ports(),
-                             engine_.now());
-}
-
 ShardCluster::~ShardCluster() = default;
 
 void ShardCluster::set_fault_injector(net::FaultInjector* injector) {

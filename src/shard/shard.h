@@ -661,10 +661,6 @@ class ShardCluster {
     coordinator_->StartMigration(plan, engine_.now());
   }
 
-  /// Exports every module's gauges into a fresh registry and asks the
-  /// autoscaler for a verdict. Call between runs (never mid-tick).
-  Autoscaler::Decision EvaluateAutoscaler(const Autoscaler& autoscaler) const;
-
   sim::Engine& engine() { return engine_; }
   net::Fabric& fabric() { return fabric_; }
   ShardCoordinator& coordinator() { return *coordinator_; }

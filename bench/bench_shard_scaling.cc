@@ -106,7 +106,6 @@ shard::GatherConfig MakeGather(const std::string& name, uint32_t shards) {
     g.coordinator_ports = ports;
     g.fanout = 2;
     g.scatter = shard::ScatterMode::kTree;
-    g.pipelined_merge = true;
   }
   return g;
 }

@@ -36,11 +36,9 @@ GatherPlan::GatherPlan(const GatherConfig& config, uint32_t num_shards,
     // replay-after-failover protocol re-posts individual slices.
     FPGADP_CHECK(config_.scatter == ScatterMode::kUnicast);
   }
-  if (config_.topology != GatherTopology::kFlat) {
-    // Merged responses carry per-shard coverage as 64-bit masks on the wire
-    // (Packet::addr / Packet::user2).
-    FPGADP_CHECK(num_shards_ <= 64);
-  }
+  // Answers carry per-shard coverage as 64-bit masks on the wire
+  // (Packet::addr / Packet::user2).
+  FPGADP_CHECK(num_shards_ <= 64);
   if (config_.topology == GatherTopology::kTree ||
       config_.scatter == ScatterMode::kTree) {
     FPGADP_CHECK(config_.fanout > 0);
@@ -114,6 +112,20 @@ const GatherPlan::Role* GatherPlan::RoleOf(uint64_t request_id,
   if (it == routes_.end()) return nullptr;
   const auto rit = it->second.find(shard);
   return rit == it->second.end() ? nullptr : &rit->second;
+}
+
+bool GatherPlan::Upstream(uint64_t request_id, uint32_t shard,
+                          Hop* hop) const {
+  if (config_.topology != GatherTopology::kTree) {
+    *hop = {PortNode(PortOf(shard)), 0};
+    return true;
+  }
+  const Role* role = RoleOf(request_id, shard);
+  if (role == nullptr) return false;
+  hop->dst = role->parent == kToCoordinator ? PortNode(role->port)
+                                            : ShardNode(role->parent);
+  hop->children = role->expected_children;
+  return true;
 }
 
 }  // namespace fpgadp::shard

@@ -8,7 +8,9 @@
 
 namespace fpgadp::shard {
 
-/// How shard responses travel back to the coordinator.
+/// How shard responses travel back to the coordinator. Every topology
+/// speaks the same merged-form answer (see ShardCoordinator); flat and
+/// switch gather are one-node trees.
 enum class GatherTopology : uint8_t {
   /// Every shard replies straight to the coordinator port its request came
   /// from. The E22 incumbent: all response bytes serialize through the
@@ -62,7 +64,9 @@ struct GatherConfig {
   /// kTree: children per interior node.
   uint32_t fanout = 2;
   /// kTree: cycles an interior shard's merge engine spends folding in one
-  /// child response (its own partial is already in the pipeline).
+  /// child response (its own partial is already in the pipeline). Each
+  /// child is folded as it arrives, so the merge overlaps the wait for the
+  /// rest of the subtree.
   uint64_t merge_cycles_per_input = 4;
   /// kTree: cycles after which an interior node forwards whatever subset of
   /// its children has arrived, so a dead child degrades its own subtree
@@ -78,18 +82,14 @@ struct GatherConfig {
   /// scatter == kTree: cycles an interior shard's NIC spends peeling one
   /// child bundle out of an arriving bundle before forwarding it.
   uint64_t scatter_forward_cycles = 4;
-  /// kTree responses: fold each child contribution into the partial merge
-  /// the cycle it arrives (the merge engine overlaps the gather window)
-  /// instead of folding all children serially after the last one lands.
-  /// Off by default to preserve the historical tree-gather cycle counts.
-  bool pipelined_merge = false;
 };
 
-/// The routing half of hierarchical gather: which fabric node each shard's
-/// response goes to, and how many child contributions an interior shard
-/// must fold in before forwarding. Shared by the coordinator (which arms a
-/// route per request at scatter and releases it at finalize) and every
-/// ShardServer (which looks its role up when a slice completes).
+/// The routing half of gather: which fabric node each shard's answer goes
+/// to, and how many child contributions it must fold in before forwarding.
+/// Shared by the coordinator and every ShardServer, which asks Upstream()
+/// when a slice resolves. Flat and switch gather are one-node trees that
+/// need no per-request state; tree gather and tree scatter use routes the
+/// coordinator arms per request at scatter and releases at finalize.
 ///
 /// Routes are per request because a request may touch any subset of shards
 /// (a multi-get's keys rarely cover all of them). Participants are grouped
@@ -119,9 +119,15 @@ class GatherPlan {
     /// bytes once, plus every subtree member's distinct bytes.
     uint64_t subtree_bytes = 0;
     /// Coordinator tag of this shard's slice, so a scatter-tree recipient
-    /// can address its flat-gather response without a per-slice request
-    /// packet having carried the tag to it.
+    /// can tag its answer and report its service without a per-slice
+    /// request packet having carried the tag to it.
     uint64_t tag = 0;
+  };
+
+  /// Where one shard's answer goes and what it must fold in first.
+  struct Hop {
+    uint32_t dst = 0;       ///< Fabric node: a parent shard or a port.
+    uint32_t children = 0;  ///< Child contributions to fold in.
   };
 
   /// Everything Arm needs to know about one slice of a request.
@@ -133,7 +139,8 @@ class GatherPlan {
 
   /// `replicas` is the per-shard replication factor R: every shard gets R
   /// fabric nodes, one per replica. R > 1 requires flat topology (tree and
-  /// switch gather route by shard id, not by replica).
+  /// switch gather route by shard id, not by replica). Answers carry shard
+  /// coverage as 64-bit masks, so every topology allows at most 64 shards.
   GatherPlan(const GatherConfig& config, uint32_t num_shards,
              uint32_t replicas = 1);
 
@@ -176,6 +183,11 @@ class GatherPlan {
   /// The shard's role in `request_id`'s tree, or nullptr when the request
   /// is unarmed / released / does not involve the shard.
   const Role* RoleOf(uint64_t request_id, uint32_t shard) const;
+  /// Where `shard`'s answer for `request_id` goes. Flat and switch gather:
+  /// the shard's own coordinator port with no children, without a lookup.
+  /// Tree gather: the armed route; false once it was released (the gather
+  /// finalized) or when the request does not involve the shard.
+  bool Upstream(uint64_t request_id, uint32_t shard, Hop* hop) const;
 
   size_t armed_requests() const { return routes_.size(); }
 

@@ -349,6 +349,15 @@ bool ShardCoordinator::PollOutcome(PartialOutcome* out) {
   return true;
 }
 
+void ShardCoordinator::ReportService(uint64_t tag, uint64_t service_cycles,
+                                     uint64_t response_bytes) {
+  const auto it = tag_map_.find(tag);
+  if (it == tag_map_.end()) return;
+  Sub& sub = active_.find(it->second.first)->second.subs[it->second.second];
+  sub.service_cycles = service_cycles;
+  sub.response_bytes = response_bytes;
+}
+
 void ShardCoordinator::ResolveSub(uint64_t request_id, size_t sub_index,
                                   SubOutcome outcome, sim::Cycle cycle) {
   const auto it = active_.find(request_id);
@@ -424,13 +433,10 @@ void ShardCoordinator::Finalize(uint64_t request_id, Active& a,
       ++it;
     }
   }
-  // Tear down the routes: interior shards drop orphaned merge state (and
-  // scatter bundles) on their next lookup, and the switch frees any held
-  // partial group.
-  if (plan_->topology() == GatherTopology::kTree ||
-      plan_->config().scatter == ScatterMode::kTree) {
-    plan_->Release(request_id);
-  }
+  // Tear down the routes (if any were armed): interior shards drop orphaned
+  // merge state (and scatter bundles) on their next lookup, and the switch
+  // frees any held partial group.
+  plan_->Release(request_id);
   if (agg_switch_ != nullptr) agg_switch_->Disarm(request_id);
 }
 
@@ -502,34 +508,42 @@ bool ShardCoordinator::PumpQueues(sim::Cycle cycle) {
   return progressed;
 }
 
-void ShardCoordinator::HandleMergedResponse(const net::Packet& p,
-                                            sim::Cycle cycle) {
+void ShardCoordinator::HandleResponse(const net::Packet& p,
+                                      sim::Cycle cycle) {
   const uint64_t request_id = p.user;
   const auto it = active_.find(request_id);
-  if (it == active_.end()) {
-    ++late_responses_;  // its gather already finalized under the deadline
+  // A dead tag means the slice resolved (deadline) or was replayed to a
+  // promoted primary since this answer's slice shipped.
+  if (it == active_.end() ||
+      (p.tag != 0 && tag_map_.find(p.tag) == tag_map_.end())) {
+    ++late_responses_;
     return;
   }
-  // Collect before resolving: the last ResolveSub may finalize the request
-  // and erase the Active entry out from under an in-place iteration.
-  std::vector<std::pair<size_t, SubOutcome>> resolutions;
-  const Active& a = it->second;
-  for (size_t i = 0; i < a.subs.size(); ++i) {
-    const Sub& sub = a.subs[i];
-    if (sub.outcome != SubOutcome::kPending) continue;
-    const uint64_t bit = 1ull << sub.shard;
-    if ((p.addr & bit) != 0) {
-      resolutions.push_back({i, SubOutcome::kDone});
-    } else if ((p.user2 & bit) != 0) {
-      resolutions.push_back({i, SubOutcome::kRejected});
-    }
-  }
-  if (resolutions.empty()) {
+  Active& a = it->second;
+  const uint64_t covered = p.addr | p.user2;
+  const auto pending_covered = [covered](const Sub& sub) {
+    return sub.outcome == SubOutcome::kPending &&
+           ((covered >> sub.shard) & 1) != 0;
+  };
+  size_t left = std::count_if(a.subs.begin(), a.subs.end(), pending_covered);
+  if (left == 0) {
     ++late_responses_;  // straggler re-covering already-resolved slices
     return;
   }
-  for (const auto& [index, outcome] : resolutions) {
-    ResolveSub(request_id, index, outcome, cycle);
+  // Only the last ResolveSub can finalize the request and erase `a`, and
+  // the loop touches `a` no further once it made that call.
+  for (size_t i = 0; left > 0; ++i) {
+    Sub& sub = a.subs[i];
+    if (!pending_covered(sub)) continue;
+    --left;
+    if (((p.addr >> sub.shard) & 1) == 0) {
+      ResolveSub(request_id, i, SubOutcome::kRejected, cycle);
+      continue;
+    }
+    resp_bytes_total_ += sub.response_bytes;
+    ++resp_count_;
+    ObserveService(sub.shard, sub.service_cycles, cycle - sub.sent_at);
+    ResolveSub(request_id, i, SubOutcome::kDone, cycle);
   }
 }
 
@@ -573,10 +587,7 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
     CheckBeacons(cycle);
   }
 
-  // Responses. Flat gather: one tagged response per slice — bit 0 of user2
-  // flags a shard-side rejection, otherwise user2 >> 1 reports the slice's
-  // service cycles, which feeds the admission estimator. Tree / switch
-  // gather: merged-form responses resolve every slice their masks cover.
+  // Responses: each resolves every pending slice its masks cover.
   for (net::RdmaEndpoint* ep : endpoints_) {
     net::Packet p;
     while (ep->PollRecv(&p)) {
@@ -593,28 +604,7 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
         HandleMigrateDone(p, cycle);
         continue;
       }
-      if (p.kind != net::OpKind::kOffloadResp) continue;
-      if (merged_responses()) {
-        HandleMergedResponse(p, cycle);
-        continue;
-      }
-      const auto it = tag_map_.find(p.tag);
-      if (it == tag_map_.end()) {
-        ++late_responses_;  // its gather already finalized under the deadline
-        continue;
-      }
-      const bool busy = (p.user2 & 1) != 0;
-      if (!busy) {
-        resp_bytes_total_ += p.bytes;
-        ++resp_count_;
-        const auto ait = active_.find(it->second.first);
-        if (ait != active_.end()) {
-          const Sub& sub = ait->second.subs[it->second.second];
-          ObserveService(sub.shard, p.user2 >> 1, cycle - sub.sent_at);
-        }
-      }
-      ResolveSub(it->second.first, it->second.second,
-                 busy ? SubOutcome::kRejected : SubOutcome::kDone, cycle);
+      if (p.kind == net::OpKind::kOffloadResp) HandleResponse(p, cycle);
     }
   }
 
@@ -734,19 +724,21 @@ void ShardCoordinator::ExportCustomMetrics(
 
 ShardServer::ShardServer(std::string name, uint32_t shard_id,
                          Workload* workload, net::RdmaEndpoint* endpoint,
-                         const GatherPlan* plan, const Config& config,
-                         uint32_t replica_index, ElasticState* elastic)
+                         const GatherPlan* plan, ShardCoordinator* coordinator,
+                         const Config& config, uint32_t replica_index,
+                         ElasticState* elastic)
     : sim::Module(std::move(name)), shard_id_(shard_id), workload_(workload),
-      endpoint_(endpoint), plan_(plan), config_(config),
-      replica_index_(replica_index), elastic_(elastic) {
+      endpoint_(endpoint), plan_(plan), coordinator_(coordinator),
+      config_(config), replica_index_(replica_index), elastic_(elastic) {
   FPGADP_CHECK(workload_ != nullptr);
   FPGADP_CHECK(endpoint_ != nullptr);
+  FPGADP_CHECK(plan_ != nullptr);
+  FPGADP_CHECK(coordinator_ != nullptr);
   FPGADP_CHECK(config_.max_queue > 0);
   // NextEventCycle covers the pipeline, merge timeouts, beacon posts and
   // chunk pacing; the endpoint wakes the server on arrivals.
   endpoint_->SetWakeListener(this);
   if (elastic_ != nullptr && elastic_->config.beacon_interval_cycles > 0) {
-    FPGADP_CHECK(plan_ != nullptr);
     next_beacon_at_ = elastic_->config.beacon_interval_cycles;
   }
 }
@@ -804,11 +796,18 @@ void ShardServer::AbortMigration(sim::Cycle cycle) {
   }
 }
 
+uint32_t ShardServer::SliceShard(const net::Packet& req) const {
+  return (req.addr & kForwardFlag) != 0
+             ? static_cast<uint32_t>(req.addr & ~kForwardFlag)
+             : shard_id_;
+}
+
 ShardServer::MergeState& ShardServer::TouchMerge(uint64_t request_id,
                                                  sim::Cycle cycle) {
   auto it = merges_.find(request_id);
   if (it == merges_.end()) {
     MergeState m;
+    m.own_shard = shard_id_;
     const uint64_t timeout = plan_->config().merge_timeout_cycles;
     if (timeout > 0) m.timeout_at = cycle + timeout;
     it = merges_.emplace(request_id, m).first;
@@ -816,68 +815,62 @@ ShardServer::MergeState& ShardServer::TouchMerge(uint64_t request_id,
   return it->second;
 }
 
-void ShardServer::MaybeEmit(uint64_t request_id, sim::Cycle cycle) {
+void ShardServer::FoldOwn(const net::Packet& req, bool served,
+                          uint64_t response_bytes, sim::Cycle cycle) {
+  MergeState& m = TouchMerge(req.user, cycle);
+  // The own bit is the slice's scatter shard, so a forwarded slice answers
+  // for the shard it was scattered to.
+  m.own_shard = SliceShard(req);
+  m.own_tag = req.tag;
+  (served ? m.done_mask : m.rejected_mask) |= 1ull << m.own_shard;
+  m.concat_bytes += response_bytes;
+  m.own_resolved = true;
+  MaybeEmit(req.user, /*force=*/false, cycle);
+}
+
+void ShardServer::MaybeEmit(uint64_t request_id, bool force,
+                            sim::Cycle cycle) {
   const auto it = merges_.find(request_id);
-  if (it == merges_.end()) return;
-  const GatherPlan::Role* role = plan_->RoleOf(request_id, shard_id_);
-  if (role == nullptr) {
+  MergeState& m = it->second;
+  GatherPlan::Hop hop;
+  if (!plan_->Upstream(request_id, m.own_shard, &hop)) {
     // The gather finalized (deadline expiry) and released its route;
     // nobody upstream is listening anymore.
     ++stale_merges_dropped_;
     merges_.erase(it);
     return;
   }
-  if (!it->second.own_resolved ||
-      it->second.children_seen < role->expected_children) {
-    return;
-  }
-  EmitMerge(request_id, it->second, cycle);
-}
-
-void ShardServer::EmitMerge(uint64_t request_id, MergeState& m,
-                            sim::Cycle cycle) {
-  const GatherPlan::Role* role = plan_->RoleOf(request_id, shard_id_);
-  if (role == nullptr) {
-    ++stale_merges_dropped_;
-    merges_.erase(request_id);
-    return;
-  }
+  if (!force && (!m.own_resolved || m.children_seen < hop.children)) return;
   net::Packet up;
-  up.dst = role->parent == GatherPlan::kToCoordinator
-               ? plan_->PortNode(role->port)
-               : plan_->ShardNode(role->parent);
+  up.dst = hop.dst;
   up.kind = net::OpKind::kOffloadResp;
+  // An answer for the own slice alone carries its tag, which lets the
+  // coordinator drop it once stale.
+  up.tag = m.children_seen == 0 ? m.own_tag : 0;
   up.user = request_id;
   up.addr = m.done_mask;
   up.user2 = m.rejected_mask;
   up.bytes = m.done_mask == 0 ? 0
                               : workload_->MergedBytes(request_id, m.done_mask,
                                                        m.concat_bytes);
-  // The merge engine pays per child folded in; its own partial is already
-  // in the pipeline, so a leaf forwards with no extra delay. Pipelined
-  // merging charged each child on arrival, so only the unfinished tail of
-  // the last fold delays the emit; the serial model folds all children
-  // after the subtree completes.
-  const sim::Cycle at =
-      plan_->config().pipelined_merge
-          ? std::max(cycle, m.merge_ready_at)
-          : cycle + plan_->config().merge_cycles_per_input * m.children_seen;
+  // Each child was folded in as it arrived; only the unfinished tail of the
+  // last fold delays the answer, so a childless one leaves at once.
+  const sim::Cycle at = std::max(cycle, m.merge_ready_at);
   if (at <= cycle) {
     endpoint_->PostPacket(up);
   } else {
     emits_.push_back({at, up});
   }
-  ++merges_forwarded_;
-  merges_.erase(request_id);
+  if (plan_->topology() == GatherTopology::kTree) ++merges_forwarded_;
+  merges_.erase(it);
 }
 
 void ShardServer::Tick(sim::Cycle cycle) {
   bool progressed = false;
-  const GatherTopology topo = topology();
 
   if (elastic_ != nullptr) TickBeacon(cycle, &progressed);
 
-  // Post merged packets whose merge-cost delay elapsed (tree gather).
+  // Post packets whose merge or bundle-forward delay elapsed.
   for (size_t i = 0; i < emits_.size();) {
     if (emits_[i].at <= cycle) {
       endpoint_->PostPacket(emits_[i].packet);
@@ -888,20 +881,12 @@ void ShardServer::Tick(sim::Cycle cycle) {
     }
   }
 
-  // Retire the slice in service: its occupancy elapsed, so the reply ships
-  // (flat / switch gather) or folds into the subtree merge (tree gather).
+  // Retire the slice in service: its occupancy elapsed, so it folds into
+  // its request's merge state.
   if (busy_ && cycle >= done_at_) {
     busy_ = false;
     progressed = true;
-    if (topo == GatherTopology::kTree) {
-      MergeState& m = TouchMerge(pending_resp_.user, cycle);
-      m.done_mask |= 1ull << shard_id_;
-      m.concat_bytes += pending_resp_.bytes;
-      m.own_resolved = true;
-      MaybeEmit(pending_resp_.user, cycle);
-    } else {
-      endpoint_->PostPacket(pending_resp_);
-    }
+    FoldOwn(serving_, /*served=*/true, serving_resp_bytes_, cycle);
   }
 
   // Admit or shed request arrivals; fold child contributions (tree gather
@@ -910,22 +895,17 @@ void ShardServer::Tick(sim::Cycle cycle) {
   while (endpoint_->PollRecv(&p)) {
     progressed = true;
     if (p.kind == net::OpKind::kOffloadResp) {
-      // Only tree-gather interior nodes receive responses: a child
-      // subtree's merged contribution.
-      if (topo != GatherTopology::kTree) continue;
+      // A child subtree's merged contribution. The merge engine folds it in
+      // starting now (or once it finishes the previous fold), overlapping
+      // the wait for the rest of the subtree.
       MergeState& m = TouchMerge(p.user, cycle);
       m.done_mask |= p.addr;
       m.rejected_mask |= p.user2;
       m.concat_bytes += p.bytes;
       ++m.children_seen;
-      if (plan_->config().pipelined_merge) {
-        // The merge engine folds this child in starting now (or as soon
-        // as it finishes the previous one), overlapping the wait for the
-        // rest of the subtree.
-        m.merge_ready_at = std::max(m.merge_ready_at, cycle) +
-                           plan_->config().merge_cycles_per_input;
-      }
-      MaybeEmit(p.user, cycle);
+      m.merge_ready_at = std::max(m.merge_ready_at, cycle) +
+                         plan_->config().merge_cycles_per_input;
+      MaybeEmit(p.user, /*force=*/false, cycle);
       continue;
     }
     if (p.kind == net::OpKind::kMigrateStart) {
@@ -961,8 +941,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
       // subtree (the NIC peels them off at a per-hop cost, no pipeline
       // occupancy), then fall through to admission with our own slice as
       // if it had arrived point-to-point.
-      const GatherPlan::Role* role =
-          plan_ == nullptr ? nullptr : plan_->RoleOf(p.user, shard_id_);
+      const GatherPlan::Role* role = plan_->RoleOf(p.user, shard_id_);
       if (role == nullptr) {
         // The gather finalized (deadline expiry) and released the route;
         // nothing in this subtree has anyone listening anymore.
@@ -988,40 +967,16 @@ void ShardServer::Tick(sim::Cycle cycle) {
         }
         ++bundles_forwarded_;
       }
-      // Our own slice: tag and wire size come from the role, and a
-      // flat/switch response must go to our coordinator port — exactly
-      // what src would be had the slice arrived point-to-point.
+      // Our own slice: tag and wire size come from the role.
       p.addr = 0;
       p.tag = role->tag;
       p.bytes = role->slice_bytes;
-      p.src = plan_->PortNode(plan_->PortOf(shard_id_));
     }
     if (queue_.size() >= config_.max_queue) {
+      // The rejection rides upstream in the mask; a tree node still merges
+      // and forwards its children's results.
       ++rejected_;
-      if (topo == GatherTopology::kTree) {
-        // The rejection rides up the tree in the mask; the node still
-        // merges and forwards its children's results.
-        MergeState& m = TouchMerge(p.user, cycle);
-        m.rejected_mask |= 1ull << shard_id_;
-        m.own_resolved = true;
-        MaybeEmit(p.user, cycle);
-      } else {
-        net::Packet busy_resp;
-        // A forwarded slice answers the coordinator that issued it, not the
-        // peer server that handed it over.
-        busy_resp.dst = (p.addr & kForwardFlag) != 0
-                            ? static_cast<uint32_t>(p.user2)
-                            : p.src;
-        busy_resp.kind = net::OpKind::kOffloadResp;
-        busy_resp.tag = p.tag;
-        busy_resp.user = p.user;
-        if (topo == GatherTopology::kSwitch) {
-          busy_resp.user2 = 1ull << shard_id_;  // merged-form rejected mask
-        } else {
-          busy_resp.user2 = 1;  // admission-rejected
-        }
-        endpoint_->PostPacket(busy_resp);
-      }
+      FoldOwn(p, /*served=*/false, 0, cycle);
     } else {
       queue_.push_back(p);
       queue_hwm_ = std::max(queue_hwm_, queue_.size());
@@ -1032,21 +987,13 @@ void ShardServer::Tick(sim::Cycle cycle) {
   if (!busy_ && !queue_.empty()) {
     const net::Packet req = queue_.front();
     queue_.pop_front();
-    // A forwarded slice carries its original shard in addr and the issuing
-    // coordinator node in user2 (PostPacket overwrote src with the peer's).
-    uint32_t slice_shard = shard_id_;
-    uint32_t coord_node = req.src;
-    if ((req.addr & kForwardFlag) != 0) {
-      slice_shard = static_cast<uint32_t>(req.addr & ~kForwardFlag);
-      coord_node = static_cast<uint32_t>(req.user2);
-    }
     // Ownership is decided at serve start, not arrival: a slice that sat
     // queued across a migration flip is handed to the new owner instead of
     // served from state that just moved away.
-    uint32_t owner = slice_shard;
-    if (elastic_ != nullptr && topo == GatherTopology::kFlat) {
-      owner = workload_->SliceOwner(slice_shard, req.user);
-    }
+    const uint32_t slice_shard = SliceShard(req);
+    const uint32_t owner =
+        elastic_ == nullptr ? slice_shard
+                            : workload_->SliceOwner(slice_shard, req.user);
     if (owner != shard_id_) {
       net::Packet fwd;
       fwd.dst =
@@ -1055,7 +1002,6 @@ void ShardServer::Tick(sim::Cycle cycle) {
       fwd.tag = req.tag;
       fwd.user = req.user;
       fwd.addr = kForwardFlag | slice_shard;
-      fwd.user2 = coord_node;
       fwd.bytes = req.bytes;
       endpoint_->PostPacket(fwd);
       ++forwarded_;
@@ -1071,19 +1017,9 @@ void ShardServer::Tick(sim::Cycle cycle) {
       if (serve_log_ != nullptr) {
         serve_log_->push_back({cycle, req.user, slice_shard});
       }
-      pending_resp_ = net::Packet{};
-      pending_resp_.kind = net::OpKind::kOffloadResp;
-      pending_resp_.user = req.user;
-      pending_resp_.bytes = svc.response_bytes;
-      if (topo == GatherTopology::kFlat) {
-        pending_resp_.dst = coord_node;
-        pending_resp_.tag = req.tag;
-        pending_resp_.user2 = cycles_needed << 1;  // bit 0 clear = served
-      } else if (topo == GatherTopology::kSwitch) {
-        pending_resp_.dst = req.src;
-        pending_resp_.addr = 1ull << shard_id_;  // merged-form done mask
-      }
-      // Tree gather: the destination (parent or port) is resolved at emit.
+      coordinator_->ReportService(req.tag, cycles_needed, svc.response_bytes);
+      serving_ = req;
+      serving_resp_bytes_ = svc.response_bytes;
       progressed = true;
     }
   }
@@ -1092,11 +1028,11 @@ void ShardServer::Tick(sim::Cycle cycle) {
   // its subtree, never the ancestors (tree gather on a lossy fabric).
   for (auto it = merges_.begin(); it != merges_.end();) {
     const uint64_t request_id = it->first;
-    MergeState& m = it->second;
-    ++it;  // EmitMerge erases the entry
+    const MergeState& m = it->second;
+    ++it;  // MaybeEmit erases the entry
     if (m.timeout_at == 0 || cycle < m.timeout_at) continue;
     ++merge_timeouts_;
-    EmitMerge(request_id, m, cycle);
+    MaybeEmit(request_id, /*force=*/true, cycle);
     progressed = true;
   }
 
@@ -1166,7 +1102,7 @@ void ShardServer::ExportCustomMetrics(obs::MetricsRegistry& registry) const {
       ->Set(static_cast<double>(service_cycles_));
   registry.GetGauge(base + ".queue_hwm")
       ->Set(static_cast<double>(queue_hwm_));
-  if (plan_ != nullptr && plan_->topology() == GatherTopology::kTree) {
+  if (plan_->topology() == GatherTopology::kTree) {
     registry.GetGauge(base + ".merges_forwarded")
         ->Set(static_cast<double>(merges_forwarded_));
     registry.GetGauge(base + ".merge_timeouts")
@@ -1174,7 +1110,7 @@ void ShardServer::ExportCustomMetrics(obs::MetricsRegistry& registry) const {
     registry.GetGauge(base + ".stale_merges_dropped")
         ->Set(static_cast<double>(stale_merges_dropped_));
   }
-  if (plan_ != nullptr && plan_->config().scatter == ScatterMode::kTree) {
+  if (plan_->config().scatter == ScatterMode::kTree) {
     registry.GetGauge(base + ".bundles_forwarded")
         ->Set(static_cast<double>(bundles_forwarded_));
     registry.GetGauge(base + ".stale_bundles_dropped")
@@ -1255,7 +1191,7 @@ ShardCluster::ShardCluster(Workload* workload, const Config& config)
       servers_.push_back(std::make_unique<ShardServer>(
           "shard" + suffix, s, workload,
           server_eps_[size_t{r} * config_.num_shards + s].get(), &plan_,
-          config_.server, r, &elastic_));
+          coordinator_.get(), config_.server, r, &elastic_));
       engine_.AddModule(servers_.back().get());
     }
   }

@@ -178,14 +178,16 @@ class Workload {
 /// the gather deadline, and finalizes each request into a PartialOutcome
 /// (merging via Workload::Merge).
 ///
-/// The GatherPlan names the response path. Flat gather keeps the historical
-/// per-slice protocol (one tagged response per shard). Tree and switch
-/// gather receive merged-form responses — `user` = request id, `addr` =
-/// done-shard mask, `user2` = rejected-shard mask — one per subtree root or
-/// switch combine group; rejections ride up in the mask instead of as
-/// separate busy replies, and the per-shard service EWMA is not updated
-/// (per-slice timing is aggregated away; configure the initial estimates
-/// when combining merged gather with deadline-feasibility admission).
+/// Responses arrive in one merged form whatever the topology — `user` =
+/// request id, `addr` = done-shard mask, `user2` = rejected-shard mask —
+/// one per shard under flat gather, one per subtree root under tree gather
+/// and one per combine group under switch gather; the GatherPlan alone
+/// decides where each answer goes. An answer for a single slice carries
+/// that slice's tag, so a stale one (its slice resolved, or was replayed to
+/// a promoted primary) is dropped and counted late. Service telemetry does
+/// not ride the wire: the serving shard reports its cycles and response
+/// bytes by tag (ReportService), and a kDone resolution folds them into the
+/// admission estimator under every topology.
 ///
 /// Failure semantics: a slice resolves kFailed when the endpoint's retry
 /// cap expires (dead shard or dead link — lossy fabric only), kRejected
@@ -254,6 +256,15 @@ class ShardCoordinator : public sim::Module {
   /// Pops one finalized gather, oldest first.
   bool PollOutcome(PartialOutcome* out);
 
+  /// Called by the serving shard at serve start: records the slice's
+  /// service cycles and response payload against its tag, in process
+  /// memory like the workload's functional partials. A stale tag (the slice
+  /// resolved, or was replayed under a fresh tag) is ignored. The record is
+  /// read only when a response resolves the slice kDone, so reporting never
+  /// moves admission timing.
+  void ReportService(uint64_t tag, uint64_t service_cycles,
+                     uint64_t response_bytes);
+
   /// Live resharding: kicks off one key-range migration. Sends
   /// kMigrateStart to the source's primary; the source streams
   /// kMigrateChunk packets to the target while both keep serving, and when
@@ -298,15 +309,16 @@ class ShardCoordinator : public sim::Module {
   /// Uncongested wire round-trip estimate (min observed rtt - service).
   uint64_t wire_estimate() const { return wire_est_; }
   /// Mean request-slice wire bytes over everything enqueued so far, and
-  /// mean per-slice response payload over flat-gather responses observed
-  /// so far (0 before the first observation). The topology planner reads
-  /// these after a flat probe run to size its wire-cost terms.
+  /// mean per-slice response payload over the slices resolved kDone so far
+  /// (0 before the first one). The topology planner reads these after a
+  /// flat probe run to size its wire-cost terms.
   uint64_t avg_request_bytes() const {
     return req_slices_ == 0 ? 0 : req_bytes_total_ / req_slices_;
   }
   uint64_t avg_response_bytes() const {
     return resp_count_ == 0 ? 0 : resp_bytes_total_ / resp_count_;
   }
+  /// Slices resolved kDone by a response.
   uint64_t responses_observed() const { return resp_count_; }
   /// Responses that arrived after their gather finalized (deadline races).
   uint64_t late_responses() const { return late_responses_; }
@@ -342,6 +354,9 @@ class ShardCoordinator : public sim::Module {
     /// amount is released on resolve (the EWMA may have moved meanwhile).
     uint64_t est_cycles = 0;
     sim::Cycle sent_at = 0;  ///< Cycle the slice shipped (valid iff sent).
+    /// Reported by the serving shard (ReportService); read on kDone.
+    uint64_t service_cycles = 0;
+    uint64_t response_bytes = 0;
     bool sent = false;
     /// Counted against in_flight_[shard] while sent and unresolved. Under
     /// tree scatter only each port-group's root slice is windowed — its
@@ -395,12 +410,9 @@ class ShardCoordinator : public sim::Module {
   /// bundle; none of them is windowed).
   void MarkSubtreeSent(Active& a, uint64_t request_id,
                        const GatherPlan::Role& root_role, sim::Cycle cycle);
-  /// Resolves the slices a merged-form response's masks cover (tree and
-  /// switch gather).
-  void HandleMergedResponse(const net::Packet& p, sim::Cycle cycle);
-  bool merged_responses() const {
-    return plan_->topology() != GatherTopology::kFlat;
-  }
+  /// Resolves the pending slices a response's masks cover, training the
+  /// admission estimator on each one done.
+  void HandleResponse(const net::Packet& p, sim::Cycle cycle);
 
   Workload* workload_;
   std::vector<net::RdmaEndpoint*> endpoints_;
@@ -453,24 +465,23 @@ class ShardCoordinator : public sim::Module {
 };
 
 /// One simulated FPGA instance serving its shard of the workload, at fabric
-/// node ports + shard_id. Sub-requests arrive as kOffloadReq packets; each
-/// is either admitted into a bounded queue or immediately answered "busy",
-/// so an overloaded shard sheds load instead of stalling the cluster. The
-/// pipeline serves one slice at a time: Workload::Serve names the
-/// occupancy, and the response ships when it elapses.
+/// node GatherPlan::ReplicaNode(shard_id, replica_index). Sub-requests
+/// arrive as kOffloadReq packets; each is either admitted into a bounded
+/// queue or immediately rejected ("busy"), so an overloaded shard sheds
+/// load instead of stalling the cluster. The pipeline serves one slice at a
+/// time: Workload::Serve names the occupancy, and the slice resolves when
+/// it elapses. At serve start the server reports the slice's service
+/// cycles and response bytes to the coordinator (ReportService).
 ///
-/// Flat-gather response wire encoding (user2): bit 0 set =
-/// admission-rejected ("busy"); otherwise user2 >> 1 carries the slice's
-/// service cycles, which the coordinator folds into its per-shard service
-/// estimate for deadline-feasibility admission.
-///
-/// Under tree gather the server doubles as an interior merge node: its own
-/// result and its children's merged contributions (arriving as merged-form
-/// kOffloadResp packets) fold into one upstream packet per request, emitted
-/// after the plan's per-input merge cost — and, on a lossy fabric, after at
-/// most the merge timeout, so a silent child costs its subtree but not the
-/// ancestors. Under switch gather the server just replies in merged form
-/// (single-shard masks); the combining happens in-fabric.
+/// Every server is a node of its request's gather tree: its own slice
+/// (done or rejected) and any children's merged contributions fold into one
+/// merge state per request, each child as it arrives at the plan's
+/// per-input merge cost, and one merged-form kOffloadResp leaves for
+/// GatherPlan::Upstream once the subtree is complete — or, on a lossy
+/// fabric, after at most the merge timeout, so a silent child costs its
+/// subtree but not the ancestors. Flat and switch gather are one-node
+/// trees, so the answer leaves the moment the slice resolves (switch gather
+/// then combines it in-fabric).
 class ShardServer : public sim::Module {
  public:
   struct Config {
@@ -479,15 +490,15 @@ class ShardServer : public sim::Module {
     uint32_t max_queue = 16;
   };
 
-  /// `plan` may be null for standalone use: flat gather, coordinator at
-  /// node 0. `replica_index` places this server as replica r of its shard
-  /// (fabric node plan->ReplicaNode(shard_id, r)); `elastic` is the
-  /// cluster's shared replica/migration state — null disables beacons,
-  /// forwarding, and migration streaming (the historical server).
+  /// `plan` routes answers and `coordinator` receives service reports;
+  /// neither may be null. `replica_index` places this server as replica r
+  /// of its shard (fabric node plan->ReplicaNode(shard_id, r)); `elastic`
+  /// is the cluster's shared replica/migration state — null disables
+  /// beacons, forwarding, and migration streaming.
   ShardServer(std::string name, uint32_t shard_id, Workload* workload,
               net::RdmaEndpoint* endpoint, const GatherPlan* plan,
-              const Config& config, uint32_t replica_index = 0,
-              ElasticState* elastic = nullptr);
+              ShardCoordinator* coordinator, const Config& config,
+              uint32_t replica_index = 0, ElasticState* elastic = nullptr);
 
   void Tick(sim::Cycle cycle) override;
   bool Idle() const override {
@@ -503,9 +514,10 @@ class ShardServer : public sim::Module {
   uint64_t service_cycles() const { return service_cycles_; }
   size_t queue_high_watermark() const { return queue_hwm_; }
   uint32_t shard_id() const { return shard_id_; }
-  /// Tree gather: merged packets forwarded upstream, partial forwards
-  /// forced by the merge timeout, and orphaned merge states dropped
-  /// because the gather had already finalized.
+  /// Tree gather: merged packets forwarded upstream (counted under tree
+  /// gather only), partial forwards forced by the merge timeout, and
+  /// orphaned merge states dropped because the gather had already
+  /// finalized.
   uint64_t merges_forwarded() const { return merges_forwarded_; }
   uint64_t merge_timeouts() const { return merge_timeouts_; }
   uint64_t stale_merges_dropped() const { return stale_merges_dropped_; }
@@ -539,34 +551,42 @@ class ShardServer : public sim::Module {
   void AttributeSkip(sim::Cycle from, sim::Cycle to) override;
 
  private:
-  /// Accumulating merge state for one request's subtree (tree gather).
+  /// Accumulating merge state for one request at this gather-tree node.
   struct MergeState {
     uint64_t done_mask = 0;
     uint64_t rejected_mask = 0;
     uint64_t concat_bytes = 0;
     uint32_t children_seen = 0;
     bool own_resolved = false;
+    /// The own slice's scatter shard, whose hop the answer takes (this
+    /// server's shard unless the slice was forwarded here), and its tag.
+    uint32_t own_shard = 0;
+    uint64_t own_tag = 0;
     sim::Cycle timeout_at = 0;  ///< 0 = no timeout armed.
-    /// pipelined_merge: cycle the merge engine finishes folding every
-    /// contribution accepted so far (each child charged on arrival).
+    /// Cycle the merge engine finishes folding every contribution accepted
+    /// so far (each child charged on arrival).
     sim::Cycle merge_ready_at = 0;
   };
-  /// A merged packet waiting out its merge-cost delay before posting.
+  /// A packet waiting out its merge or bundle-forward delay before posting.
   struct PendingEmit {
     sim::Cycle at = 0;
     net::Packet packet;
   };
 
-  GatherTopology topology() const {
-    return plan_ == nullptr ? GatherTopology::kFlat : plan_->topology();
-  }
-  /// Folds one contribution into the request's merge state (creating it,
-  /// and arming its timeout, on first touch).
+  /// The scatter shard a request slice belongs to: this server's, or the
+  /// one a forwarded slice carries.
+  uint32_t SliceShard(const net::Packet& req) const;
+  /// Returns the request's merge state (creating it, and arming its
+  /// timeout, on first touch).
   MergeState& TouchMerge(uint64_t request_id, sim::Cycle cycle);
-  /// Emits the merged packet if the subtree is complete.
-  void MaybeEmit(uint64_t request_id, sim::Cycle cycle);
-  /// Builds and schedules the upstream merged packet, then drops the state.
-  void EmitMerge(uint64_t request_id, MergeState& m, sim::Cycle cycle);
+  /// Folds this server's own slice of `req`, served or rejected, into its
+  /// request's merge state and emits if the subtree is complete.
+  void FoldOwn(const net::Packet& req, bool served, uint64_t response_bytes,
+               sim::Cycle cycle);
+  /// Emits the request's merged answer upstream once its subtree is
+  /// complete, or regardless when `force` (merge timeout), and drops the
+  /// state; drops it unsent once the gather released its route.
+  void MaybeEmit(uint64_t request_id, bool force, sim::Cycle cycle);
   /// Posts the periodic liveness beacon when elastic beacons are on.
   void TickBeacon(sim::Cycle cycle, bool* progressed);
   /// Streams the next paced migration chunk when this server is a source.
@@ -579,6 +599,7 @@ class ShardServer : public sim::Module {
   Workload* workload_;
   net::RdmaEndpoint* endpoint_;
   const GatherPlan* plan_;
+  ShardCoordinator* coordinator_;
   Config config_;
   uint32_t replica_index_ = 0;
   ElasticState* elastic_ = nullptr;
@@ -586,8 +607,9 @@ class ShardServer : public sim::Module {
   std::deque<net::Packet> queue_;
   bool busy_ = false;
   sim::Cycle done_at_ = 0;
-  net::Packet pending_resp_;
-  std::map<uint64_t, MergeState> merges_;  ///< By request id (tree gather).
+  net::Packet serving_;             ///< The request in the pipeline.
+  uint64_t serving_resp_bytes_ = 0;  ///< Its answer's payload.
+  std::map<uint64_t, MergeState> merges_;  ///< By request id.
   std::vector<PendingEmit> emits_;
 
   uint64_t served_ = 0;

@@ -128,10 +128,7 @@ TopologyDecision TopologyPlanner::Choose(const PlannerInputs& in) {
                                 merged_wire),
                    multicast ? "tree merge + multicast scatter"
                              : "tree merge"};
-    if (multicast) {
-      tree.gather.scatter = ScatterMode::kTree;
-      tree.gather.pipelined_merge = true;
-    }
+    if (multicast) tree.gather.scatter = ScatterMode::kTree;
     ranked.push_back(tree);
   }
 

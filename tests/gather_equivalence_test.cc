@@ -106,8 +106,8 @@ std::vector<GatherVariant> GatherVariants() {
   v.push_back({"switch-4port", sw4});
   // Scatter-side multicast: request slices ride the per-port tree as
   // subtree bundles. Orthogonal to the response topology, so it is
-  // exercised against flat, switch, and tree gather (the last also with
-  // pipelined interior merges — the full tree-both-ways configuration).
+  // exercised against flat, switch, and tree gather (the last is the full
+  // tree-both-ways configuration).
   GatherConfig scatter_flat = flat4;
   scatter_flat.fanout = 2;
   scatter_flat.scatter = ScatterMode::kTree;
@@ -119,8 +119,7 @@ std::vector<GatherVariant> GatherVariants() {
   v.push_back({"scatter-switch-2port", scatter_sw});
   GatherConfig scatter_tree = tree2;
   scatter_tree.scatter = ScatterMode::kTree;
-  scatter_tree.pipelined_merge = true;
-  v.push_back({"scatter-tree-2port-f2-pm", scatter_tree});
+  v.push_back({"scatter-tree-2port-f2", scatter_tree});
   return v;
 }
 
@@ -531,7 +530,6 @@ TEST(GatherEquivalenceTest, ScatterTreeForwardsBundles) {
     g.topology = GatherTopology::kTree;
     g.fanout = 2;
     g.scatter = ScatterMode::kTree;
-    g.pipelined_merge = true;
     TestWorkloadForGather wl(8, 100);
     ShardCluster::Config cc;
     cc.num_shards = 8;
@@ -637,7 +635,6 @@ TEST(GatherFaultTest, DeadInteriorScatterShardStrandsSubtreeOnly) {
   cc.gather.topology = GatherTopology::kTree;
   cc.gather.fanout = 2;
   cc.gather.scatter = ScatterMode::kTree;
-  cc.gather.pipelined_merge = true;
   cc.gather.merge_timeout_cycles = 3000;
   cc.coordinator.gather_deadline_cycles = 20000;
   ShardCluster cluster(&wl, cc);

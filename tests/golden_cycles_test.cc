@@ -442,7 +442,6 @@ uint64_t RunScenario(const std::string& name, Driver driver = Driver::kRun) {
     gather.topology = shard::GatherTopology::kTree;
     gather.fanout = 2;
     gather.scatter = shard::ScatterMode::kTree;
-    gather.pipelined_merge = true;
     return ShardAnnsScenario(gather);
   }
   if (name == "shard_kvs_switch") return ShardKvsSwitchScenario();

@@ -130,7 +130,6 @@ TEST(TopologyPlannerTest, TreePickRidesSharedBytesAsMulticastScatter) {
   const TopologyDecision d = TopologyPlanner::Choose(in);
   EXPECT_EQ(d.gather.topology, GatherTopology::kTree);
   EXPECT_EQ(d.gather.scatter, ScatterMode::kTree);
-  EXPECT_TRUE(d.gather.pipelined_merge);
   EXPECT_NE(d.rationale.find("multicast"), std::string::npos);
 
   // Same shape without shared bytes: the tree still wins on the response
@@ -139,7 +138,6 @@ TEST(TopologyPlannerTest, TreePickRidesSharedBytesAsMulticastScatter) {
   const TopologyDecision unicast = TopologyPlanner::Choose(in);
   EXPECT_EQ(unicast.gather.topology, GatherTopology::kTree);
   EXPECT_EQ(unicast.gather.scatter, ScatterMode::kUnicast);
-  EXPECT_FALSE(unicast.gather.pipelined_merge);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,7 +341,6 @@ TEST(TopologyPlannerPropertyTest, PickerWithinFivePercentOfMeasuredFastest) {
       statics.push_back({"switch", sw});
       GatherConfig scatter = tree;
       scatter.scatter = ScatterMode::kTree;
-      scatter.pipelined_merge = true;
       statics.push_back({"scatter", scatter});
 
       uint64_t best = ~0ull;

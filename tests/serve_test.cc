@@ -348,12 +348,14 @@ struct DoorRun {
 };
 
 DoorRun RunDoor(shard::AdmissionPolicy policy, ArrivalKind kind, double rho,
-                bool stepped = false) {
+                bool stepped = false,
+                shard::GatherTopology gather = shard::GatherTopology::kFlat) {
   SyntheticWorkload::Config wc;
   wc.num_shards = 2;
   SyntheticWorkload wl(wc);
   shard::ShardCluster::Config cc;
   cc.num_shards = 2;
+  cc.gather.topology = gather;
   cc.coordinator.admission = policy;
   cc.coordinator.max_pending = 64;
   cc.coordinator.feasibility_headroom_pct = 80;
@@ -411,18 +413,25 @@ TEST(FrontDoorTest, ClosedLoopCompletesEverythingWithoutShedding) {
 }
 
 TEST(FrontDoorTest, RunResultsAreBitIdenticalToStep) {
-  for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kBursty,
-                           ArrivalKind::kClosedLoop}) {
-    const DoorRun ref = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
-                                kind, 1.5, /*stepped=*/true);
-    const DoorRun run =
-        RunDoor(shard::AdmissionPolicy::kDeadlineFeasible, kind, 1.5);
-    EXPECT_EQ(run.cycles, ref.cycles);
-    EXPECT_EQ(run.completed, ref.completed);
-    EXPECT_EQ(run.shed, ref.shed);
-    EXPECT_EQ(run.p99, ref.p99);
-    EXPECT_EQ(run.count, ref.count);
-    EXPECT_EQ(run.sum, ref.sum);
+  // Under every gather topology, so deadline-feasibility admission's
+  // estimator path is compared against the Step() loop wherever it trains.
+  for (shard::GatherTopology gather :
+       {shard::GatherTopology::kFlat, shard::GatherTopology::kTree,
+        shard::GatherTopology::kSwitch}) {
+    for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kBursty,
+                             ArrivalKind::kClosedLoop}) {
+      SCOPED_TRACE(shard::GatherTopologyName(gather));
+      const DoorRun ref = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
+                                  kind, 1.5, /*stepped=*/true, gather);
+      const DoorRun run = RunDoor(shard::AdmissionPolicy::kDeadlineFeasible,
+                                  kind, 1.5, /*stepped=*/false, gather);
+      EXPECT_EQ(run.cycles, ref.cycles);
+      EXPECT_EQ(run.completed, ref.completed);
+      EXPECT_EQ(run.shed, ref.shed);
+      EXPECT_EQ(run.p99, ref.p99);
+      EXPECT_EQ(run.count, ref.count);
+      EXPECT_EQ(run.sum, ref.sum);
+    }
   }
 }
 

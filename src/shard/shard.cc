@@ -802,22 +802,19 @@ uint32_t ShardServer::SliceShard(const net::Packet& req) const {
              : shard_id_;
 }
 
-ShardServer::MergeState& ShardServer::TouchMerge(uint64_t request_id,
-                                                 sim::Cycle cycle) {
-  auto it = merges_.find(request_id);
-  if (it == merges_.end()) {
-    MergeState m;
-    m.own_shard = shard_id_;
-    const uint64_t timeout = plan_->config().merge_timeout_cycles;
-    if (timeout > 0) m.timeout_at = cycle + timeout;
-    it = merges_.emplace(request_id, m).first;
-  }
-  return it->second;
+ShardServer::MergeState ShardServer::NewMerge(sim::Cycle cycle) const {
+  MergeState m;
+  m.own_shard = shard_id_;
+  const uint64_t timeout = plan_->config().merge_timeout_cycles;
+  if (timeout > 0) m.timeout_at = cycle + timeout;
+  return m;
 }
 
 void ShardServer::FoldOwn(const net::Packet& req, bool served,
                           uint64_t response_bytes, sim::Cycle cycle) {
-  MergeState& m = TouchMerge(req.user, cycle);
+  const auto it = merges_.find(req.user);
+  MergeState fresh = NewMerge(cycle);
+  MergeState& m = it == merges_.end() ? fresh : it->second;
   // The own bit is the slice's scatter shard, so a forwarded slice answers
   // for the shard it was scattered to.
   m.own_shard = SliceShard(req);
@@ -825,22 +822,25 @@ void ShardServer::FoldOwn(const net::Packet& req, bool served,
   (served ? m.done_mask : m.rejected_mask) |= 1ull << m.own_shard;
   m.concat_bytes += response_bytes;
   m.own_resolved = true;
-  MaybeEmit(req.user, /*force=*/false, cycle);
+  if (TryEmit(req.user, m, /*force=*/false, cycle)) {
+    if (it != merges_.end()) merges_.erase(it);
+  } else if (it == merges_.end()) {
+    merges_.emplace(req.user, fresh);
+  }
 }
 
-void ShardServer::MaybeEmit(uint64_t request_id, bool force,
-                            sim::Cycle cycle) {
-  const auto it = merges_.find(request_id);
-  MergeState& m = it->second;
+bool ShardServer::TryEmit(uint64_t request_id, const MergeState& m,
+                          bool force, sim::Cycle cycle) {
   GatherPlan::Hop hop;
   if (!plan_->Upstream(request_id, m.own_shard, &hop)) {
     // The gather finalized (deadline expiry) and released its route;
     // nobody upstream is listening anymore.
     ++stale_merges_dropped_;
-    merges_.erase(it);
-    return;
+    return true;
   }
-  if (!force && (!m.own_resolved || m.children_seen < hop.children)) return;
+  if (!force && (!m.own_resolved || m.children_seen < hop.children)) {
+    return false;
+  }
   net::Packet up;
   up.dst = hop.dst;
   up.kind = net::OpKind::kOffloadResp;
@@ -862,7 +862,7 @@ void ShardServer::MaybeEmit(uint64_t request_id, bool force,
     emits_.push_back({at, up});
   }
   if (plan_->topology() == GatherTopology::kTree) ++merges_forwarded_;
-  merges_.erase(it);
+  return true;
 }
 
 void ShardServer::Tick(sim::Cycle cycle) {
@@ -898,14 +898,15 @@ void ShardServer::Tick(sim::Cycle cycle) {
       // A child subtree's merged contribution. The merge engine folds it in
       // starting now (or once it finishes the previous fold), overlapping
       // the wait for the rest of the subtree.
-      MergeState& m = TouchMerge(p.user, cycle);
+      const auto it = merges_.try_emplace(p.user, NewMerge(cycle)).first;
+      MergeState& m = it->second;
       m.done_mask |= p.addr;
       m.rejected_mask |= p.user2;
       m.concat_bytes += p.bytes;
       ++m.children_seen;
       m.merge_ready_at = std::max(m.merge_ready_at, cycle) +
                          plan_->config().merge_cycles_per_input;
-      MaybeEmit(p.user, /*force=*/false, cycle);
+      if (TryEmit(p.user, m, /*force=*/false, cycle)) merges_.erase(it);
       continue;
     }
     if (p.kind == net::OpKind::kMigrateStart) {
@@ -1027,12 +1028,13 @@ void ShardServer::Tick(sim::Cycle cycle) {
   // Force partial forwards whose merge timeout expired: a dead child costs
   // its subtree, never the ancestors (tree gather on a lossy fabric).
   for (auto it = merges_.begin(); it != merges_.end();) {
-    const uint64_t request_id = it->first;
-    const MergeState& m = it->second;
-    ++it;  // MaybeEmit erases the entry
-    if (m.timeout_at == 0 || cycle < m.timeout_at) continue;
+    if (it->second.timeout_at == 0 || cycle < it->second.timeout_at) {
+      ++it;
+      continue;
+    }
     ++merge_timeouts_;
-    MaybeEmit(request_id, /*force=*/true, cycle);
+    TryEmit(it->first, it->second, /*force=*/true, cycle);
+    it = merges_.erase(it);
     progressed = true;
   }
 

@@ -576,17 +576,20 @@ class ShardServer : public sim::Module {
   /// The scatter shard a request slice belongs to: this server's, or the
   /// one a forwarded slice carries.
   uint32_t SliceShard(const net::Packet& req) const;
-  /// Returns the request's merge state (creating it, and arming its
-  /// timeout, on first touch).
-  MergeState& TouchMerge(uint64_t request_id, sim::Cycle cycle);
+  /// A fresh merge state first touched at `cycle` (merge timeout armed).
+  MergeState NewMerge(sim::Cycle cycle) const;
   /// Folds this server's own slice of `req`, served or rejected, into its
-  /// request's merge state and emits if the subtree is complete.
+  /// request's merge state and emits if the subtree is complete. A state
+  /// waits in merges_ only while its subtree is incomplete, so a childless
+  /// answer (every flat and switch one) never enters the map.
   void FoldOwn(const net::Packet& req, bool served, uint64_t response_bytes,
                sim::Cycle cycle);
-  /// Emits the request's merged answer upstream once its subtree is
-  /// complete, or regardless when `force` (merge timeout), and drops the
-  /// state; drops it unsent once the gather released its route.
-  void MaybeEmit(uint64_t request_id, bool force, sim::Cycle cycle);
+  /// Emits `m`, the request's merged answer, upstream once its subtree is
+  /// complete, or regardless when `force` (merge timeout). Returns true
+  /// when `m` is finished: emitted, or dropped because the gather already
+  /// released its route.
+  bool TryEmit(uint64_t request_id, const MergeState& m, bool force,
+               sim::Cycle cycle);
   /// Posts the periodic liveness beacon when elastic beacons are on.
   void TickBeacon(sim::Cycle cycle, bool* progressed);
   /// Streams the next paced migration chunk when this server is a source.
@@ -609,7 +612,8 @@ class ShardServer : public sim::Module {
   sim::Cycle done_at_ = 0;
   net::Packet serving_;             ///< The request in the pipeline.
   uint64_t serving_resp_bytes_ = 0;  ///< Its answer's payload.
-  std::map<uint64_t, MergeState> merges_;  ///< By request id.
+  /// Incomplete merge states by request id (tree-gather interior nodes).
+  std::map<uint64_t, MergeState> merges_;
   std::vector<PendingEmit> emits_;
 
   uint64_t served_ = 0;

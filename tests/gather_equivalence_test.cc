@@ -487,6 +487,7 @@ TEST(GatherEquivalenceTest, TreeForwardsMergesAndSwitchCombines) {
     std::vector<uint64_t> keys;
     for (uint64_t key = 0; key < 64; ++key) keys.push_back(key);
     cluster.Submit(wl.AddMultiGet(keys));
+    EXPECT_EQ(cluster.gather_plan().armed_requests(), 1u);
     ASSERT_TRUE(cluster.Run().ok());
     // Every participating shard emitted exactly one merged packet upstream.
     uint64_t forwarded = 0;
@@ -509,7 +510,12 @@ TEST(GatherEquivalenceTest, TreeForwardsMergesAndSwitchCombines) {
     cc.gather = sw;
     ShardCluster cluster(&wl, cc);
     cluster.Submit(wl.AddQuery(EquivDataset().QueryVector(0)));
+    // Switch gather is a one-node tree per shard: no per-request route.
+    EXPECT_EQ(cluster.gather_plan().armed_requests(), 0u);
     ASSERT_TRUE(cluster.Run().ok());
+    for (uint32_t s = 0; s < 8; ++s) {
+      EXPECT_EQ(cluster.server(s).merges_forwarded(), 0u);  // tree-only
+    }
     net::AggregatingSwitch* agg = cluster.agg_switch();
     ASSERT_NE(agg, nullptr);
     EXPECT_GT(agg->combines(), 0u);

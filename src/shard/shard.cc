@@ -512,8 +512,8 @@ void ShardCoordinator::HandleResponse(const net::Packet& p,
                                       sim::Cycle cycle) {
   const uint64_t request_id = p.user;
   const auto it = active_.find(request_id);
-  // A dead tag means the slice resolved (deadline) or was replayed to a
-  // promoted primary since this answer's slice shipped.
+  // A tagged answer whose tag died is stale: its slice already resolved,
+  // or was replayed to a promoted primary under a fresh tag.
   if (it == active_.end() ||
       (p.tag != 0 && tag_map_.find(p.tag) == tag_map_.end())) {
     ++late_responses_;

@@ -83,8 +83,8 @@ struct TopologyDecision {
 /// no response topology can buy back cycles the shards spend scanning.
 ///
 /// A tree pick also rides the request path down the same tree
-/// (ScatterMode::kTree, pipelined merge) whenever the request slices
-/// share bytes worth multicasting.
+/// (ScatterMode::kTree) whenever the request slices share bytes worth
+/// multicasting.
 class TopologyPlanner {
  public:
   /// Root-uplink occupancy (percent) below which the cluster is treated

@@ -38,7 +38,7 @@ class ChannelReader : public sim::Module {
     resp_->BindConsumer(this);
   }
 
-  void Tick(sim::Cycle cycle) override {
+  void Tick(sim::Cycle) override {
     bool progressed = false;
     while (to_issue_ > 0 && req_->CanWrite()) {
       mem::MemRequest r;

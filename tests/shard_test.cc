@@ -198,7 +198,9 @@ TEST(ShardKvsTest, MultiGetReturnsUnionOfShardStores) {
     EXPECT_TRUE(results[i].served);
     const bool should_hit = keys[i] % 3 != 0;
     EXPECT_EQ(results[i].hit, should_hit) << "key " << keys[i];
-    if (should_hit) EXPECT_EQ(results[i].value, keys[i] * 1000 + 7);
+    if (should_hit) {
+      EXPECT_EQ(results[i].value, keys[i] * 1000 + 7);
+    }
   }
 }
 

@@ -41,14 +41,27 @@ Result<IvfPqIndex> IvfPqIndex::Build(const std::vector<float>& vectors,
   IvfPqIndex index(dim, std::move(pq).value());
   index.coarse_table_ = CentroidTable(coarse->centroids.data(), options.nlist, dim);
   index.coarse_ = std::move(coarse->centroids);
+  // Size every list first, then write each code straight to its slot in
+  // the list's blocks (see List), in ascending id order.
+  const size_t m = index.pq_.m();
+  std::vector<size_t> sizes(options.nlist, 0);
+  for (uint32_t c : coarse->assignment) ++sizes[c];
   index.lists_.resize(options.nlist);
+  for (size_t c = 0; c < options.nlist; ++c) {
+    index.lists_[c].ids.reserve(sizes[c]);
+    index.lists_[c].codes.resize(sizes[c] * m);
+  }
   for (size_t i = 0; i < n; ++i) {
     const uint32_t c = coarse->assignment[i];
     List& list = index.lists_[c];
-    list.ids.push_back(static_cast<uint32_t>(i));
-    const std::vector<uint8_t> codes =
+    const size_t p = list.ids.size();
+    const size_t b = p - p % List::kBlock;
+    const size_t w = std::min(List::kBlock, sizes[c] - b);
+    uint8_t* slot = list.codes.data() + b * m + (p - b);
+    const std::vector<uint8_t> code =
         index.pq_.Encode(residuals.data() + i * dim);
-    list.codes.insert(list.codes.end(), codes.begin(), codes.end());
+    for (size_t j = 0; j < m; ++j) slot[j * w] = code[j];
+    list.ids.push_back(static_cast<uint32_t>(i));
   }
   if (options.store_vectors) index.stored_vectors_ = vectors;
   index.total_codes_ = n;
@@ -73,27 +86,67 @@ std::vector<uint32_t> IvfPqIndex::SelectProbes(const float* query,
   return probes;
 }
 
+namespace {
+
+// Scores one block of `w` <= List::kBlock codes (see IvfPqIndex::List):
+// out[l] = the ADC distance of the block's code l. Lanes are codes, never
+// sub-quantizers: each lane sums lut[j * ksub + code_j] for j = 0..m-1 from
+// 0, the expression and order of ProductQuantizer::AdcDistance, so every
+// distance is the same float.
+inline void ScoreBlock(const float* lut, size_t m, size_t ksub,
+                       const uint8_t* block, size_t w, float* out) {
+  float acc[IvfPqIndex::List::kBlock] = {};
+  for (size_t j = 0; j < m; ++j) {
+    const float* row = lut + j * ksub;
+    const uint8_t* codes = block + j * w;
+    for (size_t l = 0; l < w; ++l) acc[l] += row[codes[l]];
+  }
+  std::copy_n(acc, w, out);
+}
+
+}  // namespace
+
 std::vector<Neighbor> IvfPqIndex::SearchLists(
     const float* query, const std::vector<uint32_t>& lists, size_t k) const {
   FPGADP_CHECK(k > 0);
   using Entry = std::pair<float, uint32_t>;
+  constexpr size_t kBlock = List::kBlock;
   std::priority_queue<Entry> heap;  // max-heap of the best k
   std::vector<float> residual_query(dim_);
+  std::vector<float> dists;
+  const size_t m = pq_.m();
+  const size_t ksub = pq_.ksub();
   for (uint32_t c : lists) {
     const List& list = lists_[c];
-    if (list.ids.empty()) continue;
+    const size_t len = list.ids.size();
+    if (len == 0) continue;
     // Residual of the query against this list's centroid.
     const float* ctr = coarse_.data() + c * dim_;
     for (size_t d = 0; d < dim_; ++d) residual_query[d] = query[d] - ctr[d];
     const std::vector<float> lut = pq_.BuildLut(residual_query.data());
-    const size_t m = pq_.m();
-    for (size_t i = 0; i < list.ids.size(); ++i) {
-      const float d = pq_.AdcDistance(lut, list.codes.data() + i * m);
-      if (heap.size() < k) {
-        heap.emplace(d, list.ids[i]);
-      } else if (d < heap.top().first) {
+    dists.resize(len);
+    // Full blocks pass the constant width, so their lane loop has a fixed
+    // trip count the compiler unrolls and vectorizes across lanes.
+    size_t b = 0;
+    for (; b + kBlock <= len; b += kBlock) {
+      ScoreBlock(lut.data(), m, ksub, list.codes.data() + b * m, kBlock,
+                 dists.data() + b);
+    }
+    if (b < len) {
+      ScoreBlock(lut.data(), m, ksub, list.codes.data() + b * m, len - b,
+                 dists.data() + b);
+    }
+    // Top-k in list order: push while the heap holds fewer than k, then
+    // replace the worst only on a strictly smaller distance: a candidate
+    // that ties the worst is dropped.
+    size_t i = 0;
+    for (; i < len && heap.size() < k; ++i) heap.emplace(dists[i], list.ids[i]);
+    float worst = heap.top().first;
+    for (; i < len; ++i) {
+      if (dists[i] < worst) {
         heap.pop();
-        heap.emplace(d, list.ids[i]);
+        heap.emplace(dists[i], list.ids[i]);
+        worst = heap.top().first;
       }
     }
   }

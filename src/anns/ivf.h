@@ -46,10 +46,16 @@ class IvfPqIndex {
   static Result<IvfPqIndex> Build(const std::vector<float>& vectors,
                                   size_t dim, const Options& options);
 
-  /// Exact-layout accessor for the accelerator model.
+  /// One inverted list, ids ascending. Its ids.size() * m code bytes sit in
+  /// blocks of kBlock codes, sub-quantizer-major inside a block, so a scan
+  /// scores a block's codes side by side: byte j of the code at position p
+  /// is codes[b * m + j * w + (p - b)], with b = p - p % kBlock and
+  /// w = min(kBlock, ids.size() - b). The last block is only as wide as the
+  /// codes left.
   struct List {
+    static constexpr size_t kBlock = 8;
     std::vector<uint32_t> ids;
-    std::vector<uint8_t> codes;  ///< ids.size() * m bytes.
+    std::vector<uint8_t> codes;
   };
 
   /// CPU IVF-PQ search: coarse scan, probe `nprobe` lists with per-list ADC
@@ -60,6 +66,8 @@ class IvfPqIndex {
 
   /// ADC scan restricted to the given inverted lists: per-list residual
   /// LUTs, heap-select the `k` closest codes, sorted by (distance, id).
+  /// Scores a block of codes at once, each distance the same float
+  /// ProductQuantizer::AdcDistance returns for that code.
   /// Search() is SearchLists() over SelectProbes(); a sharded deployment
   /// calls it per shard and merges, since each candidate's distance depends
   /// only on its own list's LUT.

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <queue>
+#include <utility>
 
 #include "src/anns/dataset.h"
 #include "src/anns/kmeans.h"
@@ -577,6 +579,115 @@ TEST(IvfTest, SelectProbesMatchesScalarLoop) {
       }
       EXPECT_EQ(index->SelectProbes(query, nprobe), want);
     }
+  }
+}
+
+/// The row-major scan SearchLists replaces, kept as an independent oracle:
+/// each listed vector's code re-derived with Encode(base - centroid) and
+/// scored with AdcDistance, top-k by the priority_queue rule (push while
+/// fewer than k, else replace on a strictly smaller distance).
+std::vector<Neighbor> RowMajorScan(const Dataset& data, const IvfPqIndex& index,
+                                   const float* query,
+                                   const std::vector<uint32_t>& lists, size_t k) {
+  const ProductQuantizer& pq = index.pq();
+  const size_t dim = index.dim();
+  std::priority_queue<std::pair<float, uint32_t>> heap;
+  std::vector<float> residual_query(dim);
+  std::vector<float> residual(dim);
+  for (uint32_t c : lists) {
+    const float* ctr = index.coarse_centroids().data() + c * dim;
+    for (size_t d = 0; d < dim; ++d) residual_query[d] = query[d] - ctr[d];
+    const std::vector<float> lut = pq.BuildLut(residual_query.data());
+    for (uint32_t id : index.list(c).ids) {
+      const float* v = data.BaseVector(id);
+      for (size_t d = 0; d < dim; ++d) residual[d] = v[d] - ctr[d];
+      const float dist = pq.AdcDistance(lut, pq.Encode(residual.data()).data());
+      if (heap.size() < k) {
+        heap.emplace(dist, id);
+      } else if (dist < heap.top().first) {
+        heap.pop();
+        heap.emplace(dist, id);
+      }
+    }
+  }
+  std::vector<Neighbor> out;
+  for (; !heap.empty(); heap.pop()) {
+    out.push_back({heap.top().second, heap.top().first});
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+TEST(IvfTest, SearchListsMatchesRowMajorScanBitwise) {
+  DatasetSpec spec = SmallSpec();  // dim 16
+  spec.num_base = 600;
+  Dataset data = MakeDataset(spec);
+  // Re-add every fourth vector under a new id: a duplicate lands in its
+  // twin's list with its twin's code, so equal distances meet at the k
+  // boundary. The queries include some of the duplicated vectors, whose
+  // own code is the nearest one in their list.
+  const size_t unique = data.num_base();
+  std::vector<float> dups;
+  for (size_t i = 0; i < unique; i += 4) {
+    dups.insert(dups.end(), data.BaseVector(i), data.BaseVector(i) + data.dim);
+  }
+  data.base.insert(data.base.end(), dups.begin(), dups.end());
+  data.queries.insert(data.queries.end(), dups.begin(), dups.begin() + 8 * data.dim);
+
+  IvfPqIndex::Options opts;
+  opts.nlist = 64;
+  opts.pq.train_iters = 4;
+  for (auto [m, ksub] : {std::pair<size_t, size_t>{1, 7}, {4, 32}, {8, 32}, {16, 256}}) {
+    SCOPED_TRACE(testing::Message() << "m=" << m << " ksub=" << ksub);
+    opts.pq.m = m;
+    opts.pq.ksub = ksub;
+    auto index = IvfPqIndex::Build(data.base, data.dim, opts);
+    ASSERT_TRUE(index.ok());
+    // Every tail width, and lists shorter than one block.
+    std::vector<bool> residue_seen(IvfPqIndex::List::kBlock, false);
+    bool short_list = false;
+    std::vector<uint32_t> all_lists;
+    for (uint32_t c = 0; c < opts.nlist; ++c) {
+      const size_t len = index->list(c).ids.size();
+      ASSERT_EQ(index->list(c).codes.size(), len * m);
+      ASSERT_TRUE(std::is_sorted(index->list(c).ids.begin(), index->list(c).ids.end()));
+      if (len == 0) continue;
+      residue_seen[len % IvfPqIndex::List::kBlock] = true;
+      short_list |= len < IvfPqIndex::List::kBlock;
+      all_lists.push_back(c);
+    }
+    ASSERT_EQ(std::count(residue_seen.begin(), residue_seen.end(), true),
+              IvfPqIndex::List::kBlock);
+    ASSERT_TRUE(short_list);
+
+    size_t boundary_ties = 0;
+    for (size_t q = 0; q < data.num_queries(); ++q) {
+      const float* query = data.QueryVector(q);
+      for (const std::vector<uint32_t>& lists :
+           {index->SelectProbes(query, 4), index->SelectProbes(query, 16), all_lists}) {
+        size_t candidates = 0;
+        for (uint32_t c : lists) candidates += index->list(c).ids.size();
+        const std::vector<Neighbor> ranked =
+            RowMajorScan(data, *index, query, lists, candidates);
+        for (size_t k : {size_t{1}, size_t{10}, candidates + 1}) {
+          SCOPED_TRACE(testing::Message() << "q=" << q << " lists=" << lists.size()
+                                          << " k=" << k);
+          const std::vector<Neighbor> want = RowMajorScan(data, *index, query, lists, k);
+          const std::vector<Neighbor> got = index->SearchLists(query, lists, k);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].id, want[i].id) << "rank " << i;
+            ASSERT_TRUE(SameBits(got[i].distance, want[i].distance))
+                << "rank " << i << ": " << got[i].distance << " vs "
+                << want[i].distance;
+          }
+          if (k < candidates && ranked[k - 1].distance == ranked[k].distance) {
+            ++boundary_ties;
+          }
+        }
+      }
+    }
+    EXPECT_GT(boundary_ties, 0u);
   }
 }
 

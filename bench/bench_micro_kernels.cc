@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "src/anns/dataset.h"
+#include "src/anns/ivf.h"
 #include "src/anns/kmeans.h"
 #include "src/anns/topk.h"
+#include "src/common/check.h"
 #include "src/common/random.h"
 #include "src/relational/cipher.h"
 #include "src/relational/compression.h"
@@ -19,6 +21,7 @@
 #include "src/relational/queries.h"
 #include "src/relational/sketches.h"
 #include "src/relational/table.h"
+#include "src/shard/partitioner.h"
 #include "src/sim/engine.h"
 #include "src/sim/kernels.h"
 
@@ -91,21 +94,59 @@ void BM_LzCompress(benchmark::State& state) {
 }
 BENCHMARK(BM_LzCompress)->Arg(1 << 16);
 
-void BM_PqAdcDistance(benchmark::State& state) {
-  // 16 sub-quantizers, 256 centroids: one code-vector distance per iter.
-  std::vector<float> lut(16 * 256);
-  Rng rng(5);
-  for (auto& v : lut) v = float(rng.NextDouble());
-  std::vector<uint8_t> codes(16);
-  for (auto& c : codes) c = uint8_t(rng.NextBounded(256));
-  for (auto _ : state) {
-    float d = 0;
-    for (size_t j = 0; j < 16; ++j) d += lut[j * 256 + codes[j]];
-    benchmark::DoNotOptimize(d);
-  }
-  state.SetItemsProcessed(state.iterations());
+// IvfPqIndex::SearchLists over one shard's slice, at the perfbench
+// anns_fanout shape: 100k x 32 corpus, nlist 64, PQ 8 x 32, the probes of
+// one query at nprobe 32 that hash to shard 0 of 8, top-10. The
+// time_per_code counter is host time per scanned code, LUT builds and top-k
+// included.
+struct AnnsFanoutIndex {
+  anns::Dataset data;
+  anns::IvfPqIndex index;
+};
+
+const AnnsFanoutIndex& FanoutIndex() {
+  static const AnnsFanoutIndex fixture = [] {
+    anns::DatasetSpec spec;
+    spec.num_base = 100000;
+    spec.num_queries = 1;
+    spec.dim = 32;
+    spec.num_clusters = 32;
+    spec.cluster_stddev = 0.3f;
+    spec.seed = 29;
+    anns::Dataset data = anns::MakeDataset(spec);
+    anns::IvfPqIndex::Options io;
+    io.nlist = 64;
+    io.pq.m = 8;
+    io.pq.ksub = 32;
+    io.pq.train_iters = 6;
+    auto index = anns::IvfPqIndex::Build(data.base, data.dim, io);
+    FPGADP_CHECK(index.ok());
+    return AnnsFanoutIndex{std::move(data), std::move(index).value()};
+  }();
+  return fixture;
 }
-BENCHMARK(BM_PqAdcDistance);
+
+void BM_SearchLists(benchmark::State& state) {
+  const AnnsFanoutIndex& fx = FanoutIndex();
+  const float* query = fx.data.QueryVector(0);
+  const shard::Partitioner shards = shard::Partitioner::Hash(8);
+  std::vector<uint32_t> slice;
+  uint64_t codes = 0;
+  for (uint32_t list : fx.index.SelectProbes(query, 32)) {
+    if (shards.OwnerOf(list) != 0) continue;
+    slice.push_back(list);
+    codes += fx.index.list(list).ids.size();
+  }
+  for (auto _ : state) {
+    auto top = fx.index.SearchLists(query, slice, 10);
+    benchmark::DoNotOptimize(top.data());
+  }
+  state.SetItemsProcessed(state.iterations() * codes);
+  state.counters["time_per_code"] = benchmark::Counter(
+      double(codes), benchmark::Counter::kIsIterationInvariantRate |
+                         benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SearchLists);
 
 // One vector against every centroid of a k x d table, the inner step of
 // k-means assignment, PQ encoding, LUT builds and probe selection: the

@@ -1,31 +1,95 @@
 #include "src/relational/fpga_executor.h"
 
 #include <algorithm>
-#include <map>
+#include <deque>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/units.h"
-#include "src/relational/agg_state.h"
 #include "src/sim/engine.h"
 #include "src/sim/kernels.h"
+#include "src/sim/module.h"
+#include "src/sim/stream.h"
 
 namespace fpgadp::rel {
 
-OpKernel::OpKernel(std::string name, sim::Stream<Beat>* in,
-                   sim::Stream<Beat>* out, ProcessFn fn, uint32_t lanes,
-                   uint32_t latency)
-    : sim::Module(std::move(name)), in_(in), out_(out), fn_(std::move(fn)),
-      lanes_(lanes), latency_(latency) {
-  FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
-  FPGADP_CHECK(lanes_ > 0);
-  in_->BindConsumer(this);
-  out_->BindProducer(this);
-}
+namespace {
 
-void OpKernel::Tick(sim::Cycle cycle) {
+/// A tuple beat on the datapath: one Row plus the `last` sideband an RTL
+/// design carries to signal end-of-stream (what lets aggregation kernels
+/// flush without knowing the input cardinality up front).
+struct Beat {
+  Row row;
+  bool eos = false;
+};
+
+/// A streaming operator stage: consumes up to `lanes` beats per cycle (II=1
+/// per lane), pushes each beat's row through `Stage` (an Operator or a
+/// JoinProbe), and retires the rows it emits into the output stream after
+/// `latency` cycles at up to `lanes` beats/cycle. The end-of-stream beat
+/// calls the stage's Finish, whose rows go out ahead of it. The kernel owns
+/// the timing (II, lanes, latency, emit gate); the stage alone decides which
+/// rows come out.
+template <typename Stage>
+class OpKernel : public sim::Module {
+ public:
+  OpKernel(std::string name, sim::Stream<Beat>* in, sim::Stream<Beat>* out,
+           Stage stage, uint32_t lanes, uint32_t latency)
+      : sim::Module(std::move(name)), in_(in), out_(out),
+        stage_(std::move(stage)), lanes_(lanes), latency_(latency) {
+    FPGADP_CHECK(in_ != nullptr && out_ != nullptr);
+    FPGADP_CHECK(lanes_ > 0);
+    in_->BindConsumer(this);
+    out_->BindProducer(this);
+  }
+
+  void Tick(sim::Cycle cycle) override;
+  bool Idle() const override { return emit_.empty(); }
+
+  /// Empty emit queue: reactive. Otherwise the front beat retires when its
+  /// pipeline latency elapses.
+  sim::Cycle NextEventCycle(sim::Cycle now) const override {
+    if (emit_.empty()) return sim::kNoEventCycle;
+    return emit_.front().first > now ? emit_.front().first : now;
+  }
+
+ protected:
+  void AttributeSkip(sim::Cycle from, sim::Cycle to) override {
+    // Serial waiting branches: no input and nothing in flight is
+    // starvation; beats in the latency shadow are idle (backfilled).
+    if (emit_.empty()) {
+      MarkStallN(sim::StallKind::kInputStarved, to - from);
+    }
+  }
+
+ private:
+  /// Runs one input beat through the stage; what it emits retires at
+  /// `ready`.
+  void Issue(const Beat& b, sim::Cycle ready) {
+    scratch_.clear();
+    if (b.eos) {
+      stage_.Finish(scratch_);
+    } else {
+      stage_.Push(std::span<const Row>(&b.row, 1), scratch_);
+    }
+    for (const Row& r : scratch_) emit_.emplace_back(ready, Beat{r, false});
+    if (b.eos) emit_.emplace_back(ready, b);
+  }
+
+  sim::Stream<Beat>* in_;
+  sim::Stream<Beat>* out_;
+  Stage stage_;
+  uint32_t lanes_;
+  uint32_t latency_;
+  std::deque<std::pair<sim::Cycle, Beat>> emit_;
+  std::vector<Row> scratch_;
+};
+
+template <typename Stage>
+void OpKernel<Stage>::Tick(sim::Cycle cycle) {
   bool progressed = false;
   // Retire ready beats, burst-written per contiguous free run.
   uint32_t retired = 0;
@@ -55,15 +119,9 @@ void OpKernel::Tick(sim::Cycle cycle) {
     const size_t limit = std::min<size_t>(lanes_ - issued, src.size());
     size_t taken = 0;
     while (taken < limit && emit_.size() < gate) {
-      scratch_.clear();
-      fn_(src[taken], scratch_);
-      ++taken;
-      for (Beat& out_beat : scratch_) {
-        emit_.emplace_back(cycle + latency_, out_beat);
-      }
+      Issue(src[taken++], cycle + latency_);
     }
     in_->ConsumeRead(taken);
-    consumed_ += taken;
     issued += static_cast<uint32_t>(taken);
     progressed = progressed || taken > 0;
     if (taken < limit) break;  // emit gate closed mid-burst
@@ -80,106 +138,6 @@ void OpKernel::Tick(sim::Cycle cycle) {
   }
 }
 
-namespace {
-
-/// Builds the ProcessFn implementing one operator descriptor.
-OpKernel::ProcessFn MakeOpProcessFn(const OpDesc& op) {
-  if (const auto* f = std::get_if<FilterOp>(&op)) {
-    FilterOp filter = *f;
-    return [filter](const Beat& b, std::vector<Beat>& out) {
-      if (b.eos) {
-        out.push_back(b);
-        return;
-      }
-      for (const Predicate& p : filter.conjuncts) {
-        if (!p.Eval(b.row)) return;
-      }
-      out.push_back(b);
-    };
-  }
-  if (const auto* p = std::get_if<ProjectOp>(&op)) {
-    ProjectOp project = *p;
-    return [project](const Beat& b, std::vector<Beat>& out) {
-      if (b.eos) {
-        out.push_back(b);
-        return;
-      }
-      Beat o;
-      for (size_t i = 0; i < project.columns.size(); ++i) {
-        o.row.Set(i, b.row.Get(project.columns[i]));
-      }
-      out.push_back(o);
-    };
-  }
-  if (const auto* a = std::get_if<AggregateOp>(&op)) {
-    AggregateOp agg = *a;
-    auto state = std::make_shared<AggState>();
-    return [agg, state](const Beat& b, std::vector<Beat>& out) {
-      if (!b.eos) {
-        state->Add(b.row, agg);
-        return;
-      }
-      Beat result;
-      state->Finish(agg, result.row, 0);
-      out.push_back(result);
-      out.push_back(Beat{{}, /*eos=*/true});
-    };
-  }
-  if (const auto* g = std::get_if<GroupByOp>(&op)) {
-    auto groups = std::make_shared<std::map<int64_t, AggState>>();
-    GroupByOp groupby = *g;
-    return [groupby, groups](const Beat& b, std::vector<Beat>& out) {
-      if (!b.eos) {
-        (*groups)[b.row.Get(groupby.group_column)].Add(b.row, groupby.agg);
-        return;
-      }
-      for (const auto& [key, state] : *groups) {
-        Beat r;
-        r.row.Set(0, key);
-        state.Finish(groupby.agg, r.row, 1);
-        out.push_back(r);
-      }
-      out.push_back(Beat{{}, /*eos=*/true});
-    };
-  }
-  // Top-N: the systolic K-selection queue as a relational operator. One
-  // insertion per beat (II=1); the sorted cell line flushes on EOS.
-  const auto& t = std::get<TopNOp>(op);
-  TopNOp topn = t;
-  auto cells = std::make_shared<std::vector<Row>>();
-  cells->reserve(topn.n);
-  return [topn, cells](const Beat& b, std::vector<Beat>& out) {
-    auto key_less = [&topn](const Row& a, const Row& b2) {
-      if (topn.is_double) {
-        const double ka = a.GetDouble(topn.order_column);
-        const double kb = b2.GetDouble(topn.order_column);
-        return topn.ascending ? ka < kb : ka > kb;
-      }
-      const int64_t ka = a.Get(topn.order_column);
-      const int64_t kb = b2.Get(topn.order_column);
-      return topn.ascending ? ka < kb : ka > kb;
-    };
-    if (!b.eos) {
-      std::vector<Row>& c = *cells;
-      if (c.size() < topn.n) {
-        c.push_back(b.row);
-      } else if (key_less(b.row, c.back())) {
-        c.back() = b.row;
-      } else {
-        return;  // rejected at the tail cell
-      }
-      // Bubble into place; equal keys never swap => stable.
-      for (size_t i = c.size() - 1; i > 0; --i) {
-        if (!key_less(c[i], c[i - 1])) break;
-        std::swap(c[i], c[i - 1]);
-      }
-      return;
-    }
-    for (const Row& r : *cells) out.push_back(Beat{r, false});
-    out.push_back(Beat{{}, /*eos=*/true});
-  };
-}
-
 /// Converts a table into the beat sequence fed to a pipeline (rows + EOS).
 std::vector<Beat> TableToBeats(const Table& t) {
   std::vector<Beat> beats;
@@ -189,12 +147,13 @@ std::vector<Beat> TableToBeats(const Table& t) {
   return beats;
 }
 
-/// Runs source -> kernels -> sink and assembles stats.
-Result<FpgaRunStats> RunPipeline(
-    const Table& input, const Schema& out_schema,
-    const std::vector<OpKernel::ProcessFn>& fns, const FpgaOptions& options,
-    uint64_t extra_cycles) {
-  const size_t n_stages = fns.size();
+/// Runs source -> one kernel per stage -> sink and assembles stats.
+template <typename Stage>
+Result<FpgaRunStats> RunPipeline(const Table& input, const Schema& out_schema,
+                                 std::vector<Stage> stages,
+                                 const FpgaOptions& options,
+                                 uint64_t extra_cycles) {
+  const size_t n_stages = stages.size();
   std::vector<std::unique_ptr<sim::Stream<Beat>>> streams;
   for (size_t i = 0; i <= n_stages; ++i) {
     streams.push_back(std::make_unique<sim::Stream<Beat>>(
@@ -202,11 +161,11 @@ Result<FpgaRunStats> RunPipeline(
   }
   sim::VectorSource<Beat> source("source", TableToBeats(input),
                                  streams.front().get(), options.lanes);
-  std::vector<std::unique_ptr<OpKernel>> kernels;
+  std::vector<std::unique_ptr<OpKernel<Stage>>> kernels;
   for (size_t i = 0; i < n_stages; ++i) {
-    kernels.push_back(std::make_unique<OpKernel>(
+    kernels.push_back(std::make_unique<OpKernel<Stage>>(
         "op" + std::to_string(i), streams[i].get(), streams[i + 1].get(),
-        fns[i], options.lanes, options.kernel_latency));
+        std::move(stages[i]), options.lanes, options.kernel_latency));
   }
   sim::VectorSink<Beat> sink("sink", streams.back().get(), options.lanes);
 
@@ -242,61 +201,27 @@ Result<FpgaRunStats> ExecuteFpga(const Program& program, const Table& input,
   }
   FPGADP_RETURN_NOT_OK(program.Validate(input.schema()));
   const Schema out_schema = program.OutputSchema(input.schema());
-  std::vector<OpKernel::ProcessFn> fns;
-  for (const OpDesc& op : program.ops) fns.push_back(MakeOpProcessFn(op));
-  if (fns.empty()) {
-    // Identity program: a single pass-through stage keeps the plumbing
-    // uniform.
-    fns.push_back([](const Beat& b, std::vector<Beat>& out) {
-      out.push_back(b);
-    });
-  }
-  return RunPipeline(input, out_schema, fns, options, /*extra_cycles=*/0);
+  // No filter fuses here: every operator is its own stage. An identity
+  // program keeps the plumbing uniform with one pass-through stage, a
+  // filter with no conjuncts.
+  std::vector<Operator> stages;
+  for (const OpDesc& op : program.ops) stages.emplace_back(op);
+  if (stages.empty()) stages.emplace_back(FilterOp{});
+  return RunPipeline(input, out_schema, std::move(stages), options,
+                     /*extra_cycles=*/0);
 }
 
 Result<FpgaRunStats> HashJoinFpga(const Table& left, const Table& right,
                                   const JoinSpec& spec,
                                   const FpgaOptions& options) {
-  if (spec.left_key >= left.schema().num_columns()) {
-    return Status::InvalidArgument("left join key out of range");
-  }
-  if (spec.right_key >= right.schema().num_columns()) {
-    return Status::InvalidArgument("right join key out of range");
-  }
+  Result<Schema> out_schema = JoinSchema(left.schema(), right.schema(), spec);
+  if (!out_schema.ok()) return out_schema.status();
   // Build phase: the BRAM hash table fills at one tuple per cycle.
-  auto build = std::make_shared<std::unordered_map<int64_t, Row>>();
-  build->reserve(left.num_rows());
-  for (const Row& r : left.rows()) (*build)[r.Get(spec.left_key)] = r;
+  std::vector<JoinProbe> probe;
+  probe.emplace_back(left, right.schema().num_columns(), spec);
   const uint64_t build_cycles = left.num_rows();
-
-  std::vector<Field> fields = left.schema().fields();
-  for (const Field& f : right.schema().fields()) {
-    if (fields.size() == kMaxColumns) break;
-    fields.push_back(f);
-  }
-  const Schema out_schema{std::vector<Field>(fields)};
-  const size_t left_cols = left.schema().num_columns();
-  const size_t right_cols = right.schema().num_columns();
-  const JoinSpec s = spec;
-
-  OpKernel::ProcessFn probe = [build, s, left_cols, right_cols](
-                                  const Beat& b, std::vector<Beat>& out) {
-    if (b.eos) {
-      out.push_back(b);
-      return;
-    }
-    auto it = build->find(b.row.Get(s.right_key));
-    if (it == build->end()) return;
-    Beat joined;
-    joined.row = it->second;
-    size_t slot = left_cols;
-    for (size_t c = 0; c < right_cols && slot < kMaxColumns; ++c, ++slot) {
-      joined.row.Set(slot, b.row.Get(c));
-    }
-    out.push_back(joined);
-  };
-
-  return RunPipeline(right, out_schema, {probe}, options, build_cycles);
+  return RunPipeline(right, *out_schema, std::move(probe), options,
+                     build_cycles);
 }
 
 }  // namespace fpgadp::rel

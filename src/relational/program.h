@@ -78,8 +78,9 @@ struct GroupByOp {
 
 /// ORDER BY <column> LIMIT <n>: keeps the n smallest (ascending) or largest
 /// (descending) rows by the order column, output sorted. Ties keep arrival
-/// order (stable). On the FPGA this is the systolic K-selection queue run
-/// as a relational operator.
+/// order (stable). On the FPGA its kernel has the systolic K-selection
+/// queue's timing: one insertion per beat, the n rows flushed at end of
+/// stream.
 struct TopNOp {
   uint32_t order_column = 0;
   bool is_double = false;

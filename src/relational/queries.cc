@@ -3,16 +3,13 @@
 namespace fpgadp::rel {
 
 Program MakeQ1Lite() {
-  Program prog;
   GroupByOp g;
   g.group_column = 2;  // cat
   g.agg = AggregateOp{AggKind::kSum, 4, false};  // sum(qty)
-  prog.ops.push_back(g);
-  return prog;
+  return Program{{g}};
 }
 
 Program MakeQ6Lite(double price_lo, double price_hi, int64_t max_qty) {
-  Program prog;
   FilterOp f;
   Predicate lo;
   lo.column = 3;
@@ -27,23 +24,18 @@ Program MakeQ6Lite(double price_lo, double price_hi, int64_t max_qty) {
   f.conjuncts.push_back(lo);
   f.conjuncts.push_back(hi);
   f.conjuncts.push_back(Predicate{4, CmpOp::kLt, max_qty});
-  prog.ops.push_back(f);
-  prog.ops.push_back(AggregateOp{AggKind::kSum, 3, true});  // sum(price)
-  return prog;
+  return Program{{f, AggregateOp{AggKind::kSum, 3, true}}};  // sum(price)
 }
 
 Program MakeTopExpensive(int64_t min_qty, uint32_t n) {
-  Program prog;
   FilterOp f;
   f.conjuncts.push_back(Predicate{4, CmpOp::kGe, min_qty});
-  prog.ops.push_back(f);
   TopNOp top;
   top.order_column = 3;
   top.is_double = true;
   top.ascending = false;
   top.n = n;
-  prog.ops.push_back(top);
-  return prog;
+  return Program{{f, top}};
 }
 
 }  // namespace fpgadp::rel

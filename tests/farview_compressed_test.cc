@@ -25,9 +25,7 @@ rel::Table CompressibleTable(uint64_t rows) {
 }
 
 rel::Program CountProgram() {
-  rel::Program prog;
-  prog.ops.push_back(rel::AggregateOp{rel::AggKind::kCount, 0, false});
-  return prog;
+  return rel::Program{{rel::AggregateOp{rel::AggKind::kCount, 0, false}}};
 }
 
 TEST(SerializeRowsTest, RoundTrips) {

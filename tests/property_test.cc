@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "src/common/random.h"
+#include "src/farview/farview.h"
 #include "src/memory/multi_channel.h"
 #include "src/microrec/engine.h"
 #include "src/microrec/model.h"
@@ -24,6 +25,7 @@
 #include "src/shard/shard.h"
 #include "src/shard/workloads.h"
 #include "src/sim/engine.h"
+#include "tests/reference_executor.h"
 
 #include <iterator>
 #include <map>
@@ -577,12 +579,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
 
 // ---------------------------------------------------------------------------
 // Differential executor suite: for each seed, build a random synthetic table
-// and a random relational program, run it through both the functional CPU
-// executor and the cycle-level FPGA pipeline, and require bit-identical
-// output relations. The FPGA path exercises the full simulation engine
-// (sources, OpKernels, sinks, streams), so this doubles as an end-to-end
-// differential test of the engine rework against a simple oracle.
+// and a random relational program, run it through the functional CPU
+// executor, the cycle-level FPGA pipeline and a Farview offload, and require
+// each output relation to equal the test-only reference executor's bit for
+// bit. The three paths share one Operator implementation, so the reference
+// (tests/reference_executor.h) is what checks operator semantics; the FPGA
+// path also exercises the full simulation engine (sources, kernels, sinks,
+// streams) and the Farview path the memory node's request handling.
 // ---------------------------------------------------------------------------
+
+using rel::reference::SameTable;
 
 /// Mutable view of the schema as ops are stacked, just enough to keep
 /// generated column references valid.
@@ -686,8 +692,11 @@ TEST_P(DifferentialSeed, CpuAndFpgaExecutorsAgree) {
   ColumnState state{{false, false, false, true, false}};
   const rel::Program program = RandomProgram(rng, state);
 
+  const rel::Table want = rel::reference::ReferenceExecute(program, table);
+
   auto cpu = rel::ExecuteCpu(program, table);
   ASSERT_TRUE(cpu.ok()) << cpu.status() << " for " << program.ToString();
+  EXPECT_TRUE(SameTable(*cpu, want)) << "ExecuteCpu, " << program.ToString();
 
   rel::FpgaOptions options;
   options.lanes = 1u << rng.NextBounded(3);       // 1 / 2 / 4
@@ -695,14 +704,16 @@ TEST_P(DifferentialSeed, CpuAndFpgaExecutorsAgree) {
   options.kernel_latency = 1 + uint32_t(rng.NextBounded(6));
   auto fpga = rel::ExecuteFpga(program, table, options);
   ASSERT_TRUE(fpga.ok()) << fpga.status() << " for " << program.ToString();
+  EXPECT_TRUE(SameTable(fpga->output, want))
+      << "ExecuteFpga, " << program.ToString() << " lanes " << options.lanes;
 
-  ASSERT_EQ(cpu->num_rows(), fpga->output.num_rows())
-      << "program " << program.ToString() << " lanes " << options.lanes;
-  ASSERT_EQ(cpu->schema().num_columns(), fpga->output.schema().num_columns());
-  for (size_t i = 0; i < cpu->num_rows(); ++i) {
-    ASSERT_EQ(cpu->row(i), fpga->output.row(i))
-        << "row " << i << " of " << program.ToString();
-  }
+  farview::FarviewSystem farview;
+  const uint64_t table_id = farview.LoadTable(table);
+  auto offloaded =
+      farview.RunOffloaded(table_id, farview.RegisterProgram(program));
+  ASSERT_TRUE(offloaded.ok()) << offloaded.status();
+  EXPECT_TRUE(SameTable(offloaded->result, want))
+      << "RunOffloaded, " << program.ToString();
 }
 
 TEST_P(DifferentialSeed, CpuAndFpgaHashJoinsAgree) {
@@ -727,17 +738,16 @@ TEST_P(DifferentialSeed, CpuAndFpgaHashJoinsAgree) {
   const rel::Table probe = rel::MakeSyntheticTable(spec);
 
   const rel::JoinSpec js{0, 1};  // dim.k == probe.key
+  const rel::Table want = rel::reference::NestedLoopJoin(dim, probe, js);
   auto cpu = rel::HashJoinCpu(dim, probe, js);
   ASSERT_TRUE(cpu.ok()) << cpu.status();
+  EXPECT_TRUE(SameTable(*cpu, want)) << "HashJoinCpu";
   rel::FpgaOptions options;
   options.lanes = 1u << rng.NextBounded(4);  // 1 / 2 / 4 / 8
   auto fpga = rel::HashJoinFpga(dim, probe, js, options);
   ASSERT_TRUE(fpga.ok()) << fpga.status();
-
-  ASSERT_EQ(cpu->num_rows(), fpga->output.num_rows());
-  for (size_t i = 0; i < cpu->num_rows(); ++i) {
-    ASSERT_EQ(cpu->row(i), fpga->output.row(i)) << "row " << i;
-  }
+  EXPECT_TRUE(SameTable(fpga->output, want))
+      << "HashJoinFpga, lanes " << options.lanes;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds100, DifferentialSeed, ::testing::Range(0, 100));

@@ -3,14 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/relational/agg_state.h"
+#include "src/relational/operators.h"
 #include "src/relational/program.h"
 #include "src/relational/table.h"
+#include "tests/reference_executor.h"
 
 namespace fpgadp::rel {
 namespace {
@@ -21,6 +21,17 @@ Table SmallTable() {
   spec.num_categories = 8;
   spec.seed = 5;
   return MakeSyntheticTable(spec);
+}
+
+Program OneOp(OpDesc op) {
+  Program p;
+  p.ops.push_back(std::move(op));
+  return p;
+}
+
+/// ExecuteCpu over the program that holds only `op`; an error aborts.
+Table RunOne(OpDesc op, const Table& input) {
+  return ExecuteCpu(OneOp(std::move(op)), input).value();
 }
 
 TEST(SyntheticTableTest, SchemaAndDeterminism) {
@@ -65,7 +76,7 @@ TEST(FilterTest, KeepsOnlyMatching) {
   Table t = SmallTable();
   FilterOp f;
   f.conjuncts.push_back(Predicate{2, CmpOp::kEq, 3});
-  Table out = FilterCpu(f, t);
+  Table out = RunOne(f, t);
   size_t expected = 0;
   for (const Row& r : t.rows()) {
     if (r.Get(2) == 3) ++expected;
@@ -80,14 +91,14 @@ TEST(FilterTest, ConjunctionNarrows) {
   one.conjuncts.push_back(Predicate{4, CmpOp::kGe, 10});
   FilterOp both = one;
   both.conjuncts.push_back(Predicate{4, CmpOp::kLe, 20});
-  EXPECT_LE(FilterCpu(both, t).num_rows(), FilterCpu(one, t).num_rows());
+  EXPECT_LE(RunOne(both, t).num_rows(), RunOne(one, t).num_rows());
 }
 
 TEST(ProjectTest, ReordersColumns) {
   Table t = SmallTable();
   ProjectOp p;
   p.columns = {4, 0};
-  Table out = ProjectCpu(p, t);
+  Table out = RunOne(p, t);
   ASSERT_EQ(out.schema().num_columns(), 2u);
   EXPECT_EQ(out.schema().field(0).name, "qty");
   EXPECT_EQ(out.schema().field(1).name, "id");
@@ -107,15 +118,15 @@ TEST(AggregateTest, SumCountMinMaxAvg) {
     expect_max = std::max(expect_max, r.Get(4));
   }
   AggregateOp sum{AggKind::kSum, 4, false};
-  EXPECT_EQ(AggregateCpu(sum, t).row(0).Get(0), expect_sum);
+  EXPECT_EQ(RunOne(sum, t).row(0).Get(0), expect_sum);
   AggregateOp cnt{AggKind::kCount, 0, false};
-  EXPECT_EQ(AggregateCpu(cnt, t).row(0).Get(0), 1000);
+  EXPECT_EQ(RunOne(cnt, t).row(0).Get(0), 1000);
   AggregateOp mn{AggKind::kMin, 4, false};
-  EXPECT_EQ(AggregateCpu(mn, t).row(0).Get(0), expect_min);
+  EXPECT_EQ(RunOne(mn, t).row(0).Get(0), expect_min);
   AggregateOp mx{AggKind::kMax, 4, false};
-  EXPECT_EQ(AggregateCpu(mx, t).row(0).Get(0), expect_max);
+  EXPECT_EQ(RunOne(mx, t).row(0).Get(0), expect_max);
   AggregateOp avg{AggKind::kAvg, 4, false};
-  EXPECT_NEAR(AggregateCpu(avg, t).row(0).GetDouble(0),
+  EXPECT_NEAR(RunOne(avg, t).row(0).GetDouble(0),
               double(expect_sum) / 1000.0, 1e-9);
 }
 
@@ -124,7 +135,7 @@ TEST(AggregateTest, DoubleSum) {
   double expect = 0;
   for (const Row& r : t.rows()) expect += r.GetDouble(3);
   AggregateOp sum{AggKind::kSum, 3, true};
-  EXPECT_DOUBLE_EQ(AggregateCpu(sum, t).row(0).GetDouble(0), expect);
+  EXPECT_DOUBLE_EQ(RunOne(sum, t).row(0).GetDouble(0), expect);
 }
 
 TEST(GroupByTest, PartitionIsExhaustiveAndSorted) {
@@ -132,7 +143,7 @@ TEST(GroupByTest, PartitionIsExhaustiveAndSorted) {
   GroupByOp g;
   g.group_column = 2;
   g.agg = AggregateOp{AggKind::kCount, 0, false};
-  Table out = GroupByCpu(g, t);
+  Table out = RunOne(g, t);
   int64_t total = 0;
   int64_t prev_key = INT64_MIN;
   for (const Row& r : out.rows()) {
@@ -213,12 +224,6 @@ TEST(HashJoinTest, RejectsBadKeys) {
 // Programs that cannot run over their input return InvalidArgument instead of
 // aborting.
 
-Program OneOp(OpDesc op) {
-  Program p;
-  p.ops.push_back(std::move(op));
-  return p;
-}
-
 TEST(ValidateTest, RejectsWhatCannotRunOverTheSchema) {
   Table t = SmallTable();  // 5 columns
   FilterOp filter9;
@@ -258,62 +263,18 @@ TEST(ValidateTest, RejectsWhatCannotRunOverTheSchema) {
 // The executor's exact output. ExecuteCpu runs a filter inside the scan of
 // the aggregate, group-by or top-N that follows it, keeps the top-N in a
 // bounded heap and groups in a hash map; every row and every float must be
-// what the plain composition, a stable sort and an ordered map give.
+// what the plain composition and the reference executor's stable sort and
+// ordered map give.
 
-::testing::AssertionResult SameTable(const Table& got, const Table& want) {
-  if (!(got.schema() == want.schema())) {
-    return ::testing::AssertionFailure() << "schemas differ";
-  }
-  if (got.num_rows() != want.num_rows()) {
-    return ::testing::AssertionFailure()
-           << got.num_rows() << " rows, want " << want.num_rows();
-  }
-  for (size_t i = 0; i < got.num_rows(); ++i) {
-    if (!(got.row(i) == want.row(i))) {
-      return ::testing::AssertionFailure() << "row " << i << " differs";
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
+using reference::SameTable;
 
-/// TopNCpu before the bounded heap, copied as it was.
-Table StableSortTopN(const TopNOp& op, const Table& input) {
-  // Stable sort keeps arrival order on ties, matching the systolic queue.
-  std::vector<size_t> order(input.num_rows());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  auto key_less = [&](size_t a, size_t b) {
-    if (op.is_double) {
-      const double ka = input.row(a).GetDouble(op.order_column);
-      const double kb = input.row(b).GetDouble(op.order_column);
-      return op.ascending ? ka < kb : ka > kb;
-    }
-    const int64_t ka = input.row(a).Get(op.order_column);
-    const int64_t kb = input.row(b).Get(op.order_column);
-    return op.ascending ? ka < kb : ka > kb;
-  };
-  std::stable_sort(order.begin(), order.end(), key_less);
+/// One Operator fed the whole of `input`, the way ExecuteCpu runs it, for
+/// the inputs Program::Validate turns away (a top-N that keeps no rows).
+Table PushThrough(const TopNOp& op, const Table& input) {
+  Operator stage(op);
   Table out(input.schema());
-  const size_t n = std::min<size_t>(op.n, order.size());
-  out.Reserve(n);
-  for (size_t i = 0; i < n; ++i) out.Append(input.row(order[i]));
-  return out;
-}
-
-/// GroupByCpu before the hash map, copied as it was.
-Table OrderedMapGroupBy(const GroupByOp& op, const Table& input) {
-  std::map<int64_t, AggState> groups;  // ordered => canonical output
-  for (const Row& r : input.rows()) {
-    groups[r.Get(op.group_column)].Add(r, op.agg);
-  }
-  Program helper;
-  helper.ops.push_back(op);
-  Table out(helper.OutputSchema(input.schema()));
-  for (const auto& [key, state] : groups) {
-    Row r;
-    r.Set(0, key);
-    state.Finish(op.agg, r, 1);
-    out.Append(r);
-  }
+  stage.Push(input.rows(), out.rows());
+  stage.Finish(out.rows());
   return out;
 }
 
@@ -358,18 +319,18 @@ TEST(FusedFilterTest, EqualsFilterThenOperatorOver50Seeds) {
     const Table t = MakeSyntheticTable(spec);
     Rng rng(seed * 7919);
     const FilterOp f = RandomFilter(rng);
-    const Table survivors = FilterCpu(f, t);
+    const Table survivors = RunOne(f, t);
     for (AggKind kind : kAllAggKinds) {
       for (bool is_double : {false, true}) {
         const AggregateOp agg{kind, is_double ? 3u : 4u, is_double};
         auto fused = ExecuteCpu(FilterThen(f, agg), t);
         ASSERT_TRUE(fused.ok()) << fused.status();
-        EXPECT_TRUE(SameTable(*fused, AggregateCpu(agg, survivors)));
+        EXPECT_TRUE(SameTable(*fused, RunOne(agg, survivors)));
 
         const GroupByOp g{2, agg};
         auto grouped = ExecuteCpu(FilterThen(f, g), t);
         ASSERT_TRUE(grouped.ok()) << grouped.status();
-        EXPECT_TRUE(SameTable(*grouped, GroupByCpu(g, survivors)));
+        EXPECT_TRUE(SameTable(*grouped, RunOne(g, survivors)));
       }
     }
     for (uint32_t column : {2u, 3u}) {
@@ -381,7 +342,7 @@ TEST(FusedFilterTest, EqualsFilterThenOperatorOver50Seeds) {
         top.n = 1 + static_cast<uint32_t>(rng.NextBounded(40));
         auto fused = ExecuteCpu(FilterThen(f, top), t);
         ASSERT_TRUE(fused.ok()) << fused.status();
-        EXPECT_TRUE(SameTable(*fused, TopNCpu(top, survivors)));
+        EXPECT_TRUE(SameTable(*fused, RunOne(top, survivors)));
       }
     }
   }
@@ -409,7 +370,8 @@ TEST(TopNTest, EqualsStableSortUnderHeavyTies) {
         top.is_double = column == 3;
         top.ascending = ascending;
         top.n = n;
-        EXPECT_TRUE(SameTable(TopNCpu(top, t), StableSortTopN(top, t)));
+        EXPECT_TRUE(SameTable(n == 0 ? PushThrough(top, t) : RunOne(top, t),
+                              reference::StableSortTopN(top, t)));
       }
     }
   }
@@ -425,7 +387,7 @@ TEST(GroupByTest, EqualsOrderedMapBitForBitOnSkewedGroups) {
   for (AggKind kind : kAllAggKinds) {
     for (bool is_double : {false, true}) {
       const GroupByOp g{2, AggregateOp{kind, is_double ? 3u : 4u, is_double}};
-      EXPECT_TRUE(SameTable(GroupByCpu(g, t), OrderedMapGroupBy(g, t)));
+      EXPECT_TRUE(SameTable(RunOne(g, t), reference::OrderedMapGroupBy(g, t)));
     }
   }
 }

@@ -14,6 +14,11 @@ Table SmallTable(uint64_t rows = 3000) {
   return MakeSyntheticTable(spec);
 }
 
+/// ExecuteCpu over the program that holds only `op`; an error aborts.
+Table RunTopN(const TopNOp& op, const Table& t) {
+  return ExecuteCpu(Program{{op}}, t).value();
+}
+
 void ExpectTablesEqual(const Table& a, const Table& b) {
   ASSERT_EQ(a.num_rows(), b.num_rows());
   for (size_t i = 0; i < a.num_rows(); ++i) {
@@ -26,7 +31,7 @@ TEST(TopNCpuTest, KeepsSmallestAscending) {
   TopNOp op;
   op.order_column = 1;  // key
   op.n = 20;
-  Table out = TopNCpu(op, t);
+  Table out = RunTopN(op, t);
   ASSERT_EQ(out.num_rows(), 20u);
   for (size_t i = 1; i < out.num_rows(); ++i) {
     EXPECT_LE(out.row(i - 1).Get(1), out.row(i).Get(1));
@@ -46,7 +51,7 @@ TEST(TopNCpuTest, DescendingKeepsLargest) {
   op.order_column = 4;  // qty
   op.ascending = false;
   op.n = 5;
-  Table out = TopNCpu(op, t);
+  Table out = RunTopN(op, t);
   ASSERT_EQ(out.num_rows(), 5u);
   for (size_t i = 1; i < out.num_rows(); ++i) {
     EXPECT_GE(out.row(i - 1).Get(4), out.row(i).Get(4));
@@ -59,7 +64,7 @@ TEST(TopNCpuTest, DoubleColumnOrdering) {
   op.order_column = 3;  // price
   op.is_double = true;
   op.n = 10;
-  Table out = TopNCpu(op, t);
+  Table out = RunTopN(op, t);
   for (size_t i = 1; i < out.num_rows(); ++i) {
     EXPECT_LE(out.row(i - 1).GetDouble(3), out.row(i).GetDouble(3));
   }
@@ -70,7 +75,7 @@ TEST(TopNCpuTest, NLargerThanInputKeepsAll) {
   TopNOp op;
   op.order_column = 0;
   op.n = 100;
-  EXPECT_EQ(TopNCpu(op, t).num_rows(), 7u);
+  EXPECT_EQ(RunTopN(op, t).num_rows(), 7u);
 }
 
 TEST(TopNCpuTest, TiesKeepArrivalOrder) {
@@ -85,7 +90,7 @@ TEST(TopNCpuTest, TiesKeepArrivalOrder) {
   TopNOp op;
   op.order_column = 0;
   op.n = 4;
-  Table out = TopNCpu(op, t);
+  Table out = RunTopN(op, t);
   // The four kept rows are k=0 rows in arrival order: seq 0,2,4,6.
   ASSERT_EQ(out.num_rows(), 4u);
   EXPECT_EQ(out.row(0).Get(1), 0);

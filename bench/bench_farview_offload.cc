@@ -4,15 +4,23 @@
 // aggregation into the disaggregated-memory node reduces data movement, and
 // the win over the fetch-all architecture grows as selectivity drops.
 // Shape to verify: offload >= 1x at selectivity 1.0, multiple-x as
-// selectivity -> 0, data movement ratio == selectivity. The bench exits
-// non-zero when a shape it checks fails: offloaded wire bytes equal result
-// rows x row bytes, offload and fetch-all return the same row count, the
-// speedup is >= 1x at selectivity 1.0 and does not fall as selectivity
-// drops. The perf ctest tier runs it as the E1 guard.
+// selectivity -> 0 until the memory node's DRAM scan bounds it, data
+// movement ratio == selectivity. Let F be the sum(qty) offload's cycles (the
+// scan floor: one row crosses the wire) and W one result chunk's wire time.
+// The bench exits non-zero when a shape it checks fails: offloaded wire
+// bytes equal result rows x row bytes, offload and fetch-all return the same
+// row count, every query sends at most ceil(result bytes / chunk) + 1
+// packets, no offload beats F, the most selective filter finishes within
+// F + W, the speedup is >= 1x at selectivity 1.0, and it does not fall as
+// selectivity drops except between two filters that both finish within
+// F + W (at the floor only the size of the last partial chunk differs). The
+// perf ctest tier runs it as the E1 guard.
 
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/table_printer.h"
 #include "src/farview/farview.h"
@@ -29,7 +37,8 @@ int main(int argc, char** argv) {
   std::cout << "table: 500k rows x 40 B, 2 DDR4 channels on the memory node,"
                " 100 Gbps fabric, seed 42\n\n";
 
-  farview::FarviewSystem system;
+  const farview::FarviewConfig config;
+  farview::FarviewSystem system(config);
   rel::SyntheticTableSpec spec;
   spec.num_rows = 500000;
   spec.seed = 42;
@@ -43,6 +52,7 @@ int main(int argc, char** argv) {
       shapes_hold = false;
     }
   };
+  std::vector<std::pair<std::string, uint64_t>> offload_cycles;
   // Checks the shapes every query shares; false if either run failed.
   auto check_query = [&](const std::string& name,
                          const Result<farview::QueryStats>& off,
@@ -56,9 +66,19 @@ int main(int argc, char** argv) {
            name + ": offloaded wire bytes != result rows x row bytes");
     expect(off->result.num_rows() == fetch->result.num_rows(),
            name + ": offload and fetch-all row counts differ");
+    const uint64_t chunk = config.result_chunk_bytes;
+    expect(off->result_packets <=
+               (off->result.total_bytes() + chunk - 1) / chunk + 1,
+           name + ": more packets than whole result chunks plus one");
+    offload_cycles.emplace_back(name, off->cycles);
     return true;
   };
-  double prev_speedup = 0;
+  struct FilterRun {
+    std::string name;
+    uint64_t cycles;
+    double speedup;
+  };
+  std::vector<FilterRun> filters;  // in falling selectivity
 
   TablePrinter t({"query", "selectivity", "wire (offload)", "wire (fetch)",
                   "offload ms", "fetch ms", "speedup"});
@@ -77,9 +97,7 @@ int main(int argc, char** argv) {
     if (sel == 1.0) {
       expect(speedup >= 1.0, name + ": offload slower than fetch-all at 1.0");
     }
-    expect(speedup >= prev_speedup,
-           name + ": speedup fell as selectivity dropped");
-    prev_speedup = speedup;
+    filters.push_back({name, off->cycles, speedup});
     t.AddRow({name,
               TablePrinter::Fmt(sel, 3),
               TablePrinter::FmtCount(off->wire_bytes),
@@ -94,14 +112,25 @@ int main(int argc, char** argv) {
   const uint64_t apid = system.RegisterProgram(agg);
   auto aoff = system.RunOffloaded(tid, apid);
   auto afetch = system.RunFetchAll(tid, apid);
-  if (check_query("sum(qty)", aoff, afetch)) {
-    t.AddRow({"sum(qty)", "1 row", TablePrinter::FmtCount(aoff->wire_bytes),
-              TablePrinter::FmtCount(afetch->wire_bytes),
-              TablePrinter::Fmt(aoff->seconds * 1e3, 3),
-              TablePrinter::Fmt(afetch->seconds * 1e3, 3),
-              TablePrinter::Fmt(afetch->seconds / aoff->seconds, 2) + "x"});
-  }
+  if (!check_query("sum(qty)", aoff, afetch)) return 1;
+  t.AddRow({"sum(qty)", "1 row", TablePrinter::FmtCount(aoff->wire_bytes),
+            TablePrinter::FmtCount(afetch->wire_bytes),
+            TablePrinter::Fmt(aoff->seconds * 1e3, 3),
+            TablePrinter::Fmt(afetch->seconds * 1e3, 3),
+            TablePrinter::Fmt(afetch->seconds / aoff->seconds, 2) + "x"});
   t.Print(std::cout);
+  const uint64_t floor = aoff->cycles;
+  const uint64_t at_floor =
+      floor + system.fabric().SerializationCycles(config.result_chunk_bytes);
+  expect(filters.back().cycles <= at_floor,
+         filters.back().name + ": most selective filter not at the scan floor");
+  for (size_t i = 1; i < filters.size(); ++i) {
+    const FilterRun& a = filters[i - 1];
+    const FilterRun& b = filters[i];
+    if (a.cycles <= at_floor && b.cycles <= at_floor) continue;
+    expect(b.speedup >= a.speedup,
+           b.name + ": speedup fell as selectivity dropped");
+  }
 
   // TPC-H-flavoured shapes (recognizable pushdown candidates).
   std::cout << "\n--- canned queries ---\n";
@@ -128,6 +157,9 @@ int main(int argc, char** argv) {
               TablePrinter::Fmt(fetch->seconds / off->seconds, 2) + "x"});
   }
   q.Print(std::cout);
+  for (const auto& [name, cycles] : offload_cycles) {
+    expect(cycles >= floor, name + ": offload beat the scan floor");
+  }
   std::cout << "\npaper expectation: offload wins grow as selectivity drops; "
                "aggregation, group-by\nand top-N pushdown move O(1)-ish bytes "
                "instead of the table. All shapes\nreproduce above.\n";

@@ -205,8 +205,9 @@ BENCHMARK(BM_SystolicTopK)->Arg(10)->Arg(100);
 
 // The relational CPU executor at the perfbench farview_scan shape: 500k
 // rows; filters at selectivity 1.0 (qty >= 1) and 0.04 (qty >= 49);
-// Q1-lite; Q6-lite; Top-10. The Farview memory node makes this one call
-// per offloaded query.
+// Q1-lite; Q6-lite; Top-10. It pushes the whole table through one
+// rel::Pipeline; the Farview memory node runs the same operator work, one
+// page's rows per push.
 const rel::Table& FarviewScanTable() {
   static const rel::Table table = [] {
     rel::SyntheticTableSpec spec;

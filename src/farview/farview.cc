@@ -6,6 +6,7 @@
 #include "src/common/check.h"
 #include "src/common/units.h"
 #include "src/relational/compression.h"
+#include "src/relational/cpu_executor.h"
 
 namespace fpgadp::farview {
 
@@ -29,6 +30,7 @@ MemoryNode::MemoryNode(std::string name, uint32_t node_id, net::Fabric* fabric,
     : sim::Module(std::move(name)), config_(config),
       endpoint_(this->name() + ".ep", node_id, fabric, config.reliability),
       dram_(this->name() + ".dram", config.ddr_channels, DdrConfig(config)) {
+  FPGADP_CHECK(config.result_chunk_bytes > 0 && config.pipeline_lanes > 0);
   for (uint32_t ch = 0; ch < dram_.num_channels(); ++ch) {
     dram_.request(ch).BindProducer(this);
     dram_.response(ch).BindConsumer(this);
@@ -71,29 +73,55 @@ void MemoryNode::StartJob(const Job& job) {
   current_ = job;
   job_active_ = true;
   const StoredTable& st = tables_.at(job.table_id);
-  const rel::Table& t = st.table;
-  row_bytes_ = t.schema().row_bytes();
-  tuples_total_ = t.num_rows();
-  tuples_arrived_ = 0;
-  tuples_processed_ = 0;
+  input_ = &st.table;
   // The scan touches the *stored* image: compressed tables read fewer
   // pages and the line-rate decompressor re-inflates the tuple stream.
   scan_bytes_ = st.stored_bytes;
   pages_total_ = (scan_bytes_ + config_.page_bytes - 1) / config_.page_bytes;
   pages_issued_ = 0;
   pages_arrived_ = 0;
-  // Materialize the surviving tuples up front (functional); the simulation
-  // streams their bytes out in proportion to scan progress, which is what
-  // the line-rate pipeline does on hardware.
+  pages_cleared_ = 0;
   const rel::Program& prog = programs_.at(job.program_id);
-  auto result = rel::ExecuteCpu(prog, t);
-  FPGADP_CHECK(result.ok());
-  pending_result_ = std::move(result).value();
-  result_bytes_ = pending_result_.total_bytes();
-  result_sent_ = 0;
+  pipeline_ = rel::Pipeline(prog);
+  answer_ = rel::Table(prog.OutputSchema(input_->schema()));
+  posted_bytes_ = 0;
 }
 
-void MemoryNode::Tick(sim::Cycle) {
+uint64_t MemoryNode::RowsIn(uint64_t pages) const {
+  // Exact whole rows for raw storage, amortized over the stored bytes for
+  // compressed storage.
+  const uint64_t bytes = pages * config_.page_bytes;
+  if (bytes >= scan_bytes_) return input_->num_rows();
+  return static_cast<uint64_t>(
+      static_cast<unsigned __int128>(input_->num_rows()) * bytes /
+      scan_bytes_);
+}
+
+sim::Cycle MemoryNode::PipeCycles(uint64_t page) const {
+  const uint64_t rows = RowsIn(page + 1) - RowsIn(page);
+  return (rows + config_.pipeline_lanes - 1) / config_.pipeline_lanes;
+}
+
+void MemoryNode::SendChunks(bool last) {
+  net::Packet resp;
+  resp.dst = current_.requester;
+  resp.kind = net::OpKind::kOffloadResp;
+  resp.tag = current_.tag;
+  const uint64_t answered = answer_.total_bytes();
+  while (answered - posted_bytes_ >= config_.result_chunk_bytes) {
+    resp.bytes = config_.result_chunk_bytes;
+    posted_bytes_ += resp.bytes;
+    endpoint_.PostPacket(resp);
+  }
+  if (last) {
+    resp.bytes = answered - posted_bytes_;
+    resp.user = 1;
+    posted_bytes_ = answered;
+    endpoint_.PostPacket(resp);
+  }
+}
+
+void MemoryNode::Tick(sim::Cycle cycle) {
   bool progressed = false;
   // Accept offload requests.
   net::Packet req;
@@ -122,63 +150,45 @@ void MemoryNode::Tick(sim::Cycle) {
     ++pages_issued_;
     progressed = true;
   }
-  // Collect arrived pages.
+  // Pages go through the pipeline in arrival order, one at a time: a page
+  // enters when it arrives or when the page ahead of it clears, whichever is
+  // later, and clears ceil(rows / lanes) cycles after it enters.
   for (uint32_t ch = 0; ch < dram_.num_channels(); ++ch) {
     while (dram_.response(ch).CanRead()) {
       (void)dram_.response(ch).Read();
+      if (pages_cleared_ == pages_arrived_) {
+        clear_at_ = cycle + PipeCycles(pages_arrived_);
+      }
       ++pages_arrived_;
       progressed = true;
     }
   }
-  // Tuples become available in proportion to the scanned fraction of the
-  // stored image (exact for raw storage, amortized for compressed).
-  const uint64_t arrived_bytes = pages_arrived_ * config_.page_bytes;
-  tuples_arrived_ = std::min<uint64_t>(
-      tuples_total_,
-      scan_bytes_ == 0
-          ? tuples_total_
-          : static_cast<uint64_t>(double(tuples_total_) *
-                                  double(arrived_bytes) / double(scan_bytes_)));
-
-  // Stream arrived tuples through the operator pipeline at line rate.
-  if (tuples_processed_ < tuples_arrived_) {
-    tuples_processed_ = std::min<uint64_t>(
-        tuples_arrived_, tuples_processed_ + config_.pipeline_lanes);
-    progressed = true;
-  }
-
-  // Stream surviving bytes back in chunks proportional to scan progress —
-  // the pipeline's output port runs concurrently with the scan, so network
-  // serialization overlaps DRAM time. (Aggregates produce ~all of their
-  // tiny output at end-of-stream; proportionality handles both shapes.)
-  const bool done =
-      tuples_processed_ == tuples_total_ && pages_arrived_ == pages_total_;
-  const uint64_t target =
-      done ? result_bytes_
-           : (tuples_total_ == 0
-                  ? result_bytes_
-                  : result_bytes_ * tuples_processed_ / tuples_total_);
-  while (result_sent_ < target ||
-         (done && result_sent_ == result_bytes_ && job_active_)) {
-    net::Packet resp;
-    resp.dst = current_.requester;
-    resp.kind = net::OpKind::kOffloadResp;
-    resp.tag = current_.tag;
-    resp.bytes = std::min<uint64_t>(config_.result_chunk_bytes,
-                                    target - result_sent_);
-    result_sent_ += resp.bytes;
-    const bool last = done && result_sent_ == result_bytes_;
-    resp.user = last ? 1 : 0;
-    endpoint_.PostPacket(resp);
-    progressed = true;
-    if (last) {
-      results_.emplace(current_.tag, std::move(pending_result_));
-      pending_result_ = rel::Table();
-      job_active_ = false;
-      break;
+  // A cleared page's survivors join the answer; full chunks leave.
+  const std::span<const rel::Row> rows(input_->rows());
+  while (pages_cleared_ < pages_arrived_ && clear_at_ <= cycle) {
+    const uint64_t begin = RowsIn(pages_cleared_);
+    pipeline_.Push(rows.subspan(begin, RowsIn(++pages_cleared_) - begin),
+                   answer_.rows());
+    if (pages_cleared_ < pages_arrived_) {
+      clear_at_ += PipeCycles(pages_cleared_);
     }
+    progressed = true;
   }
-  if (progressed) MarkBusy();
+  // The last page out of the pipeline ends the stream: the rows the
+  // operators held back join the answer, and the rest of it leaves.
+  const bool done = pages_cleared_ == pages_total_;
+  if (done) pipeline_.Finish(answer_.rows());
+  SendChunks(done);
+  if (done) {
+    results_.emplace(current_.tag, std::move(answer_));
+    answer_ = rel::Table();
+    pipeline_ = rel::Pipeline();
+    input_ = nullptr;
+    job_active_ = false;
+    progressed = true;
+  }
+  // The pipeline works through every cycle a page is in it.
+  if (progressed || pages_cleared_ < pages_arrived_) MarkBusy();
 }
 
 namespace {
@@ -239,6 +249,8 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
     uint64_t tag;
     uint32_t client;
     uint64_t payload = 0;
+    uint64_t packets = 0;
+    sim::Cycle first_at = 0;
     bool done = false;
     sim::Cycle done_at = 0;
   };
@@ -270,6 +282,7 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
         // Responses on one client endpoint may interleave across tags.
         for (auto& g : flight) {
           if (!g.done && g.client == f.client && resp.tag == g.tag) {
+            if (g.packets++ == 0) g.first_at = engine_.now();
             g.payload += resp.bytes;
             if (resp.user == 1) {
               g.done = true;
@@ -297,6 +310,8 @@ Result<std::vector<QueryStats>> FarviewSystem::RunOffloadedConcurrently(
     s.cycles = f.done_at - start;
     s.seconds = CyclesToSeconds(s.cycles, config_.clock_hz);
     s.wire_bytes = f.payload;
+    s.result_packets = f.packets;
+    s.first_result_cycles = f.first_at - start;
     out.push_back(std::move(s));
   }
   if (makespan_seconds != nullptr) {

@@ -1,6 +1,7 @@
 #ifndef FPGADP_FARVIEW_FARVIEW_H_
 #define FPGADP_FARVIEW_FARVIEW_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -12,7 +13,7 @@
 #include "src/memory/multi_channel.h"
 #include "src/net/fabric.h"
 #include "src/net/rdma.h"
-#include "src/relational/cpu_executor.h"
+#include "src/relational/operators.h"
 #include "src/relational/program.h"
 #include "src/relational/table.h"
 #include "src/sim/engine.h"
@@ -29,9 +30,12 @@ struct FarviewConfig {
   double ddr_bytes_per_sec = 19.2e9; ///< Per channel.
   double ddr_latency_ns = 90;
   uint32_t page_bytes = 4096;        ///< Scan granularity.
-  uint32_t result_chunk_bytes = 16384;  ///< Result packets stream out in
-                                        ///< chunks as the scan progresses
-                                        ///< (scan/network overlap).
+  uint32_t result_chunk_bytes = 16384;  ///< Payload of one result packet:
+                                        ///< one leaves whenever the node's
+                                        ///< send buffer holds this many
+                                        ///< survivor bytes, so the wire
+                                        ///< overlaps the scan; the remainder
+                                        ///< leaves with the end of stream.
   uint32_t pipeline_lanes = 8;       ///< Tuples/cycle through the operator
                                      ///< pipeline on the memory node (8 x
                                      ///< 40 B = a 512-bit-bus-class datapath,
@@ -50,12 +54,18 @@ struct QueryStats {
   uint64_t wire_bytes = 0;      ///< Payload bytes that crossed the network.
   uint64_t dram_bytes = 0;      ///< Bytes read from memory-node DRAM.
   double cpu_seconds = 0;       ///< Compute-node CPU time (baseline only).
+  uint64_t result_packets = 0;  ///< Response packets received (offload only).
+  uint64_t first_result_cycles = 0;  ///< Cycles until the first response
+                                     ///< packet arrived (offload only).
 };
 
 /// The smart-memory node: FPGA-attached DRAM serving RDMA reads, plus an
 /// operator pipeline that can run a rel::Program over a stored table at
 /// line rate while it streams out of DRAM — returning only the surviving
-/// bytes to the compute node.
+/// bytes to the compute node. Each arrived page's rows go through one
+/// rel::Pipeline; its survivors fill a send buffer that leaves in packets of
+/// `result_chunk_bytes`, and the rest of the answer (all of it for an
+/// aggregate, group-by or top-N) leaves at end of stream.
 class MemoryNode : public sim::Module {
  public:
   MemoryNode(std::string name, uint32_t node_id, net::Fabric* fabric,
@@ -83,15 +93,17 @@ class MemoryNode : public sim::Module {
   bool Idle() const override {
     return !job_active_ && jobs_.empty() && endpoint_.recv_available() == 0;
   }
-  /// A fixed-rate actor: acts each cycle while a job waits, tuples await
-  /// the pipeline, or the next page's channel has room; else it waits on a
-  /// page arrival, a FIFO drain (channels register after it) or a request.
+  /// Acts next cycle while a job waits or the next page's channel has
+  /// room, and at the cycle the oldest page in the operator pipeline clears
+  /// it; else it waits on a page arrival, a FIFO drain (channels register
+  /// after it) or a request.
   sim::Cycle NextEventCycle(sim::Cycle now) const override {
     if (!job_active_) return jobs_.empty() ? sim::kNoEventCycle : now;
     const auto ch = static_cast<uint32_t>(pages_issued_ % dram_.num_channels());
-    const bool can_issue =
-        pages_issued_ < pages_total_ && dram_.request(ch).CanWrite();
-    if (tuples_processed_ < tuples_arrived_ || can_issue) return now;
+    if (pages_issued_ < pages_total_ && dram_.request(ch).CanWrite()) {
+      return now;
+    }
+    if (pages_cleared_ < pages_arrived_) return std::max(now, clear_at_);
     return sim::kNoEventCycle;
   }
 
@@ -120,6 +132,13 @@ class MemoryNode : public sim::Module {
     return t;
   }
 
+ protected:
+  /// A skipped cycle with pages in the pipeline is one it works through:
+  /// the hint wakes the node no later than the oldest page's clear cycle.
+  void AttributeSkip(sim::Cycle from, sim::Cycle to) override {
+    if (pages_cleared_ < pages_arrived_) MarkBusyN(to - from);
+  }
+
  private:
   struct Job {
     uint32_t requester = 0;
@@ -129,6 +148,14 @@ class MemoryNode : public sim::Module {
   };
 
   void StartJob(const Job& job);
+  /// Input rows held by the first `pages` pages of the stored image.
+  uint64_t RowsIn(uint64_t pages) const;
+  /// Cycles page `page`'s rows take through the pipeline, `pipeline_lanes`
+  /// rows per cycle.
+  sim::Cycle PipeCycles(uint64_t page) const;
+  /// Posts a packet per full chunk of unsent answer bytes and, with `last`,
+  /// the remainder (possibly 0 bytes) flagged as the end of the answer.
+  void SendChunks(bool last);
 
   struct StoredTable {
     rel::Table table;
@@ -152,17 +179,16 @@ class MemoryNode : public sim::Module {
   std::deque<Job> jobs_;
   bool job_active_ = false;
   Job current_;
+  const rel::Table* input_ = nullptr;  // the job's stored table
   uint64_t pages_total_ = 0;
   uint64_t pages_issued_ = 0;
   uint64_t pages_arrived_ = 0;
-  uint64_t tuples_total_ = 0;
-  uint64_t tuples_arrived_ = 0;   // delivered by DRAM so far
-  uint64_t tuples_processed_ = 0; // pushed through the operator pipeline
-  uint64_t row_bytes_ = 0;
+  uint64_t pages_cleared_ = 0;    // through the operator pipeline
+  sim::Cycle clear_at_ = 0;       // when page `pages_cleared_` clears it
   uint64_t scan_bytes_ = 0;       // DRAM bytes this job scans (stored size)
-  uint64_t result_bytes_ = 0;     // total result payload for this job
-  uint64_t result_sent_ = 0;      // payload already streamed to the client
-  rel::Table pending_result_;     // materialized at job start
+  rel::Pipeline pipeline_;
+  rel::Table answer_;             // the job's answer so far
+  uint64_t posted_bytes_ = 0;     // answer bytes already sent
 };
 
 /// The full deployment — `num_clients` compute nodes and one smart-memory
@@ -212,6 +238,7 @@ class FarviewSystem {
 
   sim::Engine& engine() { return engine_; }
   MemoryNode& memory_node() { return *node_; }
+  const net::Fabric& fabric() const { return fabric_; }
 
   /// Makes the deployment's fabric lossy. Must be called before queries
   /// run; every RdmaEndpoint (clients and the memory node's) switches on

@@ -104,12 +104,4 @@ void LsmTree::MaybeCompact() {
   }
 }
 
-uint64_t LsmTree::total_entries() const {
-  uint64_t n = memtable_.size();
-  for (const auto& level : levels_) {
-    for (const SsTable& t : level) n += t.num_entries();
-  }
-  return n;
-}
-
 }  // namespace fpgadp::lsm

@@ -86,7 +86,6 @@ class LsmTree {
   const LsmStats& stats() const { return stats_; }
   size_t num_levels() const { return levels_.size(); }
   size_t level_tables(size_t level) const { return levels_[level].size(); }
-  uint64_t total_entries() const;
 
  private:
   void MaybeCompact();

@@ -32,17 +32,6 @@ MultiChannelMemory MultiChannelMemory::MakeHbm(const device::DeviceSpec& spec,
   return MultiChannelMemory("hbm", spec.memory.hbm_channels, cfg);
 }
 
-MultiChannelMemory MultiChannelMemory::MakeDdr(const device::DeviceSpec& spec,
-                                               double clock_hz) {
-  FPGADP_CHECK(spec.memory.ddr_channels > 0);
-  MemoryChannel::Config cfg;
-  cfg.latency_ns = spec.memory.ddr_latency_ns;
-  cfg.bytes_per_sec = spec.memory.ddr_bytes_per_sec;
-  cfg.clock_hz = clock_hz;
-  cfg.access_granularity = 64;
-  return MultiChannelMemory("ddr", spec.memory.ddr_channels, cfg);
-}
-
 void MultiChannelMemory::RegisterWith(sim::Engine& engine) {
   for (auto& ch : channels_) engine.AddModule(ch.get());
   for (auto& s : req_) engine.AddStream(s.get());

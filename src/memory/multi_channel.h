@@ -28,10 +28,8 @@ class MultiChannelMemory {
                      const MemoryChannel::Config& config,
                      size_t stream_depth = 16);
 
-  /// Convenience factories pulling per-channel parameters from the catalog.
+  /// Convenience factory pulling per-channel parameters from the catalog.
   static MultiChannelMemory MakeHbm(const device::DeviceSpec& spec,
-                                    double clock_hz);
-  static MultiChannelMemory MakeDdr(const device::DeviceSpec& spec,
                                     double clock_hz);
 
   /// Registers all channels and streams with `engine`.

@@ -8,8 +8,8 @@
 
 namespace fpgadp::rel {
 
-/// Runs `program` over `input` on the host: each step pushes its whole input
-/// through one Operator, the software baseline every FPGA experiment
+/// Runs `program` over `input` on the host: the whole input goes through one
+/// Pipeline in a single push, the software baseline every FPGA experiment
 /// compares against. A filter directly followed by an aggregate, group-by or
 /// top-N runs fused into that operator's scan. Group-by output rows are
 /// sorted by group key so results are canonical. Returns InvalidArgument if

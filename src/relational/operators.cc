@@ -162,6 +162,61 @@ void Operator::Finish(std::vector<Row>& out) {
   }
 }
 
+namespace {
+
+/// True for the operators a directly preceding filter runs inside.
+bool ScansUnderFilter(const OpDesc& op) {
+  return std::holds_alternative<AggregateOp>(op) ||
+         std::holds_alternative<GroupByOp>(op) ||
+         std::holds_alternative<TopNOp>(op);
+}
+
+}  // namespace
+
+Pipeline::Pipeline(const Program& program) {
+  const std::vector<OpDesc>& ops = program.ops;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    FilterOp fused;
+    if (const auto* f = std::get_if<FilterOp>(&ops[i]);
+        f != nullptr && i + 1 < ops.size() && ScansUnderFilter(ops[i + 1])) {
+      fused = *f;
+      ++i;
+    }
+    stages_.emplace_back(ops[i], std::move(fused));
+  }
+  if (!stages_.empty()) between_.resize(stages_.size() - 1);
+}
+
+void Pipeline::PushFrom(size_t first, std::span<const Row> rows,
+                        std::vector<Row>& out) {
+  if (first == stages_.size()) {
+    out.insert(out.end(), rows.begin(), rows.end());
+    return;
+  }
+  for (size_t i = first; i + 1 < stages_.size(); ++i) {
+    between_[i].clear();
+    stages_[i].Push(rows, between_[i]);
+    rows = between_[i];
+  }
+  stages_.back().Push(rows, out);
+}
+
+void Pipeline::Push(std::span<const Row> rows, std::vector<Row>& out) {
+  PushFrom(0, rows, out);
+}
+
+void Pipeline::Finish(std::vector<Row>& out) {
+  for (size_t i = 0; i < stages_.size(); ++i) {
+    if (i + 1 == stages_.size()) {
+      stages_[i].Finish(out);
+    } else {
+      between_[i].clear();
+      stages_[i].Finish(between_[i]);
+      PushFrom(i + 1, between_[i], out);
+    }
+  }
+}
+
 Result<Schema> JoinSchema(const Schema& left, const Schema& right,
                           const JoinSpec& spec) {
   if (spec.left_key >= left.num_columns()) {

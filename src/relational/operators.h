@@ -66,6 +66,35 @@ class Operator {
   uint64_t arrivals_ = 0;                           // rows pushed so far
 };
 
+/// A program as one chain of Operators, the one place that says which steps
+/// fuse: a filter directly followed by an aggregate, group-by or top-N runs
+/// inside that operator's scan, and every other step is its own stage.
+/// ExecuteCpu pushes a whole table through it once; the Farview memory node
+/// pushes one scanned page's rows at a time. Rows pushed in any split give
+/// the same output rows, in the same order, as one push of all of them.
+class Pipeline {
+ public:
+  /// With no operators, rows pass through unchanged. `program` must be
+  /// valid for the rows pushed (Program::Validate).
+  explicit Pipeline(const Program& program = {});
+
+  /// Streams `rows` through every stage in order; the last stage's output
+  /// rows append to `out`.
+  void Push(std::span<const Row> rows, std::vector<Row>& out);
+
+  /// Ends the input: each stage in turn finishes, and the rows it held back
+  /// stream through the stages after it. Call it once.
+  void Finish(std::vector<Row>& out);
+
+ private:
+  /// Pushes `rows` through stages `first` onward.
+  void PushFrom(size_t first, std::span<const Row> rows,
+                std::vector<Row>& out);
+
+  std::vector<Operator> stages_;
+  std::vector<std::vector<Row>> between_;  // stage i's output, i < last
+};
+
 /// Equi-join specification: `left.columns[left_key] == right.columns[right_key]`.
 struct JoinSpec {
   uint32_t left_key = 0;

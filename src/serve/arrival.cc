@@ -8,16 +8,6 @@
 
 namespace fpgadp::serve {
 
-const char* ArrivalKindName(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kBursty: return "bursty";
-    case ArrivalKind::kDiurnal: return "diurnal";
-    case ArrivalKind::kClosedLoop: return "closed_loop";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::vector<sim::Cycle> PoissonArrivals(const ArrivalConfig& config,

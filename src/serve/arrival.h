@@ -34,9 +34,6 @@ enum class ArrivalKind : uint8_t {
   kClosedLoop = 3,
 };
 
-/// Returns a stable lowercase name for `kind` ("poisson", "bursty", ...).
-const char* ArrivalKindName(ArrivalKind kind);
-
 /// Parameters for one traffic source. Rates are expressed through the mean
 /// inter-arrival gap in sim cycles (mean_interarrival_cycles = 1/rate), the
 /// natural unit for a cycle-stepped simulator.

@@ -6,16 +6,6 @@
 
 namespace fpgadp::shard {
 
-const char* MigrationPhaseName(MigrationPhase phase) {
-  switch (phase) {
-    case MigrationPhase::kCopy: return "copy";
-    case MigrationPhase::kDrain: return "drain";
-    case MigrationPhase::kDone: return "done";
-    case MigrationPhase::kAborted: return "aborted";
-  }
-  return "unknown";
-}
-
 ReplicaSet::ReplicaSet(uint32_t num_shards, uint32_t replication_factor)
     : num_shards_(num_shards), replication_factor_(replication_factor) {
   FPGADP_CHECK(num_shards_ > 0);

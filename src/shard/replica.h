@@ -104,8 +104,6 @@ enum class MigrationPhase : uint8_t {
                  ///< ownership never flipped, no state was lost.
 };
 
-const char* MigrationPhaseName(MigrationPhase phase);
-
 /// Runtime state of one migration. Shared (via ElasticState) between the
 /// coordinator, which starts it and commits the flip, and the source /
 /// target servers, which stream and count the chunks. All writes happen in

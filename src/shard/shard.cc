@@ -20,17 +20,6 @@ constexpr uint64_t kForwardFlag = 1ull << 63;
 constexpr uint64_t kScatterFlag = 1ull << 62;
 }  // namespace
 
-const char* SubOutcomeName(SubOutcome outcome) {
-  switch (outcome) {
-    case SubOutcome::kPending: return "pending";
-    case SubOutcome::kDone: return "done";
-    case SubOutcome::kRejected: return "rejected";
-    case SubOutcome::kFailed: return "failed";
-    case SubOutcome::kTimedOut: return "timed_out";
-  }
-  return "unknown";
-}
-
 ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
                                    std::vector<net::RdmaEndpoint*> endpoints,
                                    GatherPlan* plan,

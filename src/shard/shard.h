@@ -54,9 +54,6 @@ enum class SubOutcome : uint8_t {
   kTimedOut = 4,  ///< Gather deadline expired before the response.
 };
 
-/// Returns a stable lowercase name for `outcome` ("done", "rejected", ...).
-const char* SubOutcomeName(SubOutcome outcome);
-
 /// How ShardCoordinator::TrySubmit decides to shed a request at ingress
 /// (Submit() bypasses admission entirely and always enqueues).
 enum class AdmissionPolicy : uint8_t {

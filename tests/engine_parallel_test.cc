@@ -438,6 +438,7 @@ enum class FarviewRun { kOffload, kFetchAll, kConcurrent };
 
 struct FarviewResult {
   std::vector<uint64_t> cycles, wire_bytes, dram_bytes;
+  std::vector<uint64_t> packets, first_result;  // offloads only
   std::vector<std::vector<std::vector<int64_t>>> rows;
   Cycle now = 0;
   std::vector<Buckets> buckets;  // memory node, its endpoint
@@ -483,6 +484,8 @@ FarviewResult RunLossyFarview(Driver d, FarviewRun mode) {
     r.cycles.push_back(s.cycles);
     r.wire_bytes.push_back(s.wire_bytes);
     r.dram_bytes.push_back(s.dram_bytes);
+    r.packets.push_back(s.result_packets);
+    r.first_result.push_back(s.first_result_cycles);
     r.rows.push_back(RowsOf(s.result));
   }
   r.now = sys.engine().now();
@@ -502,6 +505,8 @@ void ExpectSameFarview(FarviewRun mode, const std::string& label) {
   EXPECT_EQ(got.cycles, ref.cycles) << label;
   EXPECT_EQ(got.wire_bytes, ref.wire_bytes) << label;
   EXPECT_EQ(got.dram_bytes, ref.dram_bytes) << label;
+  EXPECT_EQ(got.packets, ref.packets) << label;
+  EXPECT_EQ(got.first_result, ref.first_result) << label;
   EXPECT_EQ(got.rows, ref.rows) << label;
   EXPECT_EQ(got.now, ref.now) << label;
   ExpectSameBuckets(ref.buckets[0], got.buckets[0], label + " node");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/relational/cpu_executor.h"
+#include "src/relational/queries.h"
 #include "src/relational/table.h"
 
 namespace fpgadp::farview {
@@ -184,6 +185,97 @@ TEST(FarviewTest, ScanIsDramBandwidthBound) {
   EXPECT_GE(off->cycles, lower);
   EXPECT_LE(off->cycles, 40 * lower)
       << "scan should be within a small factor of the bandwidth bound";
+}
+
+// The node streams survivors as pages clear its operator pipeline and sends
+// whole packets, so the first result packet follows the data.
+
+/// The table of the streaming tests; its scan takes about 10k cycles.
+rel::Table StreamTable() { return TestTable(50000); }
+
+/// Cycles of an offloaded count over `tid`: one scan of the table plus the
+/// trip of one small packet.
+uint64_t ScanCycles(FarviewSystem& sys, uint64_t tid) {
+  auto count = sys.RunOffloaded(tid, sys.RegisterProgram(CountProgram()));
+  EXPECT_TRUE(count.ok()) << count.status();
+  return count.ok() ? count->cycles : 0;
+}
+
+TEST(FarviewStreamingTest, SkewedSurvivorsLeaveAtTheEndOfTheScan) {
+  FarviewSystem sys;
+  rel::Table t = StreamTable();
+  // qty >= 1 keeps exactly the last 10 % of the rows.
+  const size_t cold = t.num_rows() * 9 / 10;
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    t.row(i).Set(4, i < cold ? 0 : 1);
+  }
+  const uint64_t tid = sys.LoadTable(t);
+  const uint64_t scan = ScanCycles(sys, tid);
+  auto skewed = sys.RunOffloaded(tid, sys.RegisterProgram(SelectiveProgram(1)));
+  ASSERT_TRUE(skewed.ok()) << skewed.status();
+  ASSERT_EQ(skewed->result.num_rows(), t.num_rows() - cold);
+  EXPECT_GE(skewed->first_result_cycles * 10, scan * 9)
+      << "a result byte left before its row was scanned";
+}
+
+TEST(FarviewStreamingTest, UniformSurvivorsLeaveFromTheStartOfTheScan) {
+  FarviewSystem sys;
+  const uint64_t tid = sys.LoadTable(StreamTable());
+  const uint64_t scan = ScanCycles(sys, tid);
+  auto uniform =
+      sys.RunOffloaded(tid, sys.RegisterProgram(SelectiveProgram(26)));
+  ASSERT_TRUE(uniform.ok()) << uniform.status();
+  EXPECT_GT(uniform->result_packets, 10u);
+  EXPECT_LE(uniform->first_result_cycles * 10, scan)
+      << "the wire waited although survivors arrived from the first page";
+}
+
+TEST(FarviewStreamingTest, AggregateLeavesInOnePacketAfterTheLastPage) {
+  FarviewConfig cfg;
+  FarviewSystem sys(cfg);
+  const rel::Table t = StreamTable();
+  const uint64_t tid = sys.LoadTable(t);
+  auto sum = sys.RunOffloaded(
+      tid, sys.RegisterProgram(rel::Program{
+               {rel::AggregateOp{rel::AggKind::kSum, 4, false}}}));
+  ASSERT_TRUE(sum.ok()) << sum.status();
+  EXPECT_EQ(sum->result_packets, 1u);
+  EXPECT_EQ(sum->first_result_cycles, sum->cycles);
+  // The DRAM cannot deliver the last page sooner than its bandwidth allows.
+  const double bytes_per_cycle =
+      cfg.ddr_channels * cfg.ddr_bytes_per_sec / cfg.clock_hz;
+  EXPECT_GE(double(sum->first_result_cycles),
+            double(t.total_bytes()) / bytes_per_cycle);
+}
+
+TEST(FarviewStreamingTest, EveryAnswerLeavesInWholeChunksPlusOne) {
+  FarviewConfig cfg;
+  FarviewSystem sys(cfg);
+  const uint64_t tid = sys.LoadTable(TestTable(20000));
+  const uint64_t compressed = sys.LoadTableCompressed(TestTable(20000));
+  rel::Program project;
+  project.ops.push_back(rel::ProjectOp{{0, 4}});
+  const rel::Program programs[] = {
+      SelectiveProgram(0),  SelectiveProgram(26), SelectiveProgram(49),
+      SelectiveProgram(51),  // no survivors
+      CountProgram(),       rel::MakeQ1Lite(),    rel::MakeQ6Lite(),
+      rel::MakeTopExpensive(), project,           rel::Program{},
+  };
+  for (const rel::Program& program : programs) {
+    const uint64_t pid = sys.RegisterProgram(program);
+    for (uint64_t table : {tid, compressed}) {
+      SCOPED_TRACE(program.ToString() + (table == tid ? " raw" : " lz"));
+      auto off = sys.RunOffloaded(table, pid);
+      ASSERT_TRUE(off.ok()) << off.status();
+      const uint64_t bytes = off->result.total_bytes();
+      EXPECT_EQ(off->wire_bytes, bytes);
+      EXPECT_GE(off->result_packets, 1u);
+      EXPECT_LE(off->result_packets,
+                (bytes + cfg.result_chunk_bytes - 1) / cfg.result_chunk_bytes +
+                    1);
+      EXPECT_LE(off->first_result_cycles, off->cycles);
+    }
+  }
 }
 
 }  // namespace

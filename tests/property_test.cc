@@ -580,12 +580,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
 // ---------------------------------------------------------------------------
 // Differential executor suite: for each seed, build a random synthetic table
 // and a random relational program, run it through the functional CPU
-// executor, the cycle-level FPGA pipeline and a Farview offload, and require
-// each output relation to equal the test-only reference executor's bit for
-// bit. The three paths share one Operator implementation, so the reference
-// (tests/reference_executor.h) is what checks operator semantics; the FPGA
-// path also exercises the full simulation engine (sources, kernels, sinks,
-// streams) and the Farview path the memory node's request handling.
+// executor, the cycle-level FPGA pipeline and Farview offloads from raw and
+// compressed storage, and require each output relation to equal the
+// test-only reference executor's bit for bit. The three paths share one
+// Operator implementation, so the reference (tests/reference_executor.h) is
+// what checks operator semantics; the FPGA path also exercises the full
+// simulation engine (sources, kernels, sinks, streams) and the Farview path
+// the memory node's page-by-page pipeline and request handling.
 // ---------------------------------------------------------------------------
 
 using rel::reference::SameTable;
@@ -594,14 +595,32 @@ using rel::reference::SameTable;
 /// generated column references valid.
 struct ColumnState {
   std::vector<bool> is_double;
+  std::vector<bool> few_values;  // cat and qty: many rows share each value
   size_t count() const { return is_double.size(); }
 };
+
+/// The key column of a top-N or group-by. Half the time it is a few-valued
+/// column, when one survives the projections, so that equal keys meet at
+/// the top-N cut and every group folds many rows.
+uint32_t KeyColumn(Rng& rng, const ColumnState& state) {
+  std::vector<uint32_t> few;
+  for (uint32_t c = 0; c < state.count(); ++c) {
+    if (state.few_values[c]) few.push_back(c);
+  }
+  if (!few.empty() && rng.NextBounded(2) == 0) {
+    return few[rng.NextBounded(few.size())];
+  }
+  return uint32_t(rng.NextBounded(state.count()));
+}
 
 rel::Program RandomProgram(Rng& rng, ColumnState state) {
   rel::Program program;
   const uint32_t chain = 1 + uint32_t(rng.NextBounded(3));
   for (uint32_t i = 0; i < chain; ++i) {
-    switch (rng.NextBounded(i + 1 == chain ? 5 : 2)) {
+    // The last step draws from six: filter, project, aggregate, group-by
+    // and, twice as often, top-N, whose tie rule only shows when equal keys
+    // meet at its cut.
+    switch (rng.NextBounded(i + 1 == chain ? 6 : 2)) {
       case 0: {  // filter
         rel::FilterOp f;
         const uint32_t conjuncts = 1 + uint32_t(rng.NextBounded(2));
@@ -626,11 +645,13 @@ rel::Program RandomProgram(Rng& rng, ColumnState state) {
           if (rng.NextBounded(2) == 0) {
             proj.columns.push_back(c);
             next.is_double.push_back(state.is_double[c]);
+            next.few_values.push_back(state.few_values[c]);
           }
         }
         if (proj.columns.empty()) {
           proj.columns.push_back(0);
           next.is_double.push_back(state.is_double[0]);
+          next.few_values.push_back(state.few_values[0]);
         }
         program.ops.push_back(proj);
         state = next;
@@ -646,7 +667,7 @@ rel::Program RandomProgram(Rng& rng, ColumnState state) {
       }
       case 3: {  // terminal group-by (group on an int64 column)
         rel::GroupByOp g;
-        g.group_column = uint32_t(rng.NextBounded(state.count()));
+        g.group_column = KeyColumn(rng, state);
         if (state.is_double[g.group_column]) g.group_column = 0;
         if (state.is_double[g.group_column]) {  // col 0 itself is double
           rel::AggregateOp a;
@@ -662,9 +683,9 @@ rel::Program RandomProgram(Rng& rng, ColumnState state) {
         program.ops.push_back(g);
         return program;
       }
-      default: {  // terminal top-n
+      default: {  // terminal top-n (two of the six draws)
         rel::TopNOp t;
-        t.order_column = uint32_t(rng.NextBounded(state.count()));
+        t.order_column = KeyColumn(rng, state);
         t.is_double = state.is_double[t.order_column];
         t.ascending = rng.NextBounded(2) == 0;
         t.n = 1 + uint32_t(rng.NextBounded(50));
@@ -689,7 +710,8 @@ TEST_P(DifferentialSeed, CpuAndFpgaExecutorsAgree) {
   spec.seed = seed;
   const rel::Table table = rel::MakeSyntheticTable(spec);
   // Synthetic schema: id, key, cat int64; price double; qty int64.
-  ColumnState state{{false, false, false, true, false}};
+  ColumnState state{{false, false, false, true, false},
+                    {false, false, true, false, true}};
   const rel::Program program = RandomProgram(rng, state);
 
   const rel::Table want = rel::reference::ReferenceExecute(program, table);
@@ -707,13 +729,19 @@ TEST_P(DifferentialSeed, CpuAndFpgaExecutorsAgree) {
   EXPECT_TRUE(SameTable(fpga->output, want))
       << "ExecuteFpga, " << program.ToString() << " lanes " << options.lanes;
 
+  // The memory node pushes each page's rows as it arrives: whole rows from
+  // raw storage, a rows-per-stored-byte share from compressed storage.
   farview::FarviewSystem farview;
-  const uint64_t table_id = farview.LoadTable(table);
-  auto offloaded =
-      farview.RunOffloaded(table_id, farview.RegisterProgram(program));
-  ASSERT_TRUE(offloaded.ok()) << offloaded.status();
-  EXPECT_TRUE(SameTable(offloaded->result, want))
-      << "RunOffloaded, " << program.ToString();
+  const uint64_t program_id = farview.RegisterProgram(program);
+  for (const bool compressed : {false, true}) {
+    const uint64_t table_id = compressed ? farview.LoadTableCompressed(table)
+                                         : farview.LoadTable(table);
+    auto offloaded = farview.RunOffloaded(table_id, program_id);
+    ASSERT_TRUE(offloaded.ok()) << offloaded.status();
+    EXPECT_TRUE(SameTable(offloaded->result, want))
+        << "RunOffloaded, " << program.ToString()
+        << (compressed ? ", compressed" : "");
+  }
 }
 
 TEST_P(DifferentialSeed, CpuAndFpgaHashJoinsAgree) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -388,6 +389,43 @@ TEST(GroupByTest, EqualsOrderedMapBitForBitOnSkewedGroups) {
     for (bool is_double : {false, true}) {
       const GroupByOp g{2, AggregateOp{kind, is_double ? 3u : 4u, is_double}};
       EXPECT_TRUE(SameTable(RunOne(g, t), reference::OrderedMapGroupBy(g, t)));
+    }
+  }
+}
+
+// The Farview memory node pushes its table page by page. However the input
+// is split, the pipeline must return one push's rows and floats, also when a
+// held-back operator's output streams through the stages after it.
+TEST(PipelineTest, AnySplitEqualsTheReference) {
+  const Table t = SmallTable();
+  FilterOp f;
+  f.conjuncts.push_back(Predicate{4, CmpOp::kGe, 20});
+  TopNOp top;
+  top.order_column = 2;
+  top.n = 30;
+  const Program programs[] = {
+      Program{},  // no operators: rows pass through
+      Program{{f}},
+      Program{{f, ProjectOp{{4, 2, 3}}}},
+      Program{{ProjectOp{{2, 3}},
+               GroupByOp{0, AggregateOp{AggKind::kAvg, 1, true}}}},
+      Program{{f, top, ProjectOp{{0, 2}}}},
+      Program{{top, AggregateOp{AggKind::kSum, 3, true}}},
+      Program{{f, AggregateOp{AggKind::kCount, 0, false}}},
+  };
+  for (const Program& program : programs) {
+    SCOPED_TRACE(program.ToString());
+    const Table want = reference::ReferenceExecute(program, t);
+    for (size_t split : {size_t{1}, size_t{7}, size_t{102}, t.num_rows()}) {
+      Pipeline pipeline(program);
+      Table got(program.OutputSchema(t.schema()));
+      const std::span<const Row> rows(t.rows());
+      for (size_t begin = 0; begin < rows.size(); begin += split) {
+        pipeline.Push(rows.subspan(begin, std::min(split, rows.size() - begin)),
+                      got.rows());
+      }
+      pipeline.Finish(got.rows());
+      EXPECT_TRUE(SameTable(got, want)) << "split " << split;
     }
   }
 }

@@ -4,8 +4,13 @@
 // accelerator holds a multiple-x advantage over the CPU baseline at every
 // operating point (FANNS reports up to ~20x vs CPU on SIFT-class data),
 // and its advantage comes from parallel PQ-distance lanes + systolic top-K.
+// The bench exits non-zero when a shape it checks fails: recall@10 does not
+// fall as nprobe doubles, the FPGA/CPU speedup is at least 5x at every
+// nprobe, and re-ranking recall does not fall as rerank grows. The perf
+// ctest tier runs it as the E3 guard.
 
 #include <iostream>
+#include <string>
 
 #include "src/anns/accel.h"
 #include "src/anns/cpu_cost.h"
@@ -20,6 +25,13 @@ using namespace fpgadp::anns;
 
 int main(int argc, char** argv) {
   fpgadp::bench::Session session(argc, argv);
+  bool shapes_hold = true;
+  auto expect = [&](bool holds, const std::string& shape) {
+    if (!holds) {
+      std::cerr << "E3 shape failed: " << shape << "\n";
+      shapes_hold = false;
+    }
+  };
   std::cout << "=== E3: IVF-PQ recall vs QPS, FPGA accelerator vs CPU ===\n";
   DatasetSpec spec;
   spec.num_base = 40000;
@@ -52,6 +64,7 @@ int main(int argc, char** argv) {
 
   TablePrinter t({"nprobe", "recall@10", "codes/query", "FPGA QPS",
                   "FPGA latency", "CPU QPS", "speedup", "bottleneck"});
+  double prev_recall = 0;
   for (size_t nprobe = 1; nprobe <= 64; nprobe *= 2) {
     IvfPqIndex::SearchParams params;
     params.nprobe = nprobe;
@@ -77,12 +90,20 @@ int main(int argc, char** argv) {
                                                                : "coarse";
     const double cpu_qps =
         1.0 / cpu.SecondsPerQuery(*index, params, avg_codes);
+    const double speedup = stats->qps / cpu_qps;
+    expect(recall >= prev_recall,
+           "recall@10 fell to " + std::to_string(recall) + " at nprobe " +
+               std::to_string(nprobe) + " from " + std::to_string(prev_recall) +
+               " at nprobe " + std::to_string(nprobe / 2));
+    expect(speedup >= 5.0, "FPGA/CPU speedup " + std::to_string(speedup) +
+                               "x < 5x at nprobe " + std::to_string(nprobe));
+    prev_recall = recall;
     t.AddRow({std::to_string(nprobe), TablePrinter::Fmt(recall, 3),
               TablePrinter::FmtCount(uint64_t(avg_codes)),
               TablePrinter::FmtCount(uint64_t(stats->qps)),
               TablePrinter::Fmt(stats->latency_us_per_query, 1) + " us",
               TablePrinter::FmtCount(uint64_t(cpu_qps)),
-              TablePrinter::Fmt(stats->qps / cpu_qps, 1) + "x", bottleneck});
+              TablePrinter::Fmt(speedup, 1) + "x", bottleneck});
   }
   t.Print(std::cout);
 
@@ -99,6 +120,7 @@ int main(int argc, char** argv) {
   FannsAccelerator raccel(&*rindex, AccelConfig{});
   TablePrinter rt({"rerank", "recall@10", "FPGA QPS", "CPU QPS",
                    "index bytes"});
+  double prev_rr_recall = 0;
   for (size_t rr : {0u, 2u, 5u, 10u}) {
     IvfPqIndex::SearchParams params;
     params.nprobe = 16;
@@ -120,6 +142,11 @@ int main(int argc, char** argv) {
         double(stats->codes_scanned) / double(data.num_queries());
     const double cpu_qps =
         1.0 / cpu.SecondsPerQuery(*rindex, params, avg_codes);
+    expect(recall >= prev_rr_recall,
+           "re-ranking recall@10 fell to " + std::to_string(recall) +
+               " at rerank " + std::to_string(rr) + " from " +
+               std::to_string(prev_rr_recall));
+    prev_rr_recall = recall;
     rt.AddRow({std::to_string(rr), TablePrinter::Fmt(recall, 3),
                TablePrinter::FmtCount(uint64_t(stats->qps)),
                TablePrinter::FmtCount(uint64_t(cpu_qps)),
@@ -131,5 +158,5 @@ int main(int argc, char** argv) {
                "several-x ahead of the CPU across the curve, and\n"
                "re-ranking buys recall beyond the PQ ceiling for a modest "
                "QPS cost.\n";
-  return 0;
+  return shapes_hold ? 0 : 1;
 }

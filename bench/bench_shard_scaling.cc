@@ -37,7 +37,8 @@
 // --gather=<flat|flat4|tree|switch|scatter|auto|all> (default all),
 // --replication=<R> (default 1: every shard gets R-1 warm standbys with
 // health beacons — the E25 replication-overhead axis; row names gain a
-// ".repR" suffix so the default JSON stays diffable), plus the
+// ".repR" suffix so the default JSON stays diffable; R > 1 needs
+// --gather=flat or flat4, the only gathers with replica routing), plus the
 // bench_common set.
 
 #include <algorithm>
@@ -309,6 +310,16 @@ int main(int argc, char** argv) {
   } else {
     std::cerr << "FAIL: unknown --gather=" << gather_flag
               << " (want flat|flat4|tree|switch|scatter|auto|all)\n";
+    return session.Fail();
+  }
+  // Replica routing is defined only for the flat response path (GatherPlan).
+  if (replication > 1 &&
+      std::any_of(gathers.begin(), gathers.end(), [](const std::string& g) {
+        return g != "flat" && g != "flat4";
+      })) {
+    std::cerr << "FAIL: --replication=" << replication
+              << " needs --gather=flat or --gather=flat4, got --gather="
+              << gather_flag << "\n";
     return session.Fail();
   }
 

@@ -5,6 +5,7 @@
 
 #include "src/anns/dataset.h"
 #include "src/common/check.h"
+#include "src/common/parallel.h"
 
 namespace fpgadp::anns {
 
@@ -41,8 +42,10 @@ Result<IvfPqIndex> IvfPqIndex::Build(const std::vector<float>& vectors,
   IvfPqIndex index(dim, std::move(pq).value());
   index.coarse_table_ = CentroidTable(coarse->centroids.data(), options.nlist, dim);
   index.coarse_ = std::move(coarse->centroids);
-  // Size every list first, then write each code straight to its slot in
-  // the list's blocks (see List), in ascending id order.
+  // Size every list and fill its ids in ascending order on one thread. Then
+  // encode each list position straight to its slot in the list's blocks
+  // (see List), across cores: a range walks positions of the lists laid end
+  // to end in list order.
   const size_t m = index.pq_.m();
   std::vector<size_t> sizes(options.nlist, 0);
   for (uint32_t c : coarse->assignment) ++sizes[c];
@@ -52,17 +55,20 @@ Result<IvfPqIndex> IvfPqIndex::Build(const std::vector<float>& vectors,
     index.lists_[c].codes.resize(sizes[c] * m);
   }
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t c = coarse->assignment[i];
-    List& list = index.lists_[c];
-    const size_t p = list.ids.size();
-    const size_t b = p - p % List::kBlock;
-    const size_t w = std::min(List::kBlock, sizes[c] - b);
-    uint8_t* slot = list.codes.data() + b * m + (p - b);
-    const std::vector<uint8_t> code =
-        index.pq_.Encode(residuals.data() + i * dim);
-    for (size_t j = 0; j < m; ++j) slot[j * w] = code[j];
-    list.ids.push_back(static_cast<uint32_t>(i));
+    index.lists_[coarse->assignment[i]].ids.push_back(static_cast<uint32_t>(i));
   }
+  ParallelFor(n, [&](size_t begin, size_t end) {
+    size_t c = 0;
+    size_t p = begin;  // position g is position p of list c
+    for (size_t g = begin; g < end; ++g, ++p) {
+      while (p >= sizes[c]) p -= sizes[c++];
+      List& list = index.lists_[c];
+      const size_t b = p - p % List::kBlock;
+      const size_t w = std::min(List::kBlock, sizes[c] - b);
+      index.pq_.Encode(residuals.data() + size_t{list.ids[p]} * dim,
+                       list.codes.data() + b * m + (p - b), w);
+    }
+  });
   if (options.store_vectors) index.stored_vectors_ = vectors;
   index.total_codes_ = n;
   return index;

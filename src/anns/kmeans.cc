@@ -1,8 +1,10 @@
 #include "src/anns/kmeans.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
+#include "src/common/parallel.h"
 #include "src/common/random.h"
 
 namespace fpgadp::anns {
@@ -77,22 +79,28 @@ Result<KMeansResult> KMeans(const std::vector<float>& points, size_t dim,
   std::vector<float> sums(options.k * dim);
   std::vector<uint64_t> counts(options.k);
   std::vector<float> point_dist(n);
-  std::vector<float> dists(options.k);
 
   for (size_t iter = 0; iter < options.max_iters; ++iter) {
-    // Assign.
+    // Assign: every point independently, across cores. The inertia is then
+    // summed on one thread in index order, so it is the same double for any
+    // split.
     const CentroidTable table(res.centroids.data(), options.k, dim);
-    bool changed = false;
-    double inertia = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t c = table.Nearest(points.data() + i * dim, dists.data());
-      point_dist[i] = dists[c];
-      inertia += point_dist[i];
-      if (c != res.assignment[i]) {
-        res.assignment[i] = c;
-        changed = true;
+    std::atomic<bool> changed = false;
+    ParallelFor(n, [&](size_t begin, size_t end) {
+      std::vector<float> dists(options.k);
+      bool range_changed = false;
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t c = table.Nearest(points.data() + i * dim, dists.data());
+        point_dist[i] = dists[c];
+        if (c != res.assignment[i]) {
+          res.assignment[i] = c;
+          range_changed = true;
+        }
       }
-    }
+      if (range_changed) changed.store(true, std::memory_order_relaxed);
+    });
+    double inertia = 0;
+    for (size_t i = 0; i < n; ++i) inertia += point_dist[i];
     res.inertia = inertia;
     res.iters_run = iter + 1;
     if (!changed && iter > 0) break;
@@ -127,9 +135,12 @@ Result<KMeansResult> KMeans(const std::vector<float>& points, size_t dim,
   }
   // Final assignment against the last centroid update.
   const CentroidTable table(res.centroids.data(), options.k, dim);
-  for (size_t i = 0; i < n; ++i) {
-    res.assignment[i] = table.Nearest(points.data() + i * dim, dists.data());
-  }
+  ParallelFor(n, [&](size_t begin, size_t end) {
+    std::vector<float> dists(options.k);
+    for (size_t i = begin; i < end; ++i) {
+      res.assignment[i] = table.Nearest(points.data() + i * dim, dists.data());
+    }
+  });
   return res;
 }
 

@@ -43,13 +43,18 @@ Result<ProductQuantizer> ProductQuantizer::Train(
 
 std::vector<uint8_t> ProductQuantizer::Encode(const float* v) const {
   std::vector<uint8_t> codes(m_);
-  std::vector<float> dists(ksub_);
+  Encode(v, codes.data(), 1);
+  return codes;
+}
+
+void ProductQuantizer::Encode(const float* v, uint8_t* codes,
+                              size_t stride) const {
+  float dists[256];  // ksub <= 256 (Train)
   const size_t dsub = this->dsub();
   for (size_t j = 0; j < m_; ++j) {
-    codes[j] =
-        static_cast<uint8_t>(tables_[j].Nearest(v + j * dsub, dists.data()));
+    codes[j * stride] =
+        static_cast<uint8_t>(tables_[j].Nearest(v + j * dsub, dists));
   }
-  return codes;
 }
 
 std::vector<float> ProductQuantizer::Decode(const uint8_t* codes) const {

@@ -32,6 +32,10 @@ class ProductQuantizer {
   /// Encodes one vector into m codes.
   std::vector<uint8_t> Encode(const float* v) const;
 
+  /// Encodes one vector without allocating: code byte j goes to
+  /// codes[j * stride].
+  void Encode(const float* v, uint8_t* codes, size_t stride) const;
+
   /// Reconstructs the quantized vector from codes.
   std::vector<float> Decode(const uint8_t* codes) const;
 

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <mutex>
 #include <queue>
+#include <thread>
 #include <utility>
 
 #include "src/anns/dataset.h"
 #include "src/anns/kmeans.h"
 #include "src/anns/pq.h"
+#include "src/common/parallel.h"
 #include "src/common/random.h"
 
 namespace fpgadp::anns {
@@ -468,21 +473,27 @@ TEST(KMeansTest, MatchesScalarReferenceBitwise) {
   }
 }
 
+/// `n` points of dimension 3, each a copy of one of 4 random sites. With
+/// k = 9, initialization picks duplicate centroids, the higher-index copies
+/// lose every tie and come out empty, and the update step re-seeds them.
+std::vector<float> PointsOnFourSites(uint64_t seed, size_t n) {
+  const size_t dim = 3;
+  Rng rng(seed);
+  const std::vector<float> sites = RandomFloats(rng, 4 * dim);
+  std::vector<float> points;
+  for (size_t i = 0; i < n; ++i) {
+    const float* s = sites.data() + rng.NextBounded(4) * dim;
+    points.insert(points.end(), s, s + dim);
+  }
+  return points;
+}
+
 TEST(KMeansTest, MatchesScalarReferenceWithEmptyClusterReseeding) {
-  // 200 points on 4 distinct positions, k = 9: initialization picks
-  // duplicate centroids, the higher-index copies lose every tie and come
-  // out empty, and the update step re-seeds them.
   size_t reseeds = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE(seed);
     const size_t dim = 3;
-    Rng rng(seed);
-    const std::vector<float> sites = RandomFloats(rng, 4 * dim);
-    std::vector<float> points;
-    for (size_t i = 0; i < 200; ++i) {
-      const float* s = sites.data() + rng.NextBounded(4) * dim;
-      points.insert(points.end(), s, s + dim);
-    }
+    const std::vector<float> points = PointsOnFourSites(seed, 200);
     KMeansOptions opts;
     opts.k = 9;
     opts.max_iters = 6;
@@ -689,6 +700,143 @@ TEST(IvfTest, SearchListsMatchesRowMajorScanBitwise) {
     }
     EXPECT_GT(boundary_ties, 0u);
   }
+}
+
+// --- The threaded build path: ParallelFor and its three call sites ---------
+//
+// The other tests stay below 2 x kParallelForChunk points, where ParallelFor
+// runs inline. These go past it, so on a machine with more than one core
+// KMeans and Build split their per-point loops across threads, and every
+// output must still match the one-thread reference bit for bit.
+
+TEST(ParallelForTest, CoversEachIndexOnceInChunkSizedRanges) {
+  constexpr size_t kChunk = kParallelForChunk;
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  for (size_t n : {size_t{0}, size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                   5 * kChunk + 3}) {
+    SCOPED_TRACE(n);
+    std::vector<std::atomic<int>> visits(n);
+    std::mutex mu;
+    std::vector<std::pair<size_t, size_t>> ranges;
+    ParallelFor(n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+      const std::lock_guard<std::mutex> lock(mu);
+      ranges.emplace_back(begin, end);
+    });
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+    // Contiguous ranges tiling [0, n), as many as the cores and the chunk
+    // rule allow, none shorter than a chunk unless there is only one.
+    std::sort(ranges.begin(), ranges.end());
+    ASSERT_EQ(ranges.size(), std::max<size_t>(1, std::min(cores, n / kChunk)));
+    size_t next = 0;
+    for (const auto& [begin, end] : ranges) {
+      EXPECT_EQ(begin, next);
+      EXPECT_GE(end - begin, ranges.size() > 1 ? kChunk : n);
+      next = end;
+    }
+    EXPECT_EQ(next, n);
+  }
+}
+
+// 3 chunks and 5 points: as many as three ranges, none of them a whole
+// number of chunks.
+constexpr size_t kThreadedPoints = 3 * kParallelForChunk + 5;
+
+TEST(KMeansTest, ThreadedAssignMatchesScalarReferenceBitwise) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t dim = 4 + seed;
+    Rng rng(seed);
+    // Each point scaled by 2^-s, s < 24: the distances span so many binades
+    // that the double inertia sum rounds, and only the one index-order sum
+    // reproduces the reference's bits.
+    std::vector<float> points = RandomFloats(rng, kThreadedPoints * dim);
+    for (size_t i = 0; i < kThreadedPoints; ++i) {
+      const float scale = std::ldexp(1.0f, -static_cast<int>(rng.NextBounded(24)));
+      for (size_t d = 0; d < dim; ++d) points[i * dim + d] *= scale;
+    }
+    KMeansOptions opts;
+    opts.k = 7 + 6 * seed;
+    opts.max_iters = 6;
+    opts.seed = seed;
+    auto got = KMeans(points, dim, opts);
+    ASSERT_TRUE(got.ok());
+    size_t reseeds = 0;
+    ExpectSameClustering(*got, ReferenceKMeans(points, dim, opts, &reseeds));
+  }
+}
+
+TEST(KMeansTest, ThreadedAssignMatchesScalarReferenceWithReseeding) {
+  size_t reseeds = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t dim = 3;
+    const std::vector<float> points = PointsOnFourSites(seed, kThreadedPoints);
+    KMeansOptions opts;
+    opts.k = 9;
+    opts.max_iters = 6;
+    opts.seed = seed;
+    auto got = KMeans(points, dim, opts);
+    ASSERT_TRUE(got.ok());
+    ExpectSameClustering(*got, ReferenceKMeans(points, dim, opts, &reseeds));
+  }
+  EXPECT_GT(reseeds, 0u);
+}
+
+TEST(KMeansTest, ThreadedAssignMatchesScalarReferenceWhenConvergedEarly) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    const size_t dim = 8;
+    const std::vector<float> points =
+        GenerateClusteredVectors(kThreadedPoints, dim, 4, seed, 0.05f);
+    KMeansOptions opts;
+    opts.k = 4;
+    opts.max_iters = 50;
+    opts.seed = seed;
+    auto got = KMeans(points, dim, opts);
+    ASSERT_TRUE(got.ok());
+    size_t reseeds = 0;
+    ExpectSameClustering(*got, ReferenceKMeans(points, dim, opts, &reseeds));
+    EXPECT_LT(got->iters_run, opts.max_iters);
+  }
+}
+
+TEST(IvfTest, ThreadedBuildEncodesEveryListPosition) {
+  const size_t dim = 16;
+  const std::vector<float> vectors =
+      GenerateClusteredVectors(kThreadedPoints, dim, 8, 61, 0.3f);
+  auto index = IvfPqIndex::Build(vectors, dim, SmallIndexOptions());
+  ASSERT_TRUE(index.ok());
+  const ProductQuantizer& pq = index->pq();
+  const size_t m = pq.m();
+  std::vector<int> listed(kThreadedPoints, 0);
+  size_t ragged_lists = 0;  // lists whose last block is narrower than kBlock
+  std::vector<float> residual(dim);
+  for (size_t c = 0; c < index->nlist(); ++c) {
+    SCOPED_TRACE(c);
+    const IvfPqIndex::List& list = index->list(c);
+    const size_t len = list.ids.size();
+    ASSERT_EQ(list.codes.size(), len * m);
+    ASSERT_TRUE(std::is_sorted(list.ids.begin(), list.ids.end()));
+    ragged_lists += len % IvfPqIndex::List::kBlock != 0;
+    const float* ctr = index->coarse_centroids().data() + c * dim;
+    for (size_t p = 0; p < len; ++p) {
+      const uint32_t id = list.ids[p];
+      ++listed[id];
+      for (size_t d = 0; d < dim; ++d) residual[d] = vectors[id * dim + d] - ctr[d];
+      const std::vector<uint8_t> want = pq.Encode(residual.data());
+      // Byte j of position p, through the block layout (see List).
+      const size_t b = p - p % IvfPqIndex::List::kBlock;
+      const size_t w = std::min(IvfPqIndex::List::kBlock, len - b);
+      for (size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(list.codes[b * m + j * w + (p - b)], want[j])
+            << "position " << p << " byte " << j;
+      }
+    }
+  }
+  EXPECT_EQ(std::count(listed.begin(), listed.end(), 1),
+            static_cast<std::ptrdiff_t>(kThreadedPoints));
+  EXPECT_GT(ragged_lists, 0u);
 }
 
 }  // namespace

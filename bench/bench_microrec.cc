@@ -4,8 +4,15 @@
 // small tables + pipelined FC engine deliver an order-of-magnitude
 // end-to-end speedup over the CPU baseline; Cartesian products cut the
 // number of memory accesses per inference.
+// The bench exits non-zero when a shape it checks fails: every engine is
+// created and runs, both plans on the lookup-heavy shape are at least 10x
+// over the CPU and beat the compute-heavy shape, the Cartesian plan never
+// adds lookups or HBM lookups per inference, and it cuts lookups on the
+// lookup-heavy shape. The perf ctest tier runs it as the E5 guard.
 
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "src/common/table_printer.h"
 #include "src/microrec/cartesian.h"
@@ -19,7 +26,18 @@ using namespace fpgadp::microrec;
 
 namespace {
 
-void RunModel(const char* label, const RecModel& model, TablePrinter& t) {
+/// One FPGA plan's row, as the E5 shapes compare it.
+struct PlanRow {
+  uint64_t lookups = 0;     ///< Per inference, from the plan.
+  double hbm_lookups = 0;   ///< Per inference, as run.
+  double speedup = 0;       ///< Over the CPU baseline.
+};
+
+/// Adds the model's CPU row and one row per plan (baseline, then
+/// Cartesian) to `t`, and fills `rows` in that order. False when an engine
+/// could not be created or run; the failure is on stderr.
+bool RunModel(const char* label, const RecModel& model, TablePrinter& t,
+              PlanRow rows[2]) {
   CpuRecBaseline cpu;
   const double cpu_ips =
       1.0 / cpu.SecondsPerInference(model, model.LookupsPerInference());
@@ -39,21 +57,25 @@ void RunModel(const char* label, const RecModel& model, TablePrinter& t) {
   t.AddRow({label, "CPU", std::to_string(model.LookupsPerInference()), "-",
             TablePrinter::Fmt(1e6 / cpu_ips, 1),
             TablePrinter::FmtCount(uint64_t(cpu_ips)), "1.0x"});
-  for (auto& v : variants) {
+  for (size_t i = 0; i < 2; ++i) {
+    const Variant& v = variants[i];
     MicroRecConfig cfg;
     cfg.sram_budget_bytes = sram_budget;
     auto engine =
         MicroRecEngine::Create(&model, v.plan, device::AlveoU280(), cfg);
     if (!engine.ok()) {
       std::cerr << "create failed: " << engine.status() << "\n";
-      return;
+      return false;
     }
     const size_t batch = 512;
     auto stats = engine->RunBatch(batch, 99);
     if (!stats.ok()) {
       std::cerr << "run failed: " << stats.status() << "\n";
-      return;
+      return false;
     }
+    rows[i] = {v.plan.LookupsPerInference(),
+               double(stats->hbm_lookups) / batch,
+               stats->inferences_per_sec / cpu_ips};
     t.AddRow({label, v.name, std::to_string(v.plan.LookupsPerInference()),
               TablePrinter::Fmt(double(stats->hbm_lookups) / batch, 1),
               TablePrinter::Fmt(stats->latency_us, 1),
@@ -61,6 +83,7 @@ void RunModel(const char* label, const RecModel& model, TablePrinter& t) {
               TablePrinter::Fmt(stats->inferences_per_sec / cpu_ips, 1) +
                   "x"});
   }
+  return true;
 }
 
 }  // namespace
@@ -83,13 +106,55 @@ int main(int argc, char** argv) {
 
   TablePrinter t({"model", "engine", "lookups/inf", "HBM look/inf",
                   "latency (us)", "inferences/s", "vs CPU"});
-  RunModel("lookup-heavy (96 tables)", lookup_heavy, t);
-  RunModel("compute-heavy (32 tables)", compute_heavy, t);
+  PlanRow lookup_rows[2], compute_rows[2];
+  const bool lookup_ran =
+      RunModel("lookup-heavy (96 tables)", lookup_heavy, t, lookup_rows);
+  const bool compute_ran =
+      RunModel("compute-heavy (32 tables)", compute_heavy, t, compute_rows);
   t.Print(std::cout);
   std::cout << "\npaper expectation: order-of-magnitude speedup on the "
                "memory-bound production\nshape (MicroRec reports 13-15x for "
                "embedding-dominated models), smaller but\nstill multiple-x "
                "when the MLP dominates; Cartesian products reduce memory\n"
                "accesses per inference.\n";
-  return 0;
+
+  bool shapes_hold = lookup_ran && compute_ran;
+  auto expect = [&](bool holds, const std::string& shape) {
+    if (!holds) {
+      std::cerr << "E5 shape failed: " << shape << "\n";
+      shapes_hold = false;
+    }
+  };
+  if (lookup_ran && compute_ran) {
+    const char* plan_names[2] = {"baseline plan", "cartesian plan"};
+    for (size_t i = 0; i < 2; ++i) {
+      const std::string plan = plan_names[i];
+      expect(lookup_rows[i].speedup >= 10.0,
+             "lookup-heavy " + plan + " is " +
+                 std::to_string(lookup_rows[i].speedup) +
+                 "x over the CPU, below 10x");
+      expect(lookup_rows[i].speedup > compute_rows[i].speedup,
+             "lookup-heavy " + plan + " (" +
+                 std::to_string(lookup_rows[i].speedup) +
+                 "x) does not beat compute-heavy (" +
+                 std::to_string(compute_rows[i].speedup) + "x)");
+    }
+    const std::pair<const char*, const PlanRow*> shapes[2] = {
+        {"lookup-heavy", lookup_rows}, {"compute-heavy", compute_rows}};
+    for (const auto& [shape, rows] : shapes) {
+      expect(rows[1].lookups <= rows[0].lookups,
+             std::string(shape) + " cartesian plan has more lookups/inf (" +
+                 std::to_string(rows[1].lookups) + ") than the baseline (" +
+                 std::to_string(rows[0].lookups) + ")");
+      expect(rows[1].hbm_lookups <= rows[0].hbm_lookups,
+             std::string(shape) + " cartesian plan has more HBM lookups/inf (" +
+                 std::to_string(rows[1].hbm_lookups) + ") than the baseline (" +
+                 std::to_string(rows[0].hbm_lookups) + ")");
+    }
+    expect(lookup_rows[1].lookups < lookup_rows[0].lookups,
+           "cartesian plan does not cut lookups/inf on the lookup-heavy shape (" +
+               std::to_string(lookup_rows[0].lookups) + " -> " +
+               std::to_string(lookup_rows[1].lookups) + ")");
+  }
+  return shapes_hold ? 0 : 1;
 }

@@ -113,8 +113,11 @@ class Workload {
   /// shard; must not be empty.
   virtual std::vector<SubRequest> Scatter(uint64_t request_id) = 0;
 
-  /// Serves the slice of `request_id` owned by `shard`: computes the
-  /// functional partial result and returns its cost.
+  /// Serves the slice of `request_id` owned by `shard` and returns its cost,
+  /// which is due at return: the server charges it at once. The slice's
+  /// partial result need only be ready by the Merge() that reads it, so a
+  /// workload may compute it off the engine thread (AnnsTopKWorkload scans
+  /// on the worker pool); no cost may then depend on it.
   virtual Service Serve(uint32_t shard, uint64_t request_id) = 0;
 
   /// Combines the partial results of the slices that resolved kDone (see

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/parallel.h"
 
 namespace fpgadp::shard {
 
@@ -18,6 +19,30 @@ bool NeighborLess(const anns::Neighbor& a, const anns::Neighbor& b) {
 
 }  // namespace
 
+class AnnsTopKWorkload::SliceScan final : public Task {
+ public:
+  SliceScan(const anns::IvfPqIndex* index, const float* query,
+            std::vector<uint32_t> lists, size_t k, size_t answer_size)
+      : answer_size(answer_size),
+        index_(index),
+        query_(query, query + index->dim()),
+        lists_(std::move(lists)),
+        k_(k) {}
+
+  /// min(k, codes in the lists): the size Serve charged for.
+  const size_t answer_size;
+  /// The slice's top-k, closest first; read it only after Wait().
+  std::vector<anns::Neighbor> answer;
+
+ private:
+  void Run() override { answer = index_->SearchLists(query_.data(), lists_, k_); }
+
+  const anns::IvfPqIndex* index_;
+  std::vector<float> query_;
+  std::vector<uint32_t> lists_;
+  size_t k_;
+};
+
 AnnsTopKWorkload::AnnsTopKWorkload(const anns::IvfPqIndex* index,
                                    Partitioner partitioner,
                                    const Config& config)
@@ -30,6 +55,19 @@ AnnsTopKWorkload::AnnsTopKWorkload(const anns::IvfPqIndex* index,
   // (range scheme) depends on to re-route slices mid-flight.
   FPGADP_CHECK(!(config_.balance_scatter &&
                  partitioner_.scheme() == PartitionScheme::kRange));
+}
+
+AnnsTopKWorkload::~AnnsTopKWorkload() {
+  // Every scan reads index_, which the caller may free once this returns.
+  for (auto& [key, scan] : scans_) scan->Wait();
+  for (const std::shared_ptr<SliceScan>& scan : dropped_) scan->Wait();
+}
+
+void AnnsTopKWorkload::Drop(std::shared_ptr<SliceScan> scan) {
+  std::erase_if(dropped_, [](const std::shared_ptr<SliceScan>& s) {
+    return s->done();
+  });
+  if (!scan->done()) dropped_.push_back(std::move(scan));
 }
 
 uint64_t AnnsTopKWorkload::AddQuery(const float* query) {
@@ -115,18 +153,25 @@ Service AnnsTopKWorkload::Serve(uint32_t shard, uint64_t request_id) {
     return Service{1, 0};
   }
   const std::vector<uint32_t>& lists = plan_it->second;
-  std::vector<anns::Neighbor> partial =
-      index_->SearchLists(Query(request_id), lists, config_.k);
   uint64_t codes = 0;
   for (uint32_t list : lists) codes += index_->list(list).ids.size();
+  // SearchLists keeps every code while it holds fewer than k, so the answer
+  // has min(k, codes) neighbours whatever the query: the cost below needs
+  // no scan, and the scan can run while the engine moves on.
+  const size_t answer_size = std::min<uint64_t>(config_.k, codes);
+  auto scan = std::make_shared<SliceScan>(index_, Query(request_id), lists,
+                                          config_.k, answer_size);
+  Submit(scan);
+  std::shared_ptr<SliceScan>& slot = scans_[{request_id, shard}];
+  if (slot != nullptr) Drop(std::move(slot));  // a failover replay
+  slot = std::move(scan);
   Service svc;
   // FANNS-shaped shard cost: one LUT build per probed list, then the ADC
   // scan retires scan_lanes codes per cycle.
   svc.compute_cycles =
       uint64_t(config_.lut_cycles_per_list) * lists.size() +
       (codes + config_.scan_lanes - 1) / config_.scan_lanes;
-  svc.response_bytes = partial.size() * sizeof(anns::Neighbor);
-  partials_[{request_id, shard}] = std::move(partial);
+  svc.response_bytes = answer_size * sizeof(anns::Neighbor);
   return svc;
 }
 
@@ -149,13 +194,19 @@ void AnnsTopKWorkload::Merge(uint64_t request_id,
   std::vector<anns::Neighbor> merged;
   for (const PartialOutcome::Slice& slice : outcome.slices) {
     const auto key = std::make_pair(request_id, slice.shard);
-    if (slice.outcome == SubOutcome::kDone) {
-      const auto it = partials_.find(key);
-      if (it != partials_.end()) {
-        merged.insert(merged.end(), it->second.begin(), it->second.end());
+    const auto it = scans_.find(key);
+    if (it != scans_.end()) {
+      if (slice.outcome == SubOutcome::kDone) {
+        SliceScan& scan = *it->second;
+        scan.Wait();
+        // The simulation already carried answer_size neighbours' bytes.
+        FPGADP_CHECK(scan.answer.size() == scan.answer_size);
+        merged.insert(merged.end(), scan.answer.begin(), scan.answer.end());
+      } else {
+        Drop(std::move(it->second));
       }
+      scans_.erase(it);
     }
-    partials_.erase(key);
     plan_.erase(key);
   }
   std::sort(merged.begin(), merged.end(), NeighborLess);

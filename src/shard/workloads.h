@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,6 +27,11 @@ namespace fpgadp::shard {
 ///
 /// A degraded gather merges the slices that completed: recall drops, the
 /// query still answers.
+///
+/// Serve returns a slice's cost from its list lengths alone and leaves the
+/// scan itself to the process-wide worker pool (src/common/parallel.h); Merge
+/// waits for the scans it reads. The index must outlive the workload, whose
+/// destructor waits for every scan it started.
 class AnnsTopKWorkload : public Workload {
  public:
   struct Config {
@@ -50,6 +56,9 @@ class AnnsTopKWorkload : public Workload {
 
   AnnsTopKWorkload(const anns::IvfPqIndex* index, Partitioner partitioner,
                    const Config& config);
+  AnnsTopKWorkload(const AnnsTopKWorkload&) = delete;
+  AnnsTopKWorkload& operator=(const AnnsTopKWorkload&) = delete;
+  ~AnnsTopKWorkload() override;
 
   /// Registers a query (copies dim floats) and returns its request id.
   uint64_t AddQuery(const float* query);
@@ -58,7 +67,11 @@ class AnnsTopKWorkload : public Workload {
   const std::vector<anns::Neighbor>& result(uint64_t request_id) const;
 
   std::vector<SubRequest> Scatter(uint64_t request_id) override;
+  /// Charges one LUT build per probed list plus the scan at scan_lanes codes
+  /// per cycle, and min(k, codes scanned) neighbours of response, then
+  /// queues the scan on the worker pool.
   Service Serve(uint32_t shard, uint64_t request_id) override;
+  /// Waits for the scan of each kDone slice, in slice order, and merges.
   void Merge(uint64_t request_id, const PartialOutcome& outcome) override;
   /// Top-k is a shrinking merge: however many shard partials fold together,
   /// the merged response never carries more than k neighbors — hierarchical
@@ -79,7 +92,13 @@ class AnnsTopKWorkload : public Workload {
   void CommitMigration(const MigrationPlan& plan) override;
 
  private:
+  /// One served slice's IvfPqIndex::SearchLists, run on the worker pool
+  /// over its own copy of the query and the list ids.
+  class SliceScan;
+
   const float* Query(uint64_t request_id) const;
+  /// Keeps a scan nobody will read until it finishes (it reads index_).
+  void Drop(std::shared_ptr<SliceScan> scan);
 
   const anns::IvfPqIndex* index_;
   Partitioner partitioner_;
@@ -90,8 +109,11 @@ class AnnsTopKWorkload : public Workload {
   std::vector<uint64_t> shard_load_;
   /// Probed list ids per (request, shard), fixed at Scatter.
   std::map<std::pair<uint64_t, uint32_t>, std::vector<uint32_t>> plan_;
-  std::map<std::pair<uint64_t, uint32_t>, std::vector<anns::Neighbor>>
-      partials_;
+  /// The latest scan per served (request, shard); Merge reads and erases it.
+  std::map<std::pair<uint64_t, uint32_t>, std::shared_ptr<SliceScan>> scans_;
+  /// Unfinished scans of slices Merge dropped or a replayed serve replaced,
+  /// for the destructor to wait for.
+  std::vector<std::shared_ptr<SliceScan>> dropped_;
   std::map<uint64_t, std::vector<anns::Neighbor>> results_;
 };
 

@@ -595,14 +595,14 @@ TEST(IvfTest, SelectProbesMatchesScalarLoop) {
 
 /// The row-major scan SearchLists replaces, kept as an independent oracle:
 /// each listed vector's code re-derived with Encode(base - centroid) and
-/// scored with AdcDistance, top-k by the priority_queue rule (push while
-/// fewer than k, else replace on a strictly smaller distance).
-std::vector<Neighbor> RowMajorScan(const Dataset& data, const IvfPqIndex& index,
-                                   const float* query,
-                                   const std::vector<uint32_t>& lists, size_t k) {
+/// scored with AdcDistance, as (distance, id) in scan order (list by list,
+/// ids ascending).
+std::vector<std::pair<float, uint32_t>> RowMajorScan(
+    const Dataset& data, const IvfPqIndex& index, const float* query,
+    const std::vector<uint32_t>& lists) {
   const ProductQuantizer& pq = index.pq();
   const size_t dim = index.dim();
-  std::priority_queue<std::pair<float, uint32_t>> heap;
+  std::vector<std::pair<float, uint32_t>> scored;
   std::vector<float> residual_query(dim);
   std::vector<float> residual(dim);
   for (uint32_t c : lists) {
@@ -612,13 +612,23 @@ std::vector<Neighbor> RowMajorScan(const Dataset& data, const IvfPqIndex& index,
     for (uint32_t id : index.list(c).ids) {
       const float* v = data.BaseVector(id);
       for (size_t d = 0; d < dim; ++d) residual[d] = v[d] - ctr[d];
-      const float dist = pq.AdcDistance(lut, pq.Encode(residual.data()).data());
-      if (heap.size() < k) {
-        heap.emplace(dist, id);
-      } else if (dist < heap.top().first) {
-        heap.pop();
-        heap.emplace(dist, id);
-      }
+      scored.emplace_back(pq.AdcDistance(lut, pq.Encode(residual.data()).data()), id);
+    }
+  }
+  return scored;
+}
+
+/// Top-k of a scan by the priority_queue rule: push while fewer than k, else
+/// replace the worst on a strictly smaller distance.
+std::vector<Neighbor> HeapTopK(const std::vector<std::pair<float, uint32_t>>& scored,
+                               size_t k) {
+  std::priority_queue<std::pair<float, uint32_t>> heap;
+  for (const auto& [dist, id] : scored) {
+    if (heap.size() < k) {
+      heap.emplace(dist, id);
+    } else if (dist < heap.top().first) {
+      heap.pop();
+      heap.emplace(dist, id);
     }
   }
   std::vector<Neighbor> out;
@@ -676,14 +686,14 @@ TEST(IvfTest, SearchListsMatchesRowMajorScanBitwise) {
       const float* query = data.QueryVector(q);
       for (const std::vector<uint32_t>& lists :
            {index->SelectProbes(query, 4), index->SelectProbes(query, 16), all_lists}) {
-        size_t candidates = 0;
-        for (uint32_t c : lists) candidates += index->list(c).ids.size();
-        const std::vector<Neighbor> ranked =
-            RowMajorScan(data, *index, query, lists, candidates);
+        // Encoded and scored once per list set; each k selects from it.
+        const auto scored = RowMajorScan(data, *index, query, lists);
+        const size_t candidates = scored.size();
+        const std::vector<Neighbor> ranked = HeapTopK(scored, candidates);
         for (size_t k : {size_t{1}, size_t{10}, candidates + 1}) {
           SCOPED_TRACE(testing::Message() << "q=" << q << " lists=" << lists.size()
                                           << " k=" << k);
-          const std::vector<Neighbor> want = RowMajorScan(data, *index, query, lists, k);
+          const std::vector<Neighbor> want = HeapTopK(scored, k);
           const std::vector<Neighbor> got = index->SearchLists(query, lists, k);
           ASSERT_EQ(got.size(), want.size());
           for (size_t i = 0; i < got.size(); ++i) {

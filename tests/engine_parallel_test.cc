@@ -283,7 +283,7 @@ TEST(EngineDeterminismTest, ExecuteFpgaCyclesMatchObservedRun) {
   rel::GroupByOp g;
   g.group_column = 2;
   g.agg = rel::AggregateOp{rel::AggKind::kSum, 4, false};
-  p.ops.push_back(g);
+  p.ops.emplace_back(g);
   rel::FpgaOptions options;
   options.lanes = 2;
   options.stream_depth = 16;

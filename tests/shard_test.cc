@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -170,6 +171,155 @@ TEST(ShardAnnsTest, ShardedTopKMatchesSingleNodeSearch) {
       EXPECT_FLOAT_EQ(got[i].distance, expected[i].distance);
     }
   }
+}
+
+// --- Serve returns at once; the scan runs on the worker pool ---------------
+
+/// A slice's probed lists, in the order Scatter hands them to its shard.
+std::vector<uint32_t> SliceLists(const anns::IvfPqIndex& index,
+                                 const Partitioner& partitioner,
+                                 const float* query, size_t nprobe,
+                                 uint32_t shard) {
+  std::vector<uint32_t> lists;
+  for (uint32_t list : index.SelectProbes(query, nprobe)) {
+    if (partitioner.OwnerOf(list) == shard) lists.push_back(list);
+  }
+  return lists;
+}
+
+/// Every slice of `request_id` merged as served.
+PartialOutcome AllDone(uint64_t request_id, const std::vector<SubRequest>& subs) {
+  PartialOutcome out;
+  out.request_id = request_id;
+  for (const SubRequest& sub : subs) {
+    out.slices.push_back({sub.shard, SubOutcome::kDone});
+  }
+  out.shards_done = out.shards_total();
+  return out;
+}
+
+TEST(ShardAnnsTest, ServeChargesTheSizeOfTheScansAnswer) {
+  // Eight copies of 40 distinct vectors in 64 lists: at most 40 lists fill,
+  // and most hold fewer codes than a top-10 keeps.
+  anns::DatasetSpec spec;
+  spec.num_base = 40;
+  spec.num_queries = 8;
+  spec.dim = 16;
+  spec.seed = 5;
+  anns::Dataset data = anns::MakeDataset(spec);
+  const std::vector<float> distinct = data.base;
+  for (int copy = 1; copy < 8; ++copy) {
+    data.base.insert(data.base.end(), distinct.begin(), distinct.end());
+  }
+  anns::IvfPqIndex::Options opts;
+  opts.nlist = 64;
+  opts.pq.m = 4;
+  opts.pq.ksub = 32;
+  auto built = anns::IvfPqIndex::Build(data.base, data.dim, opts);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const anns::IvfPqIndex& index = *built;
+
+  const Partitioner partitioner = Partitioner::Hash(4);
+  size_t short_slices = 0, slices_with_empty_list = 0, k_above_all = 0;
+  for (auto [nprobe, k] : {std::pair<size_t, size_t>{8, 10}, {64, 10},
+                           {64, data.num_base() + 1}}) {
+    AnnsTopKWorkload::Config wc;
+    wc.nprobe = nprobe;
+    wc.k = k;
+    AnnsTopKWorkload wl(&index, partitioner, wc);
+    for (size_t q = 0; q < data.num_queries(); ++q) {
+      SCOPED_TRACE(testing::Message() << "nprobe=" << nprobe << " k=" << k
+                                      << " q=" << q);
+      const float* query = data.QueryVector(q);
+      const uint64_t id = wl.AddQuery(query);
+      const std::vector<SubRequest> subs = wl.Scatter(id);
+      size_t candidates = 0;
+      for (const SubRequest& sub : subs) {
+        const std::vector<uint32_t> lists =
+            SliceLists(index, partitioner, query, nprobe, sub.shard);
+        size_t codes = 0;
+        bool empty_list = false;
+        for (uint32_t list : lists) {
+          codes += index.list(list).ids.size();
+          empty_list |= index.list(list).ids.empty();
+        }
+        candidates += codes;
+        short_slices += codes < k ? 1 : 0;
+        slices_with_empty_list += empty_list ? 1 : 0;
+        EXPECT_EQ(wl.Serve(sub.shard, id).response_bytes,
+                  index.SearchLists(query, lists, k).size() * sizeof(anns::Neighbor))
+            << "shard " << sub.shard;
+      }
+      k_above_all += k > candidates ? 1 : 0;
+      wl.Merge(id, AllDone(id, subs));
+    }
+  }
+  EXPECT_GT(short_slices, 0u);
+  EXPECT_GT(slices_with_empty_list, 0u);
+  EXPECT_GT(k_above_all, 0u);
+}
+
+TEST(ShardAnnsTest, SliceServedTwiceMergesToTheSynchronousAnswer) {
+  const anns::Dataset data = ShardDataset();
+  const anns::IvfPqIndex index = BuildShardIndex(data);
+  AnnsTopKWorkload::Config wc;
+  wc.nprobe = 16;
+  wc.k = 10;
+  AnnsTopKWorkload wl(&index, Partitioner::Hash(4), wc);
+  anns::IvfPqIndex::SearchParams params;
+  params.nprobe = wc.nprobe;
+  params.k = wc.k;
+  for (size_t q = 0; q < data.num_queries(); ++q) {
+    SCOPED_TRACE(q);
+    const uint64_t id = wl.AddQuery(data.QueryVector(q));
+    const std::vector<SubRequest> subs = wl.Scatter(id);
+    // A failover replay serves the slice again; the second scan's answer
+    // is the one merged, straight after the serve.
+    for (const SubRequest& sub : subs) {
+      const Service first = wl.Serve(sub.shard, id);
+      const Service second = wl.Serve(sub.shard, id);
+      EXPECT_EQ(first.compute_cycles, second.compute_cycles);
+      EXPECT_EQ(first.response_bytes, second.response_bytes);
+    }
+    wl.Merge(id, AllDone(id, subs));
+    const std::vector<anns::Neighbor>& got = wl.result(id);
+    const std::vector<anns::Neighbor> want = index.Search(data.QueryVector(q), params);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+      EXPECT_EQ(got[i].distance, want[i].distance) << "rank " << i;
+    }
+  }
+}
+
+TEST(ShardAnnsTest, DestroyingAWorkloadWaitsForItsQueuedScans) {
+  // Under asan or tsan, a scan that outlived its workload would read the
+  // index freed right after it.
+  const anns::Dataset data = ShardDataset();
+  auto index = std::make_unique<anns::IvfPqIndex>(BuildShardIndex(data));
+  AnnsTopKWorkload::Config wc;
+  wc.nprobe = 32;  // every list: the longest scans this index has
+  auto wl = std::make_unique<AnnsTopKWorkload>(index.get(), Partitioner::Hash(4), wc);
+  for (int round = 0; round < 8; ++round) {
+    for (size_t q = 0; q < data.num_queries(); ++q) {
+      const uint64_t id = wl->AddQuery(data.QueryVector(q));
+      const std::vector<SubRequest> subs = wl->Scatter(id);
+      for (const SubRequest& sub : subs) wl->Serve(sub.shard, id);
+      // Some slices are served twice, and some requests end with every
+      // slice timed out: both leave scans nothing will read.
+      if (q % 3 == 0) wl->Serve(subs.front().shard, id);
+      if (q % 4 == 1) {
+        PartialOutcome out = AllDone(id, subs);
+        for (PartialOutcome::Slice& slice : out.slices) {
+          slice.outcome = SubOutcome::kTimedOut;
+        }
+        out.shards_done = 0;
+        wl->Merge(id, out);
+      }
+    }
+  }
+  wl.reset();
+  index.reset();
 }
 
 TEST(ShardKvsTest, MultiGetReturnsUnionOfShardStores) {

@@ -157,7 +157,7 @@ TEST(TopNFpgaTest, ComposesWithFilter) {
   op.is_double = true;
   op.ascending = false;  // 10 most expensive surviving rows
   op.n = 10;
-  prog.ops.push_back(op);
+  prog.ops.emplace_back(op);
   auto cpu = ExecuteCpu(prog, t);
   auto fpga = ExecuteFpga(prog, t);
   ASSERT_TRUE(cpu.ok() && fpga.ok());
@@ -175,7 +175,7 @@ TEST_P(TopNSweep, CpuFpgaEquivalence) {
   TopNOp op;
   op.order_column = 1;
   op.n = GetParam();
-  prog.ops.push_back(op);
+  prog.ops.emplace_back(op);
   auto cpu = ExecuteCpu(prog, t);
   auto fpga = ExecuteFpga(prog, t);
   ASSERT_TRUE(cpu.ok() && fpga.ok());

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     auto barrier = comm.Barrier();
     if (!ring.ok() || !tree.ok() || !barrier.ok()) {
       std::cerr << "collective failed\n";
-      return 1;
+      return session.Fail();
     }
     // Bandwidth-optimal all-reduce moves 2(p-1)/p * n bytes per NIC.
     const double optimal =
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     auto tree = comm.Broadcast(0, b2, Algo::kTree);
     if (!lin.ok() || !tree.ok()) {
       std::cerr << "broadcast failed\n";
-      return 1;
+      return session.Fail();
     }
     if (p == 32) {
       expect(tree->seconds < lin->seconds,
@@ -170,5 +170,5 @@ int main(int argc, char** argv) {
                "broadcast removes the tree root's log2(p) copy cost; the\n"
                "TCP transport (ACCL's wire protocol) adds bounded "
                "session/segmentation overhead.\n";
-  return shapes_hold ? 0 : 1;
+  return shapes_hold ? 0 : session.Fail();
 }

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   auto index = IvfPqIndex::Build(data.base, data.dim, opts);
   if (!index.ok()) {
     std::cerr << "build failed: " << index.status() << "\n";
-    return 1;
+    return session.Fail();
   }
   std::cout << "index: IVF" << opts.nlist << ",PQ" << opts.pq.m << " ("
             << index->index_bytes() / 1024 << " KiB), avg list "
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     auto stats = accel.SearchBatch(data.queries, params);
     if (!stats.ok()) {
       std::cerr << "search failed: " << stats.status() << "\n";
-      return 1;
+      return session.Fail();
     }
     double recall = 0;
     for (size_t q = 0; q < data.num_queries(); ++q) {
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   auto rindex = IvfPqIndex::Build(data.base, data.dim, ropts);
   if (!rindex.ok()) {
     std::cerr << "build failed: " << rindex.status() << "\n";
-    return 1;
+    return session.Fail();
   }
   FannsAccelerator raccel(&*rindex, AccelConfig{});
   TablePrinter rt({"rerank", "recall@10", "FPGA QPS", "CPU QPS",
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     auto stats = raccel.SearchBatch(data.queries, params);
     if (!stats.ok()) {
       std::cerr << "search failed: " << stats.status() << "\n";
-      return 1;
+      return session.Fail();
     }
     double recall = 0;
     for (size_t q = 0; q < data.num_queries(); ++q) {
@@ -158,5 +158,5 @@ int main(int argc, char** argv) {
                "several-x ahead of the CPU across the curve, and\n"
                "re-ranking buys recall beyond the PQ ceiling for a modest "
                "QPS cost.\n";
-  return shapes_hold ? 0 : 1;
+  return shapes_hold ? 0 : session.Fail();
 }

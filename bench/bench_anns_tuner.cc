@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     auto result = ExploreDesignSpace(req);
     if (!result.ok()) {
       std::cerr << "tuner failed: " << result.status() << "\n";
-      return 1;
+      return session.Fail();
     }
     if (!result->found) {
       t.AddRow({TablePrinter::Fmt(target, 2), "(no feasible design)", "-", "-",

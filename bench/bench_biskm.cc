@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   auto exact = KMeansAnyPrecision(points, dim, opts);
   if (!exact.ok()) {
     std::cerr << "kmeans failed: " << exact.status() << "\n";
-    return 1;
+    return session.Fail();
   }
 
   TablePrinter t({"bits", "inertia vs fp32", "modeled Mpoints/s",

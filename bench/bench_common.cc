@@ -1,72 +1,87 @@
 #include "bench/bench_common.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
 namespace fpgadp::bench {
 
-namespace {
-
-/// Engine-mode flags that no longer exist. Each selected an engine mode that
-/// was deleted, so a run that asks for one must not silently measure the one
-/// scheduler instead, as an ignored unknown flag would.
-constexpr const char* kRemovedFlags[] = {"--threads=", "--no-fast-forward",
-                                         "--engine="};
-
-/// Prints one line naming the malformed flag and exits 2: a value that
-/// parses only in part (`--drop-rate=0,3`) must not run as its prefix.
-[[noreturn]] void RejectFlag(const char* prog, const char* arg, const char* want) {
-  std::cerr << prog << ": " << arg << ": expected " << want << "\n";
-  std::exit(2);
+Flag BoolFlag(std::string name, bool* target) {
+  return {std::move(name), "", [target](const char*) { return *target = true; }};
 }
 
-}  // namespace
+Flag ChoiceFlag(std::string name, std::vector<std::string> choices,
+                std::string* target) {
+  std::string accepted;
+  for (const std::string& c : choices) accepted += (accepted.empty() ? "" : "|") + c;
+  return {std::move(name), std::move(accepted),
+          [choices = std::move(choices), target](const char* value) {
+            const bool ok = std::ranges::find(choices, value) != choices.end();
+            if (ok) *target = value;
+            return ok;
+          }};
+}
 
-Session::Session(int argc, char** argv)
+Flag RangeFlag(std::string name, uint64_t lo, uint64_t hi, uint64_t* target) {
+  return {std::move(name),
+          "<integer " + std::to_string(lo) + ".." + std::to_string(hi) + ">",
+          [lo, hi, target](const char* value) {
+            char* end = nullptr;
+            errno = 0;
+            const uint64_t n = std::strtoull(value, &end, 10);
+            // strtoull would also take a sign or leading space, and wrap "-1".
+            const bool ok = std::isdigit(static_cast<unsigned char>(*value)) &&
+                            *end == '\0' && errno != ERANGE && n >= lo && n <= hi;
+            if (ok) *target = n;
+            return ok;
+          }};
+}
+
+Flag ProbabilityFlag(std::string name, double* target) {
+  return {std::move(name), "<probability 0..1>", [target](const char* value) {
+            char* end = nullptr;
+            const double x = std::strtod(value, &end);
+            // The range test also rejects NaN.
+            const bool ok = end != value && *end == '\0' && x >= 0 && x <= 1;
+            if (ok) *target = x;
+            return ok;
+          }};
+}
+
+Session::Session(int argc, char** argv, std::vector<Flag> flags)
     : start_(std::chrono::steady_clock::now()) {
+  bool metrics = false;
+  const auto path = [](std::string* target) {
+    return [target](const char* value) {
+      *target = value;
+      return !target->empty();  // "--json=" must not fall back to the default file
+    };
+  };
+  flags.insert(flags.begin(), {{"--trace=", "<file>", path(&trace_path_)},
+                               {"--json=", "<file>", path(&json_path_)},
+                               BoolFlag("--metrics", &metrics)});
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    for (const char* removed : kRemovedFlags) {
-      if (std::strncmp(arg, removed, std::strlen(removed)) == 0) {
-        std::cerr << argv[0] << ": " << arg << " was removed; every engine "
-                  << "runs the one event-driven scheduler\n";
-        std::exit(2);
-      }
+    const std::string arg = argv[i];
+    const Flag* flag = nullptr;
+    for (const Flag& f : flags) {
+      if (f.name.ends_with('=') ? arg.starts_with(f.name) : arg == f.name) flag = &f;
     }
-    if (std::strncmp(arg, "--trace=", 8) == 0) {
-      trace_path_ = arg + 8;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path_ = arg + 7;
-    } else if (std::strcmp(arg, "--metrics") == 0) {
-      metrics_ = std::make_unique<obs::MetricsRegistry>();
-    } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-      const char* value = arg + 13;
-      char* end = nullptr;
-      errno = 0;
-      fault_seed_ = std::strtoull(value, &end, 10);
-      // strtoull would also take a sign or leading space, and wrap "-1".
-      if (!std::isdigit(static_cast<unsigned char>(*value)) || *end != '\0' ||
-          errno == ERANGE) {
-        RejectFlag(argv[0], arg, "an unsigned decimal integer");
-      }
-    } else if (std::strncmp(arg, "--drop-rate=", 12) == 0) {
-      const char* value = arg + 12;
-      char* end = nullptr;
-      drop_rate_ = std::strtod(value, &end);
-      if (end == value || *end != '\0' || !(drop_rate_ >= 0 && drop_rate_ <= 1)) {
-        RejectFlag(argv[0], arg, "a probability in [0, 1]");
-      }
+    if (flag == nullptr || !flag->set(argv[i] + flag->name.size())) {
+      std::cerr << argv[0] << (flag ? ": bad value in '" : ": unknown flag '") << arg
+                << "'; the accepted flags are:\n";
+      for (const Flag& f : flags) std::cerr << "  " << f.name << f.accepted << "\n";
+      std::exit(2);
     }
   }
   if (!trace_path_.empty()) {
     writer_ = std::make_unique<obs::TraceWriter>();
     obs::SetGlobalTraceWriter(writer_.get());
   }
+  if (metrics) metrics_ = std::make_unique<obs::MetricsRegistry>();
   if (metrics_) obs::SetGlobalMetrics(metrics_.get());
 }
 

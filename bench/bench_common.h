@@ -2,6 +2,8 @@
 #define FPGADP_BENCH_BENCH_COMMON_H_
 
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -12,19 +14,39 @@
 
 namespace fpgadp::bench {
 
-/// Shared observability harness for every bench binary. Declare one at the
-/// top of main():
+/// One flag a bench accepts. A `name` ending in '=' (`--gather=`) takes the
+/// rest of the argument as its value; any other name (`--smoke`) must match
+/// the whole argument. `set` stores the value into its target and returns
+/// false to reject it; `accepted` describes the values for the usage lines.
+struct Flag {
+  std::string name;
+  std::string accepted;
+  std::function<bool(const char* value)> set;
+};
+
+/// `--name`: sets *target to true.
+Flag BoolFlag(std::string name, bool* target);
+/// `--name=v` for v one of `choices`.
+Flag ChoiceFlag(std::string name, std::vector<std::string> choices,
+                std::string* target);
+/// `--name=n` for a decimal n in [lo, hi]: digits only, the whole value.
+Flag RangeFlag(std::string name, uint64_t lo, uint64_t hi, uint64_t* target);
+/// `--name=x` for a probability x in [0, 1], parsed whole.
+Flag ProbabilityFlag(std::string name, double* target);
+
+/// Shared flag parser and observability harness for every bench binary.
+/// Declare the bench's flag targets, then the session, at the top of main():
 ///
 ///   int main(int argc, char** argv) {
-///     fpgadp::bench::Session session(argc, argv);
+///     bool smoke = false;
+///     bench::Session session(argc, argv, {bench::BoolFlag("--smoke", &smoke)});
 ///     ...
 ///   }
 ///
-/// Flags (unknown flags are ignored so benches can add their own, except the
-/// removed engine-mode flags --threads=, --no-fast-forward and --engine=,
-/// which print one line naming the removal and exit 2 — every engine now
-/// runs the one event-driven scheduler, so honoring them silently would
-/// measure something other than what was asked for):
+/// The session accepts the bench's `flags` plus the three below. Any other
+/// argument, or a value its flag rejects, prints one line naming it and one
+/// usage line per accepted flag, and exits 2 before any work, so no run
+/// measures something other than what was asked for.
 ///   --trace=<file>   Record every simulated engine run as Chrome
 ///                    trace_event JSON; open in chrome://tracing or
 ///                    https://ui.perfetto.dev. Module-busy spans, stream
@@ -32,10 +54,6 @@ namespace fpgadp::bench {
 ///                    kernel cycle.
 ///   --metrics        Print the metrics registry (stall attribution, stream
 ///                    traffic, memory/network counters) on exit.
-///   --fault-seed=N   Seed for the fault injector of benches that support
-///                    lossy-fabric runs (default 1).
-///   --drop-rate=X    Per-packet drop probability in [0,1) for those
-///                    benches; 0 (default) keeps the fabric loss-free.
 ///   --json=<file>    Dump every result row the bench recorded with
 ///                    AddResult(), plus the bench's total wall-clock, as a
 ///                    JSON file on exit — the machine-readable complement
@@ -47,27 +65,14 @@ namespace fpgadp::bench {
 /// (see obs/trace.h), which every Engine picks up when it starts running —
 /// including engines constructed deep inside ExecuteFpga or pipeline
 /// helpers. The destructor writes the trace file and prints metrics, so the
-/// Session must outlive all engine runs (declare it first in main).
+/// Session must outlive all engine runs.
 class Session {
  public:
-  Session(int argc, char** argv);
+  Session(int argc, char** argv, std::vector<Flag> flags = {});
   ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-
-  bool tracing() const { return writer_ != nullptr; }
-  bool metrics_enabled() const { return metrics_ != nullptr; }
-  const std::string& trace_path() const { return trace_path_; }
-
-  /// Fault-model knobs for benches with lossy-fabric modes. The session
-  /// only parses them; the bench constructs its own FaultInjector.
-  uint64_t fault_seed() const { return fault_seed_; }
-  double drop_rate() const { return drop_rate_; }
-
-  /// The registry --metrics dumps, for benches that want to add their own
-  /// instruments; nullptr when --metrics is off.
-  obs::MetricsRegistry* metrics() { return metrics_.get(); }
 
   /// One named numeric field of a result row.
   using ResultField = std::pair<std::string, double>;
@@ -81,9 +86,6 @@ class Session {
   /// Fallback --json destination a bench can install before results are
   /// recorded; an explicit --json=<file> flag always wins.
   void SetDefaultJsonPath(const std::string& path);
-
-  bool json_enabled() const { return !json_path_.empty(); }
-  const std::string& json_path() const { return json_path_; }
 
   /// Marks the run failed, so the destructor writes no JSON (a failed run
   /// must not replace a committed baseline with partial rows). Returns the
@@ -105,8 +107,6 @@ class Session {
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::vector<ResultRow> results_;
   std::chrono::steady_clock::time_point start_;
-  uint64_t fault_seed_ = 1;
-  double drop_rate_ = 0;
   bool failed_ = false;
 };
 

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     auto off = system.RunOffloaded(tid, pid);
     auto fetch = system.RunFetchAll(tid, pid);
     const std::string name = "qty >= " + std::to_string(qty);
-    if (!check_query(name, off, fetch)) return 1;
+    if (!check_query(name, off, fetch)) return session.Fail();
     const double sel = double(off->result.num_rows()) / double(table.num_rows());
     const double speedup = fetch->seconds / off->seconds;
     if (sel == 1.0) {
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   const uint64_t apid = system.RegisterProgram(agg);
   auto aoff = system.RunOffloaded(tid, apid);
   auto afetch = system.RunFetchAll(tid, apid);
-  if (!check_query("sum(qty)", aoff, afetch)) return 1;
+  if (!check_query("sum(qty)", aoff, afetch)) return session.Fail();
   t.AddRow({"sum(qty)", "1 row", TablePrinter::FmtCount(aoff->wire_bytes),
             TablePrinter::FmtCount(afetch->wire_bytes),
             TablePrinter::Fmt(aoff->seconds * 1e3, 3),
@@ -163,5 +163,5 @@ int main(int argc, char** argv) {
   std::cout << "\npaper expectation: offload wins grow as selectivity drops; "
                "aggregation, group-by\nand top-N pushdown move O(1)-ish bytes "
                "instead of the table. All shapes\nreproduce above.\n";
-  return shapes_hold ? 0 : 1;
+  return shapes_hold ? 0 : session.Fail();
 }

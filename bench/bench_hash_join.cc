@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     auto fpga = HashJoinFpga(dim, probe, JoinSpec{0, 1}, options);
     if (!fpga.ok()) {
       std::cerr << "join failed: " << fpga.status() << "\n";
-      return 1;
+      return session.Fail();
     }
     const double match =
         double(fpga->output.num_rows()) / double(probe.num_rows());

@@ -136,12 +136,12 @@ int main(int argc, char** argv) {
                                          device::AlveoU280(), cfg);
     if (!engine.ok()) {
       std::cerr << "create failed: " << engine.status() << "\n";
-      return 1;
+      return session.Fail();
     }
     auto stats = engine->RunBatch(256, 123);
     if (!stats.ok()) {
       std::cerr << "run failed: " << stats.status() << "\n";
-      return 1;
+      return session.Fail();
     }
     if (ch == 1) base_ips = stats->inferences_per_sec;
     t.AddRow({std::to_string(ch),
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   if (cyc_step == 0 || cyc_step != cyc_run) {
     std::cerr << "FAIL: Run() diverged from the Step() loop (" << cyc_run
               << " vs " << cyc_step << " cycles)\n";
-    return 1;
+    return session.Fail();
   }
   TablePrinter pt({"driver", "sim cycles", "wall time"});
   pt.AddRow({"Step() loop", TablePrinter::FmtCount(cyc_step),

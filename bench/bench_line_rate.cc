@@ -76,13 +76,13 @@ int main(int argc, char** argv) {
     auto stats = ExecuteFpga(p, table, options);
     if (!stats.ok()) {
       std::cerr << "failed: " << stats.status() << "\n";
-      return 1;
+      return session.Fail();
     }
     if (qty == 25 && stats->cycles != kGoldenFilterCycles) {
       std::cerr << "FAIL: filter cycle count drifted from the golden "
                    "baseline (got "
                 << stats->cycles << ", want " << kGoldenFilterCycles << ")\n";
-      return 1;
+      return session.Fail();
     }
     const double sel =
         double(stats->output.num_rows()) / double(table.num_rows());
@@ -161,5 +161,5 @@ int main(int argc, char** argv) {
                ">= 100 Gbps with cycles\nindependent of data content; the "
                "CPU both falls short of line rate and slows\nfurther as "
                "more tuples survive.\n";
-  return shapes_hold ? 0 : 1;
+  return shapes_hold ? 0 : session.Fail();
 }

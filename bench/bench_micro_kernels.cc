@@ -271,8 +271,8 @@ BENCHMARK(BM_SimulatorStep);
 }  // namespace fpgadp
 
 int main(int argc, char** argv) {
+  ::benchmark::Initialize(&argc, argv);  // strips --benchmark_*; Session gets the rest
   fpgadp::bench::Session session(argc, argv);
-  ::benchmark::Initialize(&argc, argv);  // leaves --trace/--metrics alone
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   return 0;

@@ -156,5 +156,5 @@ int main(int argc, char** argv) {
                std::to_string(lookup_rows[0].lookups) + " -> " +
                std::to_string(lookup_rows[1].lookups) + ")");
   }
-  return shapes_hold ? 0 : 1;
+  return shapes_hold ? 0 : session.Fail();
 }

@@ -94,7 +94,11 @@ constexpr uint64_t kGolden1x1MiBCycles = 17191;
 }  // namespace
 
 int main(int argc, char** argv) {
-  fpgadp::bench::Session session(argc, argv);
+  uint64_t fault_seed = 1;
+  double drop_rate = 0;
+  bench::Session session(argc, argv,
+                         {bench::RangeFlag("--fault-seed=", 0, UINT64_MAX, &fault_seed),
+                          bench::ProbabilityFlag("--drop-rate=", &drop_rate)});
   std::cout << "=== E2: RDMA READ latency / bandwidth on the 100 Gbps fabric "
                "===\n\n";
 
@@ -132,7 +136,7 @@ int main(int argc, char** argv) {
               << cycles_64x4k << ", want " << kGolden64x4KiBCycles
               << "; 1x1MiB: got " << cycles_1x1m << ", want "
               << kGolden1x1MiBCycles << ")\n";
-    return 1;
+    return session.Fail();
   }
   std::cout << "\nzero-overhead check: loss-free cycle counts bit-identical "
                "to baseline (64x4KiB = "
@@ -144,15 +148,15 @@ int main(int argc, char** argv) {
   // collapsing.
   std::cout << "\n=== E18: goodput vs drop rate (32 x 64 KiB mixed "
                "write/read, seed "
-            << session.fault_seed() << ") ===\n\n";
+            << fault_seed << ") ===\n\n";
   TablePrinter gp({"drop rate", "cycles", "goodput", "retransmits", "drops"});
   std::vector<double> rates = {0.0, 0.001, 0.01, 0.05};
-  if (session.drop_rate() > 0) rates.push_back(session.drop_rate());
+  if (drop_rate > 0) rates.push_back(drop_rate);
   const int kOps = 32;
   const uint64_t kBytes = 65536;
   for (double rate : rates) {
     FaultInjector::Config fc;
-    fc.seed = session.fault_seed();
+    fc.seed = fault_seed;
     fc.drop_rate = rate;
     FaultInjector injector(fc);
     Harness h(rate > 0 ? &injector : nullptr);
@@ -178,11 +182,11 @@ int main(int argc, char** argv) {
   // change.
   std::cout << "\n=== E19: Run() wall-clock speedup over the Step() loop "
                "(16 x 4 KiB writes,\ndrop rate 0.30, RTO 100k cycles, seed "
-            << session.fault_seed() << ") ===\n\n";
+            << fault_seed << ") ===\n\n";
   auto timer_workload = [&](bool stepped, uint64_t* out_cycles,
                             uint64_t* out_retransmits) -> bool {
     FaultInjector::Config fc;
-    fc.seed = session.fault_seed();
+    fc.seed = fault_seed;
     fc.drop_rate = 0.30;
     FaultInjector injector(fc);
     RdmaEndpoint::Reliability rel;
@@ -207,13 +211,13 @@ int main(int argc, char** argv) {
   const auto t2 = std::chrono::steady_clock::now();
   if (!ok_slow || !ok_fast) {
     std::cerr << "FAIL: timer workload did not complete\n";
-    return 1;
+    return session.Fail();
   }
   if (cyc_slow != cyc_fast || rtx_slow != rtx_fast) {
     std::cerr << "FAIL: Run() diverged from the Step() loop (cycles "
               << cyc_fast << " vs " << cyc_slow << ", retransmits "
               << rtx_fast << " vs " << rtx_slow << ")\n";
-    return 1;
+    return session.Fail();
   }
   const double ms_slow =
       std::chrono::duration<double, std::milli>(t1 - t0).count();

@@ -29,7 +29,8 @@
 // src/shard/gather.h — with fanout-1 requests the tree is degenerate, so
 // this mostly exercises the merged-form wire protocol under load; auto
 // hands the choice to the cost-model picker in src/shard/topology_planner.h,
-// fed by a short probe run's estimators), plus the bench_common set.
+// fed by a short probe run's estimators), --fault-seed=N and --drop-rate=X
+// (the lossy sweep's seed, default 1, and drop rate, default 0.01).
 //
 // --failover switches to the E25 replication/recovery sweep instead: for
 // each (policy, rho) a baseline R=1 run, an R=2 run (replication
@@ -39,7 +40,6 @@
 // BENCH_failover.json.
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
@@ -408,15 +408,17 @@ int RunFailoverSweep(bench::Session& session, bool smoke) {
 
 int main(int argc, char** argv) {
   using namespace fpgadp;
-  bench::Session session(argc, argv);
   bool smoke = false;
   bool failover = false;
   std::string gather_flag = "flat";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--failover") == 0) failover = true;
-    if (std::strncmp(argv[i], "--gather=", 9) == 0) gather_flag = argv[i] + 9;
-  }
+  uint64_t fault_seed = 1;
+  double drop_rate = 0;
+  bench::Session session(
+      argc, argv,
+      {bench::BoolFlag("--smoke", &smoke), bench::BoolFlag("--failover", &failover),
+       bench::ChoiceFlag("--gather=", {"flat", "tree", "switch", "auto"}, &gather_flag),
+       bench::RangeFlag("--fault-seed=", 0, UINT64_MAX, &fault_seed),
+       bench::ProbabilityFlag("--drop-rate=", &drop_rate)});
   session.SetDefaultJsonPath(failover ? "BENCH_failover.json"
                                       : "BENCH_serving_slo.json");
   if (failover) return RunFailoverSweep(session, smoke);
@@ -425,11 +427,8 @@ int main(int argc, char** argv) {
     std::string rationale;
     gather = PlanAutoServing(&rationale);
     std::cout << "[auto] serving mix -> " << rationale << "\n";
-  } else if (!shard::ParseGatherTopology(gather_flag, &gather.topology)) {
-    std::cerr << "FAIL: unknown --gather=" << gather_flag
-              << " (want flat|tree|switch|auto)\n";
-    return session.Fail();
-  } else if (gather.topology != shard::GatherTopology::kFlat) {
+  } else if (shard::ParseGatherTopology(gather_flag, &gather.topology) &&
+             gather.topology != shard::GatherTopology::kFlat) {
     gather.coordinator_ports = 2;
     // Lossy sweeps run under this config too: a lost child contribution
     // must not wedge its tree ancestors past the gather deadline.
@@ -443,8 +442,7 @@ int main(int argc, char** argv) {
   const double overload = loads.back() < 1.3 ? 1.2 : loads.back();
   const std::vector<double> fault_loads =
       smoke ? std::vector<double>{0.9} : std::vector<double>{0.7, 1.2};
-  const double fault_drop =
-      session.drop_rate() > 0 ? session.drop_rate() : 0.01;
+  const double fault_drop = drop_rate > 0 ? drop_rate : 0.01;
 
   std::cout << "=== serving front door: tail latency vs offered load"
             << (smoke ? " (smoke)" : "")
@@ -491,7 +489,7 @@ int main(int argc, char** argv) {
         rc.drop_rate = sweep.drop;
         rc.kind = sweep.kind;
         rc.num_requests = num_requests;
-        rc.fault_seed = session.fault_seed();
+        rc.fault_seed = fault_seed;
         rc.gather = gather;
 
         const RunOut first = RunOne(rc);

@@ -44,7 +44,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
@@ -284,34 +283,18 @@ AutoPlan PlanAutoKvs(const Sizes& sizes, uint32_t shards) {
 
 int main(int argc, char** argv) {
   using namespace fpgadp;
-  bench::Session session(argc, argv);
-  session.SetDefaultJsonPath("BENCH_shard_scaling.json");
   bool smoke = false;
   std::string gather_flag = "all";
-  uint32_t replication = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--gather=", 9) == 0) gather_flag = argv[i] + 9;
-    if (std::strncmp(argv[i], "--replication=", 14) == 0) {
-      replication = std::strtoul(argv[i] + 14, nullptr, 10);
-      if (replication < 1 || replication > 4) {
-        std::cerr << "FAIL: --replication wants 1..4, got " << argv[i] + 14
-                  << "\n";
-        return session.Fail();
-      }
-    }
-  }
-  std::vector<std::string> gathers;
-  if (gather_flag == "all") {
-    gathers = kGatherNames;
-  } else if (std::find(kGatherNames.begin(), kGatherNames.end(),
-                       gather_flag) != kGatherNames.end()) {
-    gathers = {gather_flag};
-  } else {
-    std::cerr << "FAIL: unknown --gather=" << gather_flag
-              << " (want flat|flat4|tree|switch|scatter|auto|all)\n";
-    return session.Fail();
-  }
+  uint64_t replication = 1;
+  std::vector<std::string> gather_choices = kGatherNames;
+  gather_choices.push_back("all");
+  bench::Session session(argc, argv,
+                         {bench::BoolFlag("--smoke", &smoke),
+                          bench::ChoiceFlag("--gather=", gather_choices, &gather_flag),
+                          bench::RangeFlag("--replication=", 1, 4, &replication)});
+  session.SetDefaultJsonPath("BENCH_shard_scaling.json");
+  const std::vector<std::string> gathers =
+      gather_flag == "all" ? kGatherNames : std::vector<std::string>{gather_flag};
   // Replica routing is defined only for the flat response path (GatherPlan).
   if (replication > 1 &&
       std::any_of(gathers.begin(), gathers.end(), [](const std::string& g) {

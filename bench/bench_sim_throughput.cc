@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -378,12 +377,9 @@ bool CheckGoldenFilter() {
 
 int main(int argc, char** argv) {
   using namespace fpgadp;
-  bench::Session session(argc, argv);
-  session.SetDefaultJsonPath("BENCH_sim_throughput.json");
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  bench::Session session(argc, argv, {bench::BoolFlag("--smoke", &smoke)});
+  session.SetDefaultJsonPath("BENCH_sim_throughput.json");
   std::cout << "=== simulator data-plane throughput"
             << (smoke ? " (smoke)" : "") << " ===\n";
 

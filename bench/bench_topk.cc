@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       const auto b = heap.Results();
       if (a.size() != b.size() || a.back().distance != b.back().distance) {
         std::cerr << "MISMATCH between systolic and heap results\n";
-        return 1;
+        return session.Fail();
       }
       // FPGA: insertion is pipelined behind the scan; only the drain adds.
       const uint64_t fpga_extra = systolic.DrainCycles();

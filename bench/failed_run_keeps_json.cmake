@@ -1,5 +1,5 @@
-# Runs a bench that must fail in a directory holding a sentinel copy of its
-# default --json file, and checks the failed run left that file untouched.
+# Runs a bench that must fail through Session::Fail() (exit 1) next to a
+# sentinel copy of its default --json file, and checks the run left it untouched.
 #
 #   cmake -DBENCH=<binary> -DARGS=<flag;...> -DJSON=<file name> -DDIR=<dir>
 #         -P failed_run_keeps_json.cmake
@@ -10,8 +10,8 @@ file(WRITE "${DIR}/${JSON}" "${sentinel}")
 execute_process(COMMAND "${BENCH}" ${ARGS}
   WORKING_DIRECTORY "${DIR}" RESULT_VARIABLE code
   OUTPUT_QUIET ERROR_QUIET)
-if(code EQUAL 0)
-  message(FATAL_ERROR "${BENCH} ${ARGS} exited 0; expected a failure")
+if(NOT code EQUAL 1)
+  message(FATAL_ERROR "${BENCH} ${ARGS} exited ${code}; expected 1 from Session::Fail()")
 endif()
 file(READ "${DIR}/${JSON}" after)
 if(NOT after STREQUAL sentinel)

@@ -31,6 +31,7 @@ ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
       num_shards_(num_shards), config_(config), elastic_(elastic) {
   FPGADP_CHECK(workload_ != nullptr);
   FPGADP_CHECK(plan_ != nullptr);
+  FPGADP_CHECK(elastic_ != nullptr);
   FPGADP_CHECK(endpoints_.size() == plan_->ports());
   for (net::RdmaEndpoint* ep : endpoints_) FPGADP_CHECK(ep != nullptr);
   FPGADP_CHECK((agg_switch_ != nullptr) ==
@@ -52,11 +53,8 @@ ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
   pending_cost_.assign(num_shards_, 0);
   wire_est_ = config_.initial_wire_estimate_cycles;
   promo_until_.assign(num_shards_, 0);
-  if (elastic_ != nullptr) {
-    FPGADP_CHECK(elastic_->replicas.num_shards() == num_shards_);
-    FPGADP_CHECK(elastic_->replicas.replication_factor() ==
-                 plan_->replicas());
-  }
+  FPGADP_CHECK(elastic_->replicas.num_shards() == num_shards_);
+  FPGADP_CHECK(elastic_->replicas.replication_factor() == plan_->replicas());
 }
 
 void ShardCoordinator::Submit(uint64_t request_id) {
@@ -191,20 +189,16 @@ void ShardCoordinator::ObserveService(uint32_t shard, uint64_t service_cycles,
 
 uint64_t ShardCoordinator::PromotionPenalty(uint32_t shard,
                                             sim::Cycle now) const {
-  if (elastic_ == nullptr || elastic_->config.promotion_penalty_cycles == 0) {
-    return 0;
-  }
+  if (elastic_->config.promotion_penalty_cycles == 0) return 0;
   return promo_until_[shard] > now ? promo_until_[shard] - now : 0;
 }
 
 uint32_t ShardCoordinator::PrimaryNode(uint32_t shard) const {
-  const uint32_t primary =
-      elastic_ == nullptr ? 0 : elastic_->replicas.Primary(shard);
-  return plan_->ReplicaNode(shard, primary);
+  return plan_->ReplicaNode(shard, elastic_->replicas.Primary(shard));
 }
 
 bool ShardCoordinator::CanFailover(uint32_t shard) const {
-  return elastic_ != nullptr && elastic_->replicas.CanPromote(shard);
+  return elastic_->replicas.CanPromote(shard);
 }
 
 void ShardCoordinator::TraceElastic(const std::string& what,
@@ -277,7 +271,6 @@ void ShardCoordinator::CheckBeacons(sim::Cycle cycle) {
 
 void ShardCoordinator::StartMigration(const MigrationPlan& plan,
                                       sim::Cycle now) {
-  FPGADP_CHECK(elastic_ != nullptr);
   FPGADP_CHECK(plan_->topology() == GatherTopology::kFlat);
   // Migration forwarding re-routes individual slices by shard; a subtree
   // bundle has no single re-route target.
@@ -308,7 +301,6 @@ void ShardCoordinator::StartMigration(const MigrationPlan& plan,
 
 void ShardCoordinator::HandleMigrateDone(const net::Packet& p,
                                          sim::Cycle cycle) {
-  if (elastic_ == nullptr) return;
   Migration* m = elastic_->Find(p.user);
   if (m == nullptr || m->phase != MigrationPhase::kCopy) return;
   // The flip point of the double-ownership window: from this tick on, new
@@ -572,9 +564,7 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
   }
 
   // Beacon liveness: promote away from primaries that went silent.
-  if (elastic_ != nullptr && elastic_->config.beacon_timeout_cycles > 0) {
-    CheckBeacons(cycle);
-  }
+  if (elastic_->config.beacon_timeout_cycles > 0) CheckBeacons(cycle);
 
   // Responses: each resolves every pending slice its masks cover.
   for (net::RdmaEndpoint* ep : endpoints_) {
@@ -582,11 +572,8 @@ void ShardCoordinator::Tick(sim::Cycle cycle) {
     while (ep->PollRecv(&p)) {
       progressed = true;
       if (p.kind == net::OpKind::kHealthBeacon) {
-        if (elastic_ != nullptr) {
-          elastic_->replicas.ObserveBeacon(
-              static_cast<uint32_t>(p.user), static_cast<uint32_t>(p.user2),
-              cycle);
-        }
+        elastic_->replicas.ObserveBeacon(static_cast<uint32_t>(p.user),
+                                         static_cast<uint32_t>(p.user2), cycle);
         continue;
       }
       if (p.kind == net::OpKind::kMigrateDone) {
@@ -650,7 +637,7 @@ sim::Cycle ShardCoordinator::NextEventCycle(sim::Cycle now) const {
   }
   // Beacon deadlines: fast-forward must land exactly on the cycle a silent
   // primary would be declared dead, or serial and skipped runs diverge.
-  if (elastic_ != nullptr && elastic_->config.beacon_timeout_cycles > 0) {
+  if (elastic_->config.beacon_timeout_cycles > 0) {
     const ReplicaSet& replicas = elastic_->replicas;
     for (uint32_t s = 0; s < num_shards_; ++s) {
       for (uint32_t r = 0; r < replicas.replication_factor(); ++r) {
@@ -689,8 +676,7 @@ void ShardCoordinator::ExportCustomMetrics(
   }
   // Only an actually-elastic cluster (replicas or migrations) grows the
   // gauge set; a plain R=1 cluster exports exactly the historical metrics.
-  if (elastic_ != nullptr &&
-      (plan_->replicas() > 1 || !elastic_->migrations.empty())) {
+  if (plan_->replicas() > 1 || !elastic_->migrations.empty()) {
     registry.GetGauge(base + ".failovers")
         ->Set(static_cast<double>(failovers_));
     registry.GetGauge(base + ".replayed_slices")
@@ -723,13 +709,12 @@ ShardServer::ShardServer(std::string name, uint32_t shard_id,
   FPGADP_CHECK(endpoint_ != nullptr);
   FPGADP_CHECK(plan_ != nullptr);
   FPGADP_CHECK(coordinator_ != nullptr);
+  FPGADP_CHECK(elastic_ != nullptr);
   FPGADP_CHECK(config_.max_queue > 0);
   // NextEventCycle covers the pipeline, merge timeouts, beacon posts and
   // chunk pacing; the endpoint wakes the server on arrivals.
   endpoint_->SetWakeListener(this);
-  if (elastic_ != nullptr && elastic_->config.beacon_interval_cycles > 0) {
-    next_beacon_at_ = elastic_->config.beacon_interval_cycles;
-  }
+  next_beacon_at_ = elastic_->config.beacon_interval_cycles;
 }
 
 void ShardServer::TickBeacon(sim::Cycle cycle, bool* progressed) {
@@ -857,7 +842,7 @@ bool ShardServer::TryEmit(uint64_t request_id, const MergeState& m,
 void ShardServer::Tick(sim::Cycle cycle) {
   bool progressed = false;
 
-  if (elastic_ != nullptr) TickBeacon(cycle, &progressed);
+  TickBeacon(cycle, &progressed);
 
   // Post packets whose merge or bundle-forward delay elapsed.
   for (size_t i = 0; i < emits_.size();) {
@@ -900,7 +885,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
     }
     if (p.kind == net::OpKind::kMigrateStart) {
       // This node is the source primary: begin streaming the range's state.
-      Migration* m = elastic_ == nullptr ? nullptr : elastic_->Find(p.user);
+      Migration* m = elastic_->Find(p.user);
       if (m != nullptr && m->phase == MigrationPhase::kCopy &&
           !m->start_seen) {
         m->start_seen = true;
@@ -912,7 +897,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
     if (p.kind == net::OpKind::kMigrateChunk) {
       // This node is the target primary: count payload in; when the full
       // state landed, tell the coordinator so it can flip ownership.
-      Migration* m = elastic_ == nullptr ? nullptr : elastic_->Find(p.user);
+      Migration* m = elastic_->Find(p.user);
       if (m != nullptr && m->phase == MigrationPhase::kCopy) {
         m->bytes_received += p.bytes;
         if (m->bytes_received >= m->plan.state_bytes) {
@@ -981,9 +966,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
     // queued across a migration flip is handed to the new owner instead of
     // served from state that just moved away.
     const uint32_t slice_shard = SliceShard(req);
-    const uint32_t owner =
-        elastic_ == nullptr ? slice_shard
-                            : workload_->SliceOwner(slice_shard, req.user);
+    const uint32_t owner = workload_->SliceOwner(slice_shard, req.user);
     if (owner != shard_id_) {
       net::Packet fwd;
       fwd.dst =
@@ -1028,7 +1011,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
   }
 
   // Stream the next paced migration chunk (source primary only).
-  if (elastic_ != nullptr) TickMigration(cycle, &progressed);
+  TickMigration(cycle, &progressed);
 
   // Drain transport completions. A response that exhausts its retry cap
   // surfaces in the endpoint's failed() latch; the coordinator's gather
@@ -1038,7 +1021,7 @@ void ShardServer::Tick(sim::Cycle cycle) {
   net::Completion comp;
   while (endpoint_->PollCompletion(&comp)) {
     progressed = true;
-    if (elastic_ != nullptr && comp.status != StatusCode::kOk &&
+    if (comp.status != StatusCode::kOk &&
         (comp.kind == net::OpKind::kMigrateChunk ||
          comp.kind == net::OpKind::kMigrateDone)) {
       AbortMigration(cycle);
@@ -1109,8 +1092,7 @@ void ShardServer::ExportCustomMetrics(obs::MetricsRegistry& registry) const {
   }
   // Only an actually-elastic cluster grows the gauge set (same gate as the
   // coordinator): a plain R=1 cluster exports exactly the historical keys.
-  if (elastic_ != nullptr &&
-      (plan_->replicas() > 1 || !elastic_->migrations.empty())) {
+  if (plan_->replicas() > 1 || !elastic_->migrations.empty()) {
     registry.GetGauge(base + ".forwarded")
         ->Set(static_cast<double>(forwarded_));
     registry.GetGauge(base + ".beacons_sent")

@@ -231,13 +231,12 @@ class ShardCoordinator : public sim::Module {
   /// default-constructed GatherPlan is flat single-port). `agg_switch` is
   /// only set for switch gather: the coordinator arms a combine group per
   /// (request, port) at scatter and disarms it at finalize. `elastic` is
-  /// the cluster's shared replica/migration state; null (the default)
-  /// disables every elastic feature and preserves the R=1 path bit-for-bit.
+  /// the cluster's shared replica/migration state (never null).
   ShardCoordinator(std::string name, Workload* workload,
                    std::vector<net::RdmaEndpoint*> endpoints,
                    GatherPlan* plan, net::AggregatingSwitch* agg_switch,
                    uint32_t num_shards, const Config& config,
-                   ElasticState* elastic = nullptr);
+                   ElasticState* elastic);
 
   /// Scatters one request. Call before Run() or between runs, never from a
   /// module Tick (Workload::Scatter may run nested simulations).
@@ -270,7 +269,7 @@ class ShardCoordinator : public sim::Module {
   /// kMigrateChunk packets to the target while both keep serving, and when
   /// the last byte lands the coordinator flips ownership
   /// (Workload::CommitMigration) and drains requests scattered pre-flip.
-  /// Requires elastic state and flat gather. `now` stamps started_at
+  /// Requires flat gather. `now` stamps started_at
   /// (pass engine.now() when calling between runs).
   void StartMigration(const MigrationPlan& plan, sim::Cycle now = 0);
 
@@ -452,7 +451,7 @@ class ShardCoordinator : public sim::Module {
   uint64_t resp_bytes_total_ = 0;
   uint64_t resp_count_ = 0;
 
-  // Elastic operations (all inert when elastic_ is null).
+  // Elastic operations.
   ElasticState* elastic_ = nullptr;
   std::vector<sim::Cycle> promo_until_;  ///< Per-shard promotion window end.
   /// Requests active at each migration's flip; the migration is kDone when
@@ -493,12 +492,11 @@ class ShardServer : public sim::Module {
   /// `plan` routes answers and `coordinator` receives service reports;
   /// neither may be null. `replica_index` places this server as replica r
   /// of its shard (fabric node plan->ReplicaNode(shard_id, r)); `elastic`
-  /// is the cluster's shared replica/migration state — null disables
-  /// beacons, forwarding, and migration streaming.
+  /// is the cluster's shared replica/migration state (never null).
   ShardServer(std::string name, uint32_t shard_id, Workload* workload,
               net::RdmaEndpoint* endpoint, const GatherPlan* plan,
               ShardCoordinator* coordinator, const Config& config,
-              uint32_t replica_index = 0, ElasticState* elastic = nullptr);
+              uint32_t replica_index, ElasticState* elastic);
 
   void Tick(sim::Cycle cycle) override;
   bool Idle() const override {
@@ -626,7 +624,7 @@ class ShardServer : public sim::Module {
   uint64_t bundles_forwarded_ = 0;
   uint64_t stale_bundles_dropped_ = 0;
 
-  // Elastic operations (all inert when elastic_ is null).
+  // Elastic operations.
   sim::Cycle next_beacon_at_ = 0;  ///< 0 = beacons off.
   uint64_t streaming_seq_ = 0;     ///< Migration this node is streaming out.
   uint64_t forwarded_ = 0;

@@ -76,6 +76,7 @@ Session::Session(int argc, char** argv, std::vector<Flag> flags)
       for (const Flag& f : flags) std::cerr << "  " << f.name << f.accepted << "\n";
       std::exit(2);
     }
+    given_.push_back(flag->name);
   }
   if (!trace_path_.empty()) {
     writer_ = std::make_unique<obs::TraceWriter>();
@@ -94,6 +95,10 @@ void Session::AddResult(const std::string& name,
 
 void Session::SetDefaultJsonPath(const std::string& path) {
   if (json_path_.empty()) json_path_ = path;
+}
+
+bool Session::Given(const std::string& name) const {
+  return std::find(given_.begin(), given_.end(), name) != given_.end();
 }
 
 namespace {

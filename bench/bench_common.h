@@ -87,6 +87,11 @@ class Session {
   /// recorded; an explicit --json=<file> flag always wins.
   void SetDefaultJsonPath(const std::string& path);
 
+  /// True when the command line gave flag `name` (as declared, e.g.
+  /// "--gather="), whatever its value. Lets a bench reject a flag that one
+  /// of its modes does not read.
+  bool Given(const std::string& name) const;
+
   /// Marks the run failed, so the destructor writes no JSON (a failed run
   /// must not replace a committed baseline with partial rows). Returns the
   /// exit code 1, for `return session.Fail();` from main.
@@ -101,6 +106,7 @@ class Session {
     std::vector<ResultField> fields;
   };
 
+  std::vector<std::string> given_;  ///< Names of the flags the command line set.
   std::string trace_path_;
   std::string json_path_;
   std::unique_ptr<obs::TraceWriter> writer_;

@@ -133,7 +133,7 @@ void BM_SearchLists(benchmark::State& state) {
   std::vector<uint32_t> slice;
   uint64_t codes = 0;
   for (uint32_t list : fx.index.SelectProbes(query, 32)) {
-    if (shards.OwnerOf(list) != 0) continue;
+    if (shards.ShardOf(list) != 0) continue;
     slice.push_back(list);
     codes += fx.index.list(list).ids.size();
   }

@@ -29,7 +29,7 @@ struct Harness {
   sim::Engine engine;
 
   explicit Harness(FaultInjector* injector = nullptr,
-                   const RdmaEndpoint::Reliability& rel = {})
+                   const Retry& rel = {})
       : fabric("fab", 2, [] {
           Fabric::Config c;
           c.clock_hz = 200e6;
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     fc.seed = fault_seed;
     fc.drop_rate = 0.30;
     FaultInjector injector(fc);
-    RdmaEndpoint::Reliability rel;
+    Retry rel;
     rel.rto_cycles = 100000;  // long timers => idle-dominated simulation
     rel.max_retries = 32;     // never give up at this drop rate
     Harness h(&injector, rel);

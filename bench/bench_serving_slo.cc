@@ -37,7 +37,8 @@
 // overhead), and an R=2 run where shard 1's primary permanently loses its
 // links mid-run — asserting exactly one promotion, zero degraded results,
 // and tail recovery within the documented budget. Emits
-// BENCH_failover.json.
+// BENCH_failover.json. It runs flat gather under its own fault schedule, so
+// --failover with --gather=, --drop-rate= or --fault-seed= fails.
 
 #include <cstdio>
 #include <iostream>
@@ -421,7 +422,18 @@ int main(int argc, char** argv) {
        bench::ProbabilityFlag("--drop-rate=", &drop_rate)});
   session.SetDefaultJsonPath(failover ? "BENCH_failover.json"
                                       : "BENCH_serving_slo.json");
-  if (failover) return RunFailoverSweep(session, smoke);
+  if (failover) {
+    // The failover sweep runs flat gather under its own scheduled link
+    // flap; it reads none of the load sweep's gather and fault flags.
+    for (const char* ignored : {"--gather=", "--drop-rate=", "--fault-seed="}) {
+      if (session.Given(ignored)) {
+        std::cerr << "FAIL: --failover ignores " << ignored
+                  << "; pass one of the two flags, not both\n";
+        return session.Fail();
+      }
+    }
+    return RunFailoverSweep(session, smoke);
+  }
   shard::GatherConfig gather;
   if (gather_flag == "auto") {
     std::string rationale;

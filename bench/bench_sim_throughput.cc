@@ -245,7 +245,7 @@ RunResult RunRdmaRetrans(size_t msgs_per_pair, const Mode& mode) {
   // A bounded retry budget keeps the backoff tail finite and deterministic;
   // ~1% of ops exhaust it at this drop rate, which is part of the scenario
   // (abandonment completions are completions too).
-  net::RdmaEndpoint::Reliability rel;
+  net::Retry rel;
   rel.rto_cycles = 2000;
   rel.max_retries = 6;
   std::vector<std::unique_ptr<net::RdmaEndpoint>> eps;

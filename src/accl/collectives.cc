@@ -172,7 +172,7 @@ Result<CollectiveStats> Communicator::RunScheduleOnce(
   for (uint32_t r = 0; r < world_size_; ++r) {
     if (transport_ == Transport::kRdma) {
       eps.push_back(std::make_unique<net::RdmaEndpoint>(
-          "ep" + std::to_string(r), r, &fabric, rdma_reliability_));
+          "ep" + std::to_string(r), r, &fabric, retry_));
       std::vector<RankProgram::S> steps;
       steps.reserve(schedule[r].size());
       for (const Step& s : schedule[r]) {
@@ -184,8 +184,7 @@ Result<CollectiveStats> Communicator::RunScheduleOnce(
       engine.AddModule(programs.back().get());
     } else {
       stacks.push_back(std::make_unique<net::TcpStack>(
-          "tcp" + std::to_string(r), r, &fabric, tcp_config_,
-          tcp_reliability_));
+          "tcp" + std::to_string(r), r, &fabric, tcp_config_, retry_));
       std::vector<TcpRankProgram::S> steps;
       steps.reserve(schedule[r].size());
       for (const Step& s : schedule[r]) {
@@ -288,19 +287,56 @@ std::vector<std::vector<Communicator::Step>> Communicator::TreeSchedule(
   return schedule;
 }
 
+std::vector<std::vector<Communicator::Step>> Communicator::StarSchedule(
+    uint32_t root, uint64_t bytes, bool down) const {
+  std::vector<std::vector<Step>> schedule(world_size_);
+  for (uint32_t r = 0; r < world_size_; ++r) {
+    if (r == root) continue;
+    schedule[root].push_back({down, r, bytes, 0});
+    schedule[r].push_back({!down, root, bytes, 0});
+  }
+  return schedule;
+}
+
+std::vector<std::vector<Communicator::Step>> Communicator::RingSchedule(
+    uint64_t bytes, uint32_t steps) const {
+  const uint32_t p = world_size_;
+  std::vector<std::vector<Step>> schedule(p);
+  for (uint32_t r = 0; r < p; ++r) {
+    const uint32_t next = (r + 1) % p;
+    const uint32_t prev = (r + p - 1) % p;
+    for (uint32_t s = 0; s < steps; ++s) {
+      schedule[r].push_back({true, next, bytes, s});
+      schedule[r].push_back({false, prev, bytes, s});
+    }
+  }
+  return schedule;
+}
+
+std::vector<std::vector<Communicator::Step>>
+Communicator::ReduceBroadcastSchedule(uint64_t bytes) const {
+  std::vector<std::vector<Step>> schedule =
+      TreeSchedule(0, bytes, /*down=*/false);
+  const std::vector<std::vector<Step>> down =
+      TreeSchedule(0, bytes, /*down=*/true);
+  for (uint32_t r = 0; r < world_size_; ++r) {
+    for (Step s : down[r]) {
+      s.tag += 1000;  // disambiguate the phases
+      schedule[r].push_back(s);
+    }
+  }
+  return schedule;
+}
+
 Result<CollectiveStats> Communicator::Broadcast(
     uint32_t root, std::vector<std::vector<float>>& buffers, Algo algo) {
   if (root >= world_size_ || buffers.size() != world_size_) {
     return Status::InvalidArgument("bad root or buffer count");
   }
   const uint64_t bytes = buffers[root].size() * sizeof(float);
-  std::vector<std::vector<Step>> schedule(world_size_);
+  std::vector<std::vector<Step>> schedule;
   if (algo == Algo::kLinear) {
-    for (uint32_t r = 0; r < world_size_; ++r) {
-      if (r == root) continue;
-      schedule[root].push_back({true, r, bytes, 0});
-      schedule[r].push_back({false, root, bytes, 0});
-    }
+    schedule = StarSchedule(root, bytes, /*down=*/true);
   } else if (algo == Algo::kTree) {
     schedule = TreeSchedule(root, bytes, /*down=*/true);
   } else {
@@ -322,14 +358,11 @@ Result<CollectiveStats> Communicator::Scatter(
   const size_t chunk = input.size() / world_size_;
   const uint64_t bytes = chunk * sizeof(float);
   out.assign(world_size_, {});
-  std::vector<std::vector<Step>> schedule(world_size_);
   for (uint32_t r = 0; r < world_size_; ++r) {
     out[r].assign(input.begin() + r * chunk, input.begin() + (r + 1) * chunk);
-    if (r == root) continue;
-    schedule[root].push_back({true, r, bytes, 0});
-    schedule[r].push_back({false, root, bytes, 0});
   }
-  return RunSchedule(schedule, bytes * world_size_);
+  return RunSchedule(StarSchedule(root, bytes, /*down=*/true),
+                     bytes * world_size_);
 }
 
 Result<CollectiveStats> Communicator::Gather(
@@ -340,17 +373,14 @@ Result<CollectiveStats> Communicator::Gather(
   }
   const uint64_t bytes = buffers[0].size() * sizeof(float);
   out->clear();
-  std::vector<std::vector<Step>> schedule(world_size_);
   for (uint32_t r = 0; r < world_size_; ++r) {
     if (buffers[r].size() != buffers[0].size()) {
       return Status::InvalidArgument("gather buffers must be equal-sized");
     }
     out->insert(out->end(), buffers[r].begin(), buffers[r].end());
-    if (r == root) continue;
-    schedule[r].push_back({true, root, bytes, 0});
-    schedule[root].push_back({false, r, bytes, 0});
   }
-  return RunSchedule(schedule, bytes * world_size_);
+  return RunSchedule(StarSchedule(root, bytes, /*down=*/false),
+                     bytes * world_size_);
 }
 
 Result<CollectiveStats> Communicator::Reduce(
@@ -359,13 +389,9 @@ Result<CollectiveStats> Communicator::Reduce(
     return Status::InvalidArgument("bad root or buffer count");
   }
   const uint64_t bytes = buffers[root].size() * sizeof(float);
-  std::vector<std::vector<Step>> schedule(world_size_);
+  std::vector<std::vector<Step>> schedule;
   if (algo == Algo::kLinear) {
-    for (uint32_t r = 0; r < world_size_; ++r) {
-      if (r == root) continue;
-      schedule[r].push_back({true, root, bytes, 0});
-      schedule[root].push_back({false, r, bytes, 0});
-    }
+    schedule = StarSchedule(root, bytes, /*down=*/false);
   } else if (algo == Algo::kTree) {
     schedule = TreeSchedule(root, bytes, /*down=*/false);
   } else {
@@ -397,30 +423,12 @@ Result<CollectiveStats> Communicator::AllReduce(
   const uint64_t bytes = n * sizeof(float);
   const uint32_t p = world_size_;
 
-  std::vector<std::vector<Step>> schedule(p);
+  std::vector<std::vector<Step>> schedule;
   if (algo == Algo::kRing && p > 1) {
     // Ring: buffer in p chunks; 2(p-1) steps of chunk-sized messages.
-    const uint64_t chunk_bytes = (bytes + p - 1) / p;
-    for (uint32_t r = 0; r < p; ++r) {
-      const uint32_t next = (r + 1) % p;
-      const uint32_t prev = (r + p - 1) % p;
-      for (uint32_t s = 0; s < 2 * (p - 1); ++s) {
-        // Each step: send current chunk to next, then wait for prev's.
-        schedule[r].push_back({true, next, chunk_bytes, s});
-        schedule[r].push_back({false, prev, chunk_bytes, s});
-      }
-    }
+    schedule = RingSchedule((bytes + p - 1) / p, 2 * (p - 1));
   } else if (algo == Algo::kTree || p == 1) {
-    // Reduce to rank 0, then broadcast.
-    auto up = TreeSchedule(0, bytes, /*down=*/false);
-    auto down = TreeSchedule(0, bytes, /*down=*/true);
-    for (uint32_t r = 0; r < p; ++r) {
-      schedule[r] = up[r];
-      for (Step s : down[r]) {
-        s.tag += 1000;  // disambiguate the phases
-        schedule[r].push_back(s);
-      }
-    }
+    schedule = ReduceBroadcastSchedule(bytes);
   } else {
     return Status::InvalidArgument("all-reduce supports ring or tree");
   }
@@ -448,24 +456,13 @@ Result<CollectiveStats> Communicator::AllGather(
   }
   const uint32_t p = world_size_;
   const uint64_t chunk_bytes = chunk * sizeof(float);
-  // Ring: in step s, rank r forwards the chunk it received in step s-1
-  // (originating at rank (r - s) mod p) to its successor.
-  std::vector<std::vector<Step>> schedule(p);
-  if (p > 1) {
-    for (uint32_t r = 0; r < p; ++r) {
-      const uint32_t next = (r + 1) % p;
-      const uint32_t prev = (r + p - 1) % p;
-      for (uint32_t s = 0; s + 1 < p; ++s) {
-        schedule[r].push_back({true, next, chunk_bytes, s});
-        schedule[r].push_back({false, prev, chunk_bytes, s});
-      }
-    }
-  }
   // Functional concatenation.
   std::vector<float> all;
   for (const auto& b : buffers) all.insert(all.end(), b.begin(), b.end());
   out->assign(p, all);
-  return RunSchedule(schedule, chunk_bytes * p);
+  // Ring: in step s, rank r forwards the chunk it received in step s-1
+  // (originating at rank (r - s) mod p) to its successor.
+  return RunSchedule(RingSchedule(chunk_bytes, p - 1), chunk_bytes * p);
 }
 
 Result<CollectiveStats> Communicator::ReduceScatter(
@@ -486,18 +483,6 @@ Result<CollectiveStats> Communicator::ReduceScatter(
   const uint32_t p = world_size_;
   const size_t chunk = n / p;
   const uint64_t chunk_bytes = chunk * sizeof(float);
-  // Ring: the reduce-scatter half of ring all-reduce (p-1 steps).
-  std::vector<std::vector<Step>> schedule(p);
-  if (p > 1) {
-    for (uint32_t r = 0; r < p; ++r) {
-      const uint32_t next = (r + 1) % p;
-      const uint32_t prev = (r + p - 1) % p;
-      for (uint32_t s = 0; s + 1 < p; ++s) {
-        schedule[r].push_back({true, next, chunk_bytes, s});
-        schedule[r].push_back({false, prev, chunk_bytes, s});
-      }
-    }
-  }
   // Functional: rank r gets the summed chunk r.
   out->assign(p, {});
   for (uint32_t r = 0; r < p; ++r) {
@@ -508,7 +493,8 @@ Result<CollectiveStats> Communicator::ReduceScatter(
     }
     (*out)[r] = std::move(sum);
   }
-  return RunSchedule(schedule, chunk_bytes * p);
+  // Ring: the reduce-scatter half of ring all-reduce (p-1 steps).
+  return RunSchedule(RingSchedule(chunk_bytes, p - 1), chunk_bytes * p);
 }
 
 Result<CollectiveStats> Communicator::BroadcastSegmented(
@@ -551,17 +537,7 @@ Result<CollectiveStats> Communicator::BroadcastSegmented(
 }
 
 Result<CollectiveStats> Communicator::Barrier() {
-  auto up = TreeSchedule(0, 0, /*down=*/false);
-  auto down = TreeSchedule(0, 0, /*down=*/true);
-  std::vector<std::vector<Step>> schedule(world_size_);
-  for (uint32_t r = 0; r < world_size_; ++r) {
-    schedule[r] = up[r];
-    for (Step s : down[r]) {
-      s.tag += 1000;
-      schedule[r].push_back(s);
-    }
-  }
-  return RunSchedule(schedule, 0);
+  return RunSchedule(ReduceBroadcastSchedule(0), 0);
 }
 
 }  // namespace fpgadp::accl

@@ -7,6 +7,7 @@
 #include "src/common/result.h"
 #include "src/net/fabric.h"
 #include "src/net/rdma.h"
+#include "src/net/retry.h"
 #include "src/net/tcp.h"
 
 namespace fpgadp::accl {
@@ -77,13 +78,9 @@ class Communicator {
     fault_injector_ = injector;
   }
 
-  /// Per-endpoint retransmission knobs used on a lossy fabric.
-  void set_rdma_reliability(const net::RdmaEndpoint::Reliability& r) {
-    rdma_reliability_ = r;
-  }
-  void set_tcp_reliability(const net::TcpStack::Reliability& r) {
-    tcp_reliability_ = r;
-  }
+  /// Retransmission policy of every endpoint (RDMA or TCP) on a lossy
+  /// fabric.
+  void set_retry(const net::Retry& retry) { retry_ = retry; }
 
   /// Caps one schedule execution; exceeding it yields Status::Timeout
   /// (see RunSchedule). Tests shrink this to exercise the timeout path.
@@ -176,14 +173,28 @@ class Communicator {
   std::vector<std::vector<Step>> TreeSchedule(uint32_t root, uint64_t bytes,
                                               bool down) const;
 
+  /// Builds the linear star: every other rank exchanges one message with
+  /// `root`; `down` = true sends from the root (broadcast, scatter), false
+  /// sends to it (gather, reduce).
+  std::vector<std::vector<Step>> StarSchedule(uint32_t root, uint64_t bytes,
+                                              bool down) const;
+
+  /// Builds the ring: in each of `steps` rounds every rank sends `bytes` to
+  /// its successor, then waits for its predecessor's message.
+  std::vector<std::vector<Step>> RingSchedule(uint64_t bytes,
+                                              uint32_t steps) const;
+
+  /// Builds a binomial reduce to rank 0 followed by a binomial broadcast
+  /// from it (tree all-reduce, barrier).
+  std::vector<std::vector<Step>> ReduceBroadcastSchedule(uint64_t bytes) const;
+
   uint32_t world_size_;
   net::Fabric::Config fabric_config_;
   double clock_hz_;
   Transport transport_;
   net::TcpStack::Config tcp_config_;
   net::FaultInjector* fault_injector_ = nullptr;
-  net::RdmaEndpoint::Reliability rdma_reliability_;
-  net::TcpStack::Reliability tcp_reliability_;
+  net::Retry retry_;
   uint64_t max_cycles_ = 1ull << 34;
   uint32_t max_attempts_ = 1;
   PartialOutcome last_outcome_;

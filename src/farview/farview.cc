@@ -194,7 +194,7 @@ void MemoryNode::Tick(sim::Cycle cycle) {
 namespace {
 std::vector<std::unique_ptr<net::RdmaEndpoint>> MakeClients(
     uint32_t num_clients, net::Fabric* fabric,
-    const net::RdmaEndpoint::Reliability& reliability) {
+    const net::Retry& reliability) {
   FPGADP_CHECK(num_clients >= 1);
   std::vector<std::unique_ptr<net::RdmaEndpoint>> clients;
   for (uint32_t c = 0; c < num_clients; ++c) {

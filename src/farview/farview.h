@@ -41,9 +41,9 @@ struct FarviewConfig {
                                      ///< 40 B = a 512-bit-bus-class datapath,
                                      ///< so DRAM stays the bottleneck).
   device::CpuModel cpu;              ///< Compute-node CPU for the baseline.
-  /// Endpoint retransmission knobs, active only when a FaultInjector is
+  /// Endpoint retransmission policy, active only when a FaultInjector is
   /// attached to the system's fabric (see FarviewSystem::set_fault_injector).
-  net::RdmaEndpoint::Reliability reliability;
+  net::Retry reliability;
 };
 
 /// Result of one query execution, offloaded or baseline.

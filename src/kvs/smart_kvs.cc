@@ -107,18 +107,13 @@ void SmartNicKvs::Tick(sim::Cycle) {
 }
 
 KvClient::KvClient(std::string name, uint32_t node_id, uint32_t server,
-                   net::Fabric* fabric, const Retry& retry)
+                   net::Fabric* fabric, const net::Retry& retry)
     : sim::Module(std::move(name)), node_id_(node_id), server_(server),
       fabric_(fabric), retry_(retry) {
   FPGADP_CHECK(fabric_ != nullptr);
-  FPGADP_CHECK(retry_.backoff >= 1.0);
   fabric_->egress(node_id_).BindProducer(this);
   fabric_->ingress(node_id_).BindConsumer(this);
 }
-
-KvClient::KvClient(std::string name, uint32_t node_id, uint32_t server,
-                   net::Fabric* fabric)
-    : KvClient(std::move(name), node_id, server, fabric, Retry()) {}
 
 bool KvClient::reliable() const { return fabric_->lossy(); }
 
@@ -162,9 +157,8 @@ void KvClient::Tick(sim::Cycle cycle) {
     const net::Packet& p = queue_.front();
     if (rel && outstanding_.find(p.tag) == outstanding_.end()) {
       // First transmission: arm the at-least-once retry timer.
-      const uint64_t rto =
-          retry_.rto_cycles + 2 * fabric_->SerializationCycles(p.bytes);
-      outstanding_[p.tag] = {p, cycle + rto, rto, 0};
+      outstanding_[p.tag] =
+          {p, net::RetryTimer(retry_, *fabric_, p.bytes, cycle)};
     }
     eg.Write(p);
     queue_.pop_front();
@@ -187,7 +181,7 @@ void KvClient::Tick(sim::Cycle cycle) {
       outstanding_.erase(it);
       // Progress restarts the timers of requests still queued behind the
       // server's pipeline, preventing spurious retries under deep load.
-      for (auto& [tag, o] : outstanding_) o.next_retry = cycle + o.rto;
+      for (auto& [tag, o] : outstanding_) o.timer.Restart(cycle);
     }
     responses_q_.push_back(p);
     ++responses_;
@@ -195,11 +189,11 @@ void KvClient::Tick(sim::Cycle cycle) {
   if (rel) {
     for (auto it = outstanding_.begin(); it != outstanding_.end();) {
       Outstanding& o = it->second;
-      if (cycle < o.next_retry) {
+      if (cycle < o.timer.due()) {
         ++it;
         continue;
       }
-      if (o.retries_done >= retry_.max_retries) {
+      if (!o.timer.Timeout(retry_, cycle)) {
         if (status_.ok()) {
           status_ = Status::Unavailable(
               name() + ": request tag " + std::to_string(it->first) +
@@ -210,10 +204,7 @@ void KvClient::Tick(sim::Cycle cycle) {
         progressed = true;
         continue;
       }
-      ++o.retries_done;
       ++retries_;
-      o.rto = static_cast<uint64_t>(double(o.rto) * retry_.backoff);
-      o.next_retry = cycle + o.rto;
       queue_.push_back(o.request);
       progressed = true;
       ++it;

@@ -12,6 +12,7 @@
 #include "src/common/status.h"
 #include "src/memory/channel.h"
 #include "src/net/fabric.h"
+#include "src/net/retry.h"
 #include "src/sim/module.h"
 #include "src/sim/stream.h"
 
@@ -95,25 +96,17 @@ class SmartNicKvs : public sim::Module {
 ///
 /// On a lossy fabric (Fabric::lossy()) the client adds at-least-once
 /// request/response retry, which is all an idempotent KV protocol needs:
-/// each request is tracked by its tag and re-issued on a timeout with
-/// exponential backoff; responses for unknown tags (late duplicates) and
-/// corrupted packets are discarded. A request exceeding the retry cap
-/// latches failed() and surfaces Status::Unavailable. Tags must be unique
-/// among in-flight requests for the dedup to work.
+/// each request is tracked by its tag and re-issued when its RetryTimer
+/// expires, and every response restarts the timers of the requests still
+/// outstanding; responses for unknown tags (late duplicates) and corrupted
+/// packets are discarded. A request exceeding the retry cap latches
+/// failed() and surfaces Status::Unavailable. Tags must be unique among
+/// in-flight requests for the dedup to work.
 class KvClient : public sim::Module {
  public:
-  /// Retry knobs for the lossy-fabric at-least-once protocol.
-  struct Retry {
-    uint64_t rto_cycles = 2000;
-    double backoff = 2.0;
-    uint32_t max_retries = 8;
-  };
-
+  /// `retry` applies only on a lossy fabric.
   KvClient(std::string name, uint32_t node_id, uint32_t server,
-           net::Fabric* fabric, const Retry& retry);
-  /// Convenience overload with default retry knobs.
-  KvClient(std::string name, uint32_t node_id, uint32_t server,
-           net::Fabric* fabric);
+           net::Fabric* fabric, const net::Retry& retry = net::Retry());
 
   /// Queues a request (sent as pipeline slots free up).
   void Get(uint64_t key, uint64_t tag);
@@ -131,7 +124,7 @@ class KvClient : public sim::Module {
   sim::Cycle NextEventCycle(sim::Cycle now) const override {
     sim::Cycle next = queue_.empty() ? sim::kNoEventCycle : now;
     for (const auto& [tag, o] : outstanding_) {
-      next = std::min(next, o.next_retry);
+      next = std::min(next, o.timer.due());
     }
     return std::max(next, now);
   }
@@ -151,9 +144,7 @@ class KvClient : public sim::Module {
   /// A request awaiting its response (lossy mode only).
   struct Outstanding {
     net::Packet request;
-    sim::Cycle next_retry = 0;
-    uint64_t rto = 0;
-    uint32_t retries_done = 0;
+    net::RetryTimer timer;
   };
 
   bool reliable() const;
@@ -161,7 +152,7 @@ class KvClient : public sim::Module {
   uint32_t node_id_;
   uint32_t server_;
   net::Fabric* fabric_;
-  Retry retry_;
+  net::Retry retry_;
   std::deque<net::Packet> queue_;
   std::deque<net::Packet> responses_q_;
   std::map<uint64_t, Outstanding> outstanding_;  ///< Keyed by request tag.

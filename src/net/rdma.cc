@@ -20,12 +20,11 @@ bool IsSequenced(OpKind kind) {
 }  // namespace
 
 RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric,
-                           const Reliability& reliability)
+                           const Retry& retry)
     : sim::Module(std::move(name)), node_id_(node_id), fabric_(fabric),
-      reliability_(reliability) {
+      retry_(retry) {
   FPGADP_CHECK(fabric_ != nullptr);
   FPGADP_CHECK(node_id_ < fabric_->num_nodes());
-  FPGADP_CHECK(reliability_.backoff >= 1.0);
   // The Tick touches exactly this node's port pair; declaring the
   // endpoints gives the event scheduler its arrival and drain edges.
   fabric_->egress(node_id_).BindProducer(this);
@@ -35,9 +34,6 @@ RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric,
   // has an empty outbox, no pending arrivals, and no timer due — cycles the
   // serial tick would have spent idle.
 }
-
-RdmaEndpoint::RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric)
-    : RdmaEndpoint(std::move(name), node_id, fabric, Reliability()) {}
 
 void RdmaEndpoint::NotifyDelivery() {
   // Called immediately BEFORE a completion or received message is queued,
@@ -107,18 +103,12 @@ bool RdmaEndpoint::PollRecv(Packet* out) {
   return true;
 }
 
-uint64_t RdmaEndpoint::InitialRto(const Packet& p) const {
-  // Base timeout plus the round trip's share of payload serialization, so
-  // a 1 MiB write is not declared lost while it is still on the wire.
-  return reliability_.rto_cycles + 2 * fabric_->SerializationCycles(p.bytes);
-}
-
 void RdmaEndpoint::FailOp(sim::Cycle cycle, const Packet& p) {
   if (status_.ok()) {
     status_ = Status::Unavailable(
         name() + ": gave up on " + std::to_string(p.dst) + " seq " +
         std::to_string(p.seq) + " after " +
-        std::to_string(reliability_.max_retries) + " retries");
+        std::to_string(retry_.max_retries) + " retries");
   }
   NotifyDelivery();
   cq_.push_back(
@@ -128,19 +118,16 @@ void RdmaEndpoint::FailOp(sim::Cycle cycle, const Packet& p) {
 void RdmaEndpoint::CheckRetransmits(sim::Cycle cycle) {
   for (auto it = unacked_.begin(); it != unacked_.end();) {
     Unacked& u = it->second;
-    if (cycle < u.next_retry) {
+    if (cycle < u.timer.due()) {
       ++it;
       continue;
     }
-    if (u.retries >= reliability_.max_retries) {
+    if (!u.timer.Timeout(retry_, cycle)) {
       FailOp(cycle, u.packet);
       it = unacked_.erase(it);
       continue;
     }
-    ++u.retries;
     ++retransmits_;
-    u.rto = static_cast<uint64_t>(double(u.rto) * reliability_.backoff);
-    u.next_retry = cycle + u.rto;
     outbox_.push_back(u.packet);
     ++it;
   }
@@ -224,7 +211,7 @@ void RdmaEndpoint::HandleArrival(sim::Cycle cycle, Packet p) {
     // peer's incast), not lost. Prevents spurious retransmits of deeply
     // pipelined transfers.
     for (auto& [key, u] : unacked_) {
-      if (key.first == p.src) u.next_retry = cycle + u.rto;
+      if (key.first == p.src) u.timer.Restart(cycle);
     }
     return;
   }
@@ -233,15 +220,13 @@ void RdmaEndpoint::HandleArrival(sim::Cycle cycle, Packet p) {
     auto it = unacked_.find({p.src, p.seq});
     if (it != unacked_.end()) {
       Unacked& u = it->second;
-      if (u.retries >= reliability_.max_retries) {
+      // The link works (the NACK made it back): resend immediately, at
+      // the current RTO.
+      if (!u.timer.Resend(retry_, cycle)) {
         FailOp(cycle, u.packet);
         unacked_.erase(it);
       } else {
-        // The link works (the NACK made it back): resend immediately
-        // without touching the backoff.
-        ++u.retries;
         ++retransmits_;
-        u.next_retry = cycle + u.rto;
         outbox_.push_back(u.packet);
       }
     }
@@ -300,8 +285,8 @@ void RdmaEndpoint::Tick(sim::Cycle cycle) {
       // First transmission: stamp the per-destination sequence number and
       // arm the retransmission timer.
       p.seq = ++next_seq_[p.dst];
-      const uint64_t rto = InitialRto(p);
-      unacked_[{p.dst, p.seq}] = {p, cycle + rto, rto, 0};
+      unacked_[{p.dst, p.seq}] =
+          {p, RetryTimer(retry_, *fabric_, p.bytes, cycle)};
     }
     eg.Write(p);
     if (!rel && p.kind == OpKind::kSend) {

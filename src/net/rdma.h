@@ -9,6 +9,7 @@
 
 #include "src/common/status.h"
 #include "src/net/fabric.h"
+#include "src/net/retry.h"
 #include "src/sim/module.h"
 
 namespace fpgadp::net {
@@ -47,29 +48,20 @@ struct Completion {
 ///  * every outbound packet carries a per-destination sequence number;
 ///  * the receiver ACKs each sequenced packet (header-only kRdmaAck),
 ///    NACKs corrupted ones (kRdmaNack), and drops duplicates by seq;
-///  * the sender retransmits unacked packets on a timeout that doubles per
-///    retry (exponential backoff); a NACK retransmits immediately;
-///  * after `Reliability::max_retries` retransmissions the op is abandoned:
-///    a Completion with status kUnavailable is queued, failed() latches,
-///    and status() surfaces Status::Unavailable.
+///  * each unacked packet has a RetryTimer: a timeout retransmits it, a
+///    NACK retransmits it immediately, and an ACK from the peer restarts
+///    the timers of its other unacked packets;
+///  * after `Retry::max_retries` retransmissions the op is abandoned: a
+///    Completion with status kUnavailable is queued, failed() latches, and
+///    status() surfaces Status::Unavailable.
 ///
 /// On a loss-free fabric none of this machinery runs — wire traffic and
 /// cycle counts are bit-identical to the no-injector behaviour.
 class RdmaEndpoint : public sim::Module {
  public:
-  /// Retransmission knobs for the lossy-fabric reliability layer.
-  struct Reliability {
-    /// Base retransmission timeout; per packet, twice the payload
-    /// serialization time is added on top (big packets get longer timers).
-    uint64_t rto_cycles = 2000;
-    double backoff = 2.0;     ///< RTO multiplier per retry.
-    uint32_t max_retries = 8; ///< Retransmissions before giving up.
-  };
-
+  /// `retry` applies only on a lossy fabric.
   RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric,
-               const Reliability& reliability);
-  /// Convenience overload with default retransmission knobs.
-  RdmaEndpoint(std::string name, uint32_t node_id, Fabric* fabric);
+               const Retry& retry = Retry());
 
   /// Posts verbs; safe to call before Run() or from another module's Tick().
   void PostSend(uint32_t dst, uint64_t bytes, uint64_t tag, uint64_t user = 0);
@@ -114,7 +106,7 @@ class RdmaEndpoint : public sim::Module {
     if (!outbox_.empty()) return now;
     sim::Cycle earliest = sim::kNoEventCycle;
     for (const auto& [key, u] : unacked_) {
-      if (u.next_retry < earliest) earliest = u.next_retry;
+      if (u.timer.due() < earliest) earliest = u.timer.due();
     }
     return earliest > now ? earliest : now;
   }
@@ -125,9 +117,7 @@ class RdmaEndpoint : public sim::Module {
   /// A sequenced packet awaiting its link-level ACK.
   struct Unacked {
     Packet packet;
-    sim::Cycle next_retry = 0;
-    uint64_t rto = 0;
-    uint32_t retries = 0;
+    RetryTimer timer;
   };
   /// Per-peer receive-side dedup window.
   struct RecvWindow {
@@ -141,11 +131,10 @@ class RdmaEndpoint : public sim::Module {
   void Dispatch(sim::Cycle cycle, const Packet& p);
   void CheckRetransmits(sim::Cycle cycle);
   void FailOp(sim::Cycle cycle, const Packet& p);
-  uint64_t InitialRto(const Packet& p) const;
 
   uint32_t node_id_;
   Fabric* fabric_;
-  Reliability reliability_;
+  Retry retry_;
   std::deque<Packet> outbox_;
   std::deque<Completion> cq_;
   std::deque<Packet> rq_;

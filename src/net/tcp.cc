@@ -8,13 +8,12 @@
 namespace fpgadp::net {
 
 TcpStack::TcpStack(std::string name, uint32_t node_id, Fabric* fabric,
-                   const Config& config, const Reliability& reliability)
+                   const Config& config, const Retry& retry)
     : sim::Module(std::move(name)), node_id_(node_id), fabric_(fabric),
-      config_(config), reliability_(reliability) {
+      config_(config), retry_(retry) {
   FPGADP_CHECK(fabric_ != nullptr);
   FPGADP_CHECK(node_id_ < fabric_->num_nodes());
   FPGADP_CHECK(config_.mss_bytes > 0 && config_.window_bytes > 0);
-  FPGADP_CHECK(reliability_.backoff >= 1.0);
   // The Tick touches exactly this node's port pair.
   fabric_->egress(node_id_).BindProducer(this);
   fabric_->ingress(node_id_).BindConsumer(this);
@@ -30,7 +29,7 @@ sim::Cycle TcpStack::NextEventCycle(sim::Cycle now) const {
       // An unemitted SYN leaves next tick; an emitted one waits for the
       // SYN-ACK, with a retransmission deadline only in lossy mode.
       if (syn_emitted_.count(peer) == 0) return now;
-      if (rel && c.syn_next_retry < earliest) earliest = c.syn_next_retry;
+      if (rel && c.syn_timer.due() < earliest) earliest = c.syn_timer.due();
       continue;
     }
     if (c.established && c.tx_pending > 0 &&
@@ -38,18 +37,11 @@ sim::Cycle TcpStack::NextEventCycle(sim::Cycle now) const {
       return now;  // a data segment can leave next tick
     }
     for (const auto& [off, seg] : c.unacked) {
-      if (seg.next_retry < earliest) earliest = seg.next_retry;
+      if (seg.timer.due() < earliest) earliest = seg.timer.due();
     }
   }
   return earliest > now ? earliest : now;
 }
-
-TcpStack::TcpStack(std::string name, uint32_t node_id, Fabric* fabric,
-                   const Config& config)
-    : TcpStack(std::move(name), node_id, fabric, config, Reliability()) {}
-
-TcpStack::TcpStack(std::string name, uint32_t node_id, Fabric* fabric)
-    : TcpStack(std::move(name), node_id, fabric, Config()) {}
 
 void TcpStack::Connect(uint32_t peer) {
   Connection& c = Conn(peer);
@@ -81,16 +73,12 @@ uint64_t TcpStack::Read(uint32_t peer, uint64_t max_bytes) {
   return take;
 }
 
-uint64_t TcpStack::SegmentRto(uint64_t bytes) const {
-  return reliability_.rto_cycles + 2 * fabric_->SerializationCycles(bytes);
-}
-
 void TcpStack::FailConnection(uint32_t peer, Connection& c, const char* what) {
   if (status_.ok()) {
     status_ = Status::Unavailable(name() + ": connection to " +
                                   std::to_string(peer) + " abandoned (" +
                                   what + " exceeded " +
-                                  std::to_string(reliability_.max_retries) +
+                                  std::to_string(retry_.max_retries) +
                                   " retries)");
   }
   c.failed = true;
@@ -166,7 +154,7 @@ void TcpStack::HandleAck(sim::Cycle cycle, const Packet& p, Connection& c) {
     c.dup_acks = 0;
     // Progress restarts the connection's timers (TCP's RTO-restart rule):
     // segments behind the acked one are queued, not lost.
-    for (auto& [off, s] : c.unacked) s.next_retry = cycle + s.rto;
+    for (auto& [off, s] : c.unacked) s.timer.Restart(cycle);
     return;
   }
   if (ackno == c.snd_una && !c.unacked.empty() && ++c.dup_acks == 3) {
@@ -176,14 +164,12 @@ void TcpStack::HandleAck(sim::Cycle cycle, const Packet& p, Connection& c) {
     // retry cap on a single loss. Further recovery is the RTO's job.
     auto it = c.unacked.begin();
     SentSegment& s = it->second;
-    if (s.retries >= reliability_.max_retries) {
+    if (!s.timer.Resend(retry_, cycle)) {
       FailConnection(p.src, c, "fast retransmit");
       return;
     }
-    ++s.retries;
     ++retransmits_;
     ++fast_retransmits_;
-    s.next_retry = cycle + s.rto;
     Packet data;
     data.src = node_id_;
     data.dst = p.src;
@@ -199,17 +185,13 @@ void TcpStack::CheckRetransmits(sim::Cycle cycle, bool* progressed) {
     if (c.failed) continue;
     // SYN timer.
     if (c.syn_sent && !c.established && syn_emitted_.count(peer) > 0 &&
-        cycle >= c.syn_next_retry) {
-      if (c.syn_retries >= reliability_.max_retries) {
+        cycle >= c.syn_timer.due()) {
+      if (!c.syn_timer.Timeout(retry_, cycle)) {
         FailConnection(peer, c, "SYN");
         *progressed = true;
         continue;
       }
-      ++c.syn_retries;
       ++retransmits_;
-      c.syn_rto = static_cast<uint64_t>(double(c.syn_rto) *
-                                        reliability_.backoff);
-      c.syn_next_retry = cycle + c.syn_rto;
       Packet syn;
       syn.src = node_id_;
       syn.dst = peer;
@@ -220,19 +202,16 @@ void TcpStack::CheckRetransmits(sim::Cycle cycle, bool* progressed) {
     // Segment timers.
     for (auto it = c.unacked.begin(); it != c.unacked.end();) {
       SentSegment& s = it->second;
-      if (cycle < s.next_retry) {
+      if (cycle < s.timer.due()) {
         ++it;
         continue;
       }
-      if (s.retries >= reliability_.max_retries) {
+      if (!s.timer.Timeout(retry_, cycle)) {
         FailConnection(peer, c, "retransmission");
         *progressed = true;
         break;  // FailConnection cleared c.unacked; iterator is dead
       }
-      ++s.retries;
       ++retransmits_;
-      s.rto = static_cast<uint64_t>(double(s.rto) * reliability_.backoff);
-      s.next_retry = cycle + s.rto;
       Packet data;
       data.src = node_id_;
       data.dst = peer;
@@ -343,10 +322,7 @@ void TcpStack::Tick(sim::Cycle cycle) {
         syn.kind = OpKind::kTcpSyn;
         eg.Write(syn);
         syn_emitted_.insert(peer);
-        if (rel) {
-          c.syn_rto = SegmentRto(0);
-          c.syn_next_retry = cycle + c.syn_rto;
-        }
+        if (rel) c.syn_timer = RetryTimer(retry_, *fabric_, 0, cycle);
         progressed = true;
       }
       continue;
@@ -363,8 +339,7 @@ void TcpStack::Tick(sim::Cycle cycle) {
       data.bytes = seg;
       if (rel) {
         data.seq = c.snd_nxt;
-        const uint64_t rto = SegmentRto(seg);
-        c.unacked[c.snd_nxt] = {seg, cycle + rto, rto, 0};
+        c.unacked[c.snd_nxt] = {seg, RetryTimer(retry_, *fabric_, seg, cycle)};
         c.snd_nxt += seg;
       }
       eg.Write(data);

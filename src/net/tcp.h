@@ -10,9 +10,18 @@
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/net/fabric.h"
+#include "src/net/retry.h"
 #include "src/sim/module.h"
 
 namespace fpgadp::net {
+
+/// TcpStack session parameters (TcpStack::Config). Declared outside the
+/// class so its constructor can default it: a nested struct with member
+/// initializers cannot be a default argument inside its enclosing class.
+struct TcpConfig {
+  uint32_t mss_bytes = 4096;        ///< Segment payload size.
+  uint64_t window_bytes = 256 * 1024;  ///< Receive window / in-flight cap.
+};
 
 /// An EasyNet/Limago-style hardware TCP session layer (the 100 Gbps
 /// TCP/IP stacks the tutorial cites, over which ACCL runs its
@@ -38,38 +47,21 @@ namespace fpgadp::net {
 ///  * the receiver buffers out-of-order segments, discards duplicates and
 ///    corrupted segments (which elicit a duplicate cumulative ACK), and
 ///    releases bytes to Read() strictly in order;
-///  * unacked segments retransmit on a per-segment timeout with
-///    exponential backoff; three duplicate ACKs trigger a fast retransmit
-///    of the lowest unacked segment;
-///  * SYNs retransmit on the same timer scheme until the SYN-ACK arrives;
-///  * a segment (or SYN) exceeding `Reliability::max_retries` abandons the
+///  * each unacked segment has a RetryTimer: a timeout retransmits it, a
+///    new cumulative ACK restarts the connection's timers, and three
+///    duplicate ACKs trigger a fast retransmit of the lowest unacked
+///    segment;
+///  * a SYN retransmits on its own RetryTimer until the SYN-ACK arrives;
+///  * a segment (or SYN) exceeding `Retry::max_retries` abandons the
 ///    connection: tx state is cleared, failed() latches, and status()
 ///    carries Status::Unavailable.
 class TcpStack : public sim::Module {
  public:
-  struct Config {
-    uint32_t mss_bytes = 4096;        ///< Segment payload size.
-    uint64_t window_bytes = 256 * 1024;  ///< Receive window / in-flight cap.
-  };
+  using Config = TcpConfig;
 
-  /// Retransmission knobs, active only on a lossy fabric.
-  struct Reliability {
-    /// Base retransmission timeout; per segment, twice the segment's
-    /// serialization time is added on top.
-    uint64_t rto_cycles = 2000;
-    double backoff = 2.0;     ///< RTO multiplier per retry.
-    uint32_t max_retries = 8; ///< Retransmissions before giving up.
-  };
-
+  /// `retry` applies only on a lossy fabric.
   TcpStack(std::string name, uint32_t node_id, Fabric* fabric,
-           const Config& config, const Reliability& reliability);
-
-  /// Convenience overload with default retransmission knobs.
-  TcpStack(std::string name, uint32_t node_id, Fabric* fabric,
-           const Config& config);
-
-  /// Convenience overload with default session parameters.
-  TcpStack(std::string name, uint32_t node_id, Fabric* fabric);
+           const Config& config = Config(), const Retry& retry = Retry());
 
   /// Opens (or returns) the connection to `peer`. Actively sends SYN; the
   /// peer's stack accepts passively. Data queued before establishment is
@@ -121,9 +113,7 @@ class TcpStack : public sim::Module {
   /// One in-flight segment awaiting its cumulative ACK (lossy mode only).
   struct SentSegment {
     uint64_t bytes = 0;
-    sim::Cycle next_retry = 0;
-    uint64_t rto = 0;
-    uint32_t retries = 0;
+    RetryTimer timer;
   };
 
   struct Connection {
@@ -141,15 +131,11 @@ class TcpStack : public sim::Module {
     // Receiver side:
     uint64_t rx_next = 0;  ///< Next expected byte offset.
     std::map<uint64_t, uint64_t> ooo;  ///< Out-of-order: offset -> bytes.
-    // SYN retransmission:
-    sim::Cycle syn_next_retry = 0;
-    uint64_t syn_rto = 0;
-    uint32_t syn_retries = 0;
+    RetryTimer syn_timer;  ///< Armed when the SYN leaves (lossy mode only).
   };
 
   Connection& Conn(uint32_t peer) { return conns_[peer]; }
   bool reliable() const { return fabric_->lossy(); }
-  uint64_t SegmentRto(uint64_t bytes) const;
   void FailConnection(uint32_t peer, Connection& c, const char* what);
   void HandleData(sim::Cycle cycle, const Packet& p, Connection& c);
   void HandleAck(sim::Cycle cycle, const Packet& p, Connection& c);
@@ -159,7 +145,7 @@ class TcpStack : public sim::Module {
   uint32_t node_id_;
   Fabric* fabric_;
   Config config_;
-  Reliability reliability_;
+  Retry retry_;
   std::map<uint32_t, Connection> conns_;
   std::deque<Packet> pending_acks_;  ///< ACK/SYN-ACK deferred by port pressure.
   std::deque<Packet> retransmit_q_;  ///< Retransmits deferred by port pressure.

@@ -107,7 +107,7 @@ void FrontDoor::Tick(sim::Cycle cycle) {
     ++cs.offered;
     ++total_offered_;
     const uint64_t budget = config_.classes[req.class_index].slo_cycles;
-    if (coordinator_->TrySubmit(req.id, req.subs, cycle, budget)) {
+    if (coordinator_->TrySubmit(req.id, req.subs, budget)) {
       ++cs.admitted;
       ++total_admitted_;
       req.arrival = cycle;  // Latency counts from actual injection.

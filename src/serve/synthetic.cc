@@ -6,8 +6,7 @@
 namespace fpgadp::serve {
 
 SyntheticWorkload::SyntheticWorkload(const Config& config)
-    : config_(config),
-      spread_(shard::Partitioner::RoundRobin(config.num_shards)) {
+    : config_(config) {
   FPGADP_CHECK(config_.num_shards > 0);
   FPGADP_CHECK(config_.fanout >= 1 && config_.fanout <= config_.num_shards);
 }
@@ -35,7 +34,8 @@ std::vector<shard::SubRequest> SyntheticWorkload::Scatter(uint64_t request_id) {
   // Round-robin the fanout window's start so that single-slice requests
   // cycle the shards ±1-balanced and multi-slice requests rotate which
   // shards co-serve — no shard is systematically first (and thus hottest).
-  const uint32_t start = spread_.ShardOf(request_id);
+  const uint32_t start = next_start_;
+  next_start_ = (next_start_ + 1) % config_.num_shards;
   std::vector<shard::SubRequest> subs;
   subs.reserve(config_.fanout);
   for (uint32_t i = 0; i < config_.fanout; ++i) {

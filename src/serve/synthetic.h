@@ -4,18 +4,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/shard/partitioner.h"
 #include "src/shard/shard.h"
 
 namespace fpgadp::serve {
 
 /// A parametric shard::Workload for serving experiments: every request
-/// fans out to `fanout` distinct shards (spread by a round-robin
-/// partitioner so load balances within ±1 regardless of request ids), and
-/// each slice occupies its shard for a caller-chosen base service time
-/// plus bounded deterministic jitter. No functional payload — the point is
-/// the queueing, not the answer — which keeps latency experiments free of
-/// compute noise from a real kernel.
+/// fans out to `fanout` distinct shards (the window's start shard cycles
+/// in Scatter call order, so load balances within ±1 regardless of request
+/// ids), and each slice occupies its shard for a caller-chosen base service
+/// time plus bounded deterministic jitter. No functional payload — the
+/// point is the queueing, not the answer — which keeps latency experiments
+/// free of compute noise from a real kernel.
 ///
 /// Requests are registered up front via AddRequest() (outside any tick,
 /// like every Scatter caller); Serve() and Merge() only read state, so the
@@ -57,7 +56,7 @@ class SyntheticWorkload : public shard::Workload {
 
  private:
   Config config_;
-  shard::Partitioner spread_;  ///< Round-robin start shard per scatter.
+  uint32_t next_start_ = 0;  ///< Start shard of the next Scatter's window.
   std::vector<uint64_t> base_cycles_;  ///< Indexed by request id.
   uint64_t merged_ = 0;
   uint64_t merged_degraded_ = 0;

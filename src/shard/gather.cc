@@ -46,14 +46,6 @@ GatherPlan::GatherPlan(const GatherConfig& config, uint32_t num_shards,
 }
 
 void GatherPlan::Arm(uint64_t request_id,
-                     const std::vector<uint32_t>& shards) {
-  std::vector<SliceInfo> slices;
-  slices.reserve(shards.size());
-  for (uint32_t s : shards) slices.push_back({s, 0, 0});
-  Arm(request_id, slices, 0);
-}
-
-void GatherPlan::Arm(uint64_t request_id,
                      const std::vector<SliceInfo>& slices,
                      uint64_t shared_bytes) {
   FPGADP_CHECK(config_.topology == GatherTopology::kTree ||

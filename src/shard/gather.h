@@ -167,14 +167,12 @@ class GatherPlan {
   }
 
   /// Tree gather and/or tree scatter: builds the request's per-port trees
-  /// over `shards` (sorted, unique). Must run before the first slice ships.
-  void Arm(uint64_t request_id, const std::vector<uint32_t>& shards);
-  /// Full form: per-slice wire sizes and tags let the routes double as the
-  /// scatter plan. `shared_bytes` is the portion of every slice that is
-  /// identical across shards (e.g. the query vector): a subtree bundle
-  /// carries it once, plus each member's distinct remainder. Slices must be
-  /// sorted by shard and each slice's request_bytes must be
-  /// >= shared_bytes.
+  /// over its slices. Must run before the first slice ships. Per-slice wire
+  /// sizes and tags let the routes double as the scatter plan.
+  /// `shared_bytes` is the portion of every slice that is identical across
+  /// shards (e.g. the query vector): a subtree bundle carries it once, plus
+  /// each member's distinct remainder. Slices must be sorted by shard
+  /// (unique) and each slice's request_bytes must be >= shared_bytes.
   void Arm(uint64_t request_id, const std::vector<SliceInfo>& slices,
            uint64_t shared_bytes);
   /// Drops a finalized request's route; stale lookups return nullptr and

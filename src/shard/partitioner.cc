@@ -12,16 +12,6 @@ Partitioner Partitioner::Hash(uint32_t num_shards) {
   return Partitioner(PartitionScheme::kHash, num_shards, {});
 }
 
-Partitioner Partitioner::Modulo(uint32_t num_shards) {
-  FPGADP_CHECK(num_shards > 0);
-  return Partitioner(PartitionScheme::kModulo, num_shards, {});
-}
-
-Partitioner Partitioner::RoundRobin(uint32_t num_shards) {
-  FPGADP_CHECK(num_shards > 0);
-  return Partitioner(PartitionScheme::kRoundRobin, num_shards, {});
-}
-
 Partitioner Partitioner::Range(std::vector<uint64_t> upper_bounds) {
   FPGADP_CHECK(!upper_bounds.empty());
   for (size_t i = 1; i < upper_bounds.size(); ++i) {
@@ -31,24 +21,10 @@ Partitioner Partitioner::Range(std::vector<uint64_t> upper_bounds) {
   return Partitioner(PartitionScheme::kRange, n, std::move(upper_bounds));
 }
 
-uint32_t Partitioner::ShardOf(uint64_t key) {
-  if (scheme_ == PartitionScheme::kRoundRobin) {
-    return static_cast<uint32_t>(cursor_++ % num_shards_);
-  }
-  return OwnerOf(key);
-}
-
-uint32_t Partitioner::OwnerOf(uint64_t key) const {
+uint32_t Partitioner::ShardOf(uint64_t key) const {
   switch (scheme_) {
     case PartitionScheme::kHash:
       return static_cast<uint32_t>(rel::Hash64(key) % num_shards_);
-    case PartitionScheme::kModulo:
-      return static_cast<uint32_t>(key % num_shards_);
-    case PartitionScheme::kRoundRobin:
-      // Round-robin placement is call-order state; there is no key
-      // ownership to re-derive.
-      FPGADP_CHECK(false);
-      return 0;
     case PartitionScheme::kRange: {
       const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), key);
       const size_t idx = it == bounds_.end()

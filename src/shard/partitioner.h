@@ -8,53 +8,28 @@ namespace fpgadp::shard {
 
 /// How a Partitioner maps keys to shards.
 enum class PartitionScheme : uint8_t {
-  kHash = 0,        ///< Hash64(key) % n — balanced for arbitrary key sets.
-  kModulo = 1,      ///< key % n — balanced ONLY for dense id spaces.
-  kRange = 2,       ///< Upper-bound table — ordered key ranges per shard.
-  kRoundRobin = 3,  ///< Stateful cursor over call order; ignores the key.
+  kHash = 0,   ///< Hash64(key) % n — balanced for arbitrary key sets.
+  kRange = 1,  ///< Upper-bound table — ordered key ranges per shard.
 };
 
 /// Maps a 64-bit key (a KV key, a join key, an IVF list id) to one of N
 /// shards — the split a scale-out deployment applies before any packet
-/// leaves the coordinator. Hash/modulo/range are deterministic and
-/// stateless, so the coordinator, the shard servers, and a test oracle all
-/// agree on ownership without exchanging metadata.
-///
-/// Round-robin is the one stateful scheme: ShardOf advances an internal
-/// cursor and returns shards 0, 1, ..., n-1, 0, ... in call order,
-/// regardless of the key. That balances within ±1 on ANY key distribution
-/// (modulo skews catastrophically on strided keys: all-even keys on two
-/// shards all land on shard 0), but ownership cannot be re-derived from the
-/// key alone — use it for load spreading (scatter order), not for
-/// ownership-partitioned state.
+/// leaves the coordinator. Both schemes are deterministic functions of the
+/// key and the routing table, so the coordinator, the shard servers, and a
+/// test oracle all agree on ownership without exchanging metadata.
 class Partitioner {
  public:
   /// Hash partitioning over Hash64(key); the default for KVS keys and join
   /// keys, where the key distribution is arbitrary.
   static Partitioner Hash(uint32_t num_shards);
 
-  /// Modulo partitioning over the raw key value (key % n); only safe for
-  /// dense id spaces such as IVF list ids, where hashing would merely
-  /// shuffle an already-uniform assignment. Strided key sets skew badly.
-  static Partitioner Modulo(uint32_t num_shards);
-
-  /// True round-robin: a stateful cursor that cycles the shards in call
-  /// order and ignores the key entirely. Balanced within ±1 on any input.
-  static Partitioner RoundRobin(uint32_t num_shards);
-
   /// Range partitioning: shard i owns keys <= upper_bounds[i] (and shard
   /// n-1 additionally owns everything above the last bound). Bounds must be
   /// strictly increasing and non-empty.
   static Partitioner Range(std::vector<uint64_t> upper_bounds);
 
-  /// Maps `key` to a shard. Non-const because kRoundRobin advances its
-  /// cursor; the stateless schemes never mutate.
-  uint32_t ShardOf(uint64_t key);
-
-  /// Ownership lookup without side effects: identical to ShardOf for the
-  /// stateless schemes, CHECK-fails for kRoundRobin (round-robin placement
-  /// is call-order state, not key ownership — a second lookup would lie).
-  uint32_t OwnerOf(uint64_t key) const;
+  /// The shard that owns `key` under the current routing table.
+  uint32_t ShardOf(uint64_t key) const;
 
   /// kRange only: reassigns every key in [lo, hi] (inclusive) to `to`.
   /// Splits the segment table at the range edges, so repeated migrations
@@ -83,7 +58,6 @@ class Partitioner {
 
   PartitionScheme scheme_;
   uint32_t num_shards_;
-  uint64_t cursor_ = 0;           ///< kRoundRobin only.
   std::vector<uint64_t> bounds_;  ///< kRange: inclusive segment upper bounds.
   std::vector<uint32_t> owners_;  ///< kRange: segment owners; empty until the
                                   ///< first MoveRange (identity mapping).

@@ -10,8 +10,8 @@ namespace fpgadp::shard {
 
 /// Elastic-operations knobs for one ShardCluster. Every default leaves the
 /// cluster exactly as it was before replication existed: one replica per
-/// shard, no beacons on the wire, no admission penalty — the R=1 path stays
-/// bit-identical to the pre-replication goldens.
+/// shard and no beacons on the wire — the R=1 path stays bit-identical to
+/// the pre-replication goldens.
 struct ReplicaConfig {
   /// Replicas per shard (R). R > 1 requires flat gather topology; replica r
   /// of shard s occupies fabric node GatherPlan::ReplicaNode(s, r).
@@ -25,11 +25,6 @@ struct ReplicaConfig {
   /// from. Must be comfortably larger than the interval plus wire time —
   /// the constructor CHECKs a 2x floor. 0 disables beacon-driven failover.
   uint64_t beacon_timeout_cycles = 0;
-  /// Deadline-feasibility admission adds the remaining window to every
-  /// slice ETA targeting a shard that promoted less than this many cycles
-  /// ago, so the front door sheds into the recovery gap instead of blowing
-  /// the SLO. 0 disables the penalty.
-  uint64_t promotion_penalty_cycles = 0;
 };
 
 /// Per-shard replica bookkeeping: which replica is primary, which are
@@ -123,9 +118,9 @@ struct Migration {
 
 /// The shared elastic-operations state of one ShardCluster: replica
 /// liveness plus active/finished migrations. The cluster owns one instance
-/// and hands a pointer to the coordinator and every server; a null pointer
-/// (standalone construction) means "no elastic operations", which all
-/// consumers treat as R=1 with every feature off.
+/// and hands a pointer to the coordinator and every server; the pointer is
+/// never null (both constructors CHECK it). The default ReplicaConfig is R=1
+/// with every elastic feature off.
 struct ElasticState {
   ElasticState(const ReplicaConfig& config, uint32_t num_shards);
 

@@ -52,7 +52,6 @@ ShardCoordinator::ShardCoordinator(std::string name, Workload* workload,
                       config_.initial_service_estimate_cycles << 4);
   pending_cost_.assign(num_shards_, 0);
   wire_est_ = config_.initial_wire_estimate_cycles;
-  promo_until_.assign(num_shards_, 0);
   FPGADP_CHECK(elastic_->replicas.num_shards() == num_shards_);
   FPGADP_CHECK(elastic_->replicas.replication_factor() == plan_->replicas());
 }
@@ -69,7 +68,7 @@ uint64_t ShardCoordinator::EstimateFor(const SubRequest& sub) const {
 
 bool ShardCoordinator::TrySubmit(uint64_t request_id,
                                  const std::vector<SubRequest>& subs,
-                                 sim::Cycle now, uint64_t deadline_budget_cycles) {
+                                 uint64_t deadline_budget_cycles) {
   switch (config_.admission) {
     case AdmissionPolicy::kQueueDepth:
       if (config_.max_pending > 0 && active_.size() >= config_.max_pending) {
@@ -82,12 +81,8 @@ bool ShardCoordinator::TrySubmit(uint64_t request_id,
           deadline_budget_cycles * config_.feasibility_headroom_pct / 100;
       for (const SubRequest& sr : subs) {
         FPGADP_CHECK(sr.shard < num_shards_);
-        // A shard inside its promotion window is replaying in-flight
-        // slices onto a cold standby; charge the remaining window so the
-        // front door sheds into the recovery gap instead of piling on.
-        const uint64_t eta = wire_est_ + pending_cost_[sr.shard] +
-                             EstimateFor(sr) +
-                             PromotionPenalty(sr.shard, now);
+        const uint64_t eta =
+            wire_est_ + pending_cost_[sr.shard] + EstimateFor(sr);
         if (eta > budget) {
           ++ingress_shed_;
           return false;
@@ -187,12 +182,6 @@ void ShardCoordinator::ObserveService(uint32_t shard, uint64_t service_cycles,
   }
 }
 
-uint64_t ShardCoordinator::PromotionPenalty(uint32_t shard,
-                                            sim::Cycle now) const {
-  if (elastic_->config.promotion_penalty_cycles == 0) return 0;
-  return promo_until_[shard] > now ? promo_until_[shard] - now : 0;
-}
-
 uint32_t ShardCoordinator::PrimaryNode(uint32_t shard) const {
   return plan_->ReplicaNode(shard, elastic_->replicas.Primary(shard));
 }
@@ -216,9 +205,6 @@ void ShardCoordinator::FailoverShard(uint32_t shard, sim::Cycle cycle) {
                    std::to_string(old_primary) + "->r" +
                    std::to_string(replicas.Primary(shard)),
                cycle);
-  if (elastic_->config.promotion_penalty_cycles > 0) {
-    promo_until_[shard] = cycle + elastic_->config.promotion_penalty_cycles;
-  }
   // Replay every sent, unresolved slice to the new primary under a fresh
   // tag. The old tags die with the old primary: late completions and
   // responses miss tag_map_ and drop, so at-least-once delivery can repeat

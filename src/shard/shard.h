@@ -246,11 +246,11 @@ class ShardCoordinator : public sim::Module {
   /// precomputed outside any tick (so this IS tick-safe — the serving
   /// front door calls it at arrival time from its own Tick). Runs the
   /// configured AdmissionPolicy against `deadline_budget_cycles` (the
-  /// request's SLO, counted from `now`) and either enqueues every slice
+  /// request's SLO, counted from arrival) and either enqueues every slice
   /// (true) or sheds the whole request without touching coordinator state
   /// (false; the caller owns shed accounting — no PartialOutcome is made).
   bool TrySubmit(uint64_t request_id, const std::vector<SubRequest>& subs,
-                 sim::Cycle now, uint64_t deadline_budget_cycles);
+                 uint64_t deadline_budget_cycles);
 
   /// Pops one finalized gather, oldest first.
   bool PollOutcome(PartialOutcome* out);
@@ -272,11 +272,6 @@ class ShardCoordinator : public sim::Module {
   /// Requires flat gather. `now` stamps started_at
   /// (pass engine.now() when calling between runs).
   void StartMigration(const MigrationPlan& plan, sim::Cycle now = 0);
-
-  /// Admission's view of a recovering shard: the cycles left in `shard`'s
-  /// promotion window at `now` (0 once it closed, or when the penalty /
-  /// replication is off). Deadline-feasibility adds this to the slice ETA.
-  uint64_t PromotionPenalty(uint32_t shard, sim::Cycle now) const;
 
   /// Finalized gathers waiting in PollOutcome order. Front-door modules
   /// consult this from NextEventCycle so fast-forward never skips past an
@@ -453,7 +448,6 @@ class ShardCoordinator : public sim::Module {
 
   // Elastic operations.
   ElasticState* elastic_ = nullptr;
-  std::vector<sim::Cycle> promo_until_;  ///< Per-shard promotion window end.
   /// Requests active at each migration's flip; the migration is kDone when
   /// its set drains. Keyed by migration seq.
   std::map<uint64_t, std::vector<uint64_t>> migration_drain_;
@@ -654,10 +648,10 @@ class ShardCluster {
     GatherConfig gather;
     ShardCoordinator::Config coordinator;
     ShardServer::Config server;
-    net::RdmaEndpoint::Reliability reliability;
-    /// Elastic operations: replication factor, health beacons, promotion
-    /// penalty. The defaults (R=1, no beacons) reproduce the historical
-    /// cluster bit-for-bit. R > 1 or migrations require flat gather.
+    net::Retry reliability;
+    /// Elastic operations: replication factor and health beacons. The
+    /// defaults (R=1, no beacons) reproduce the historical cluster
+    /// bit-for-bit. R > 1 or migrations require flat gather.
     ReplicaConfig replica;
   };
 

@@ -218,9 +218,9 @@ uint32_t AnnsTopKWorkload::SliceOwner(uint32_t shard, uint64_t request_id) {
   if (partitioner_.scheme() != PartitionScheme::kRange) return shard;
   const auto it = plan_.find({request_id, shard});
   if (it == plan_.end() || it->second.empty()) return shard;
-  const uint32_t owner = partitioner_.OwnerOf(it->second.front());
+  const uint32_t owner = partitioner_.ShardOf(it->second.front());
   for (uint32_t list : it->second) {
-    if (partitioner_.OwnerOf(list) != owner) return shard;  // split slice
+    if (partitioner_.ShardOf(list) != owner) return shard;  // split slice
   }
   return owner;
 }
@@ -270,11 +270,6 @@ std::vector<SubRequest> KvsMultiGetWorkload::Scatter(uint64_t request_id) {
   return subs;
 }
 
-uint32_t KvsMultiGetWorkload::StoreOf(uint32_t shard, uint64_t key) const {
-  if (partitioner_.scheme() == PartitionScheme::kRoundRobin) return shard;
-  return partitioner_.OwnerOf(key);
-}
-
 Service KvsMultiGetWorkload::Serve(uint32_t shard, uint64_t request_id) {
   const auto plan_it = plan_.find({request_id, shard});
   if (plan_it == plan_.end()) {
@@ -287,7 +282,7 @@ Service KvsMultiGetWorkload::Serve(uint32_t shard, uint64_t request_id) {
   for (uint64_t key : keys) {
     // Each key reads from the store that owns it under the current routing
     // table — after a migration flip that may no longer be `shard`'s.
-    const auto& store = stores_[StoreOf(shard, key)];
+    const auto& store = stores_[partitioner_.ShardOf(key)];
     const auto it = store.find(key);
     if (it != store.end()) hits.emplace(key, it->second);
   }
@@ -348,9 +343,9 @@ uint32_t KvsMultiGetWorkload::SliceOwner(uint32_t shard,
   if (partitioner_.scheme() != PartitionScheme::kRange) return shard;
   const auto it = plan_.find({request_id, shard});
   if (it == plan_.end() || it->second.empty()) return shard;
-  const uint32_t owner = partitioner_.OwnerOf(it->second.front());
+  const uint32_t owner = partitioner_.ShardOf(it->second.front());
   for (uint64_t key : it->second) {
-    if (partitioner_.OwnerOf(key) != owner) return shard;  // split slice
+    if (partitioner_.ShardOf(key) != owner) return shard;  // split slice
   }
   return owner;
 }

@@ -164,10 +164,6 @@ class KvsMultiGetWorkload : public Workload {
   void CommitMigration(const MigrationPlan& plan) override;
 
  private:
-  /// The store actually holding `key` under the current routing table
-  /// (kRoundRobin has no key ownership; callers pass the serving shard).
-  uint32_t StoreOf(uint32_t shard, uint64_t key) const;
-
   Partitioner partitioner_;
   Config config_;
   std::vector<std::unordered_map<uint64_t, uint64_t>> stores_;  ///< Per shard.

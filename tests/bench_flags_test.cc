@@ -75,6 +75,24 @@ TEST(BenchFlagsTest, ValidValuesLandInTheirTargets) {
   EXPECT_EQ(edges.fault_seed, UINT64_MAX);
 }
 
+TEST(BenchFlagsTest, GivenNamesTheFlagsTheCommandLineSet) {
+  // A flag given its default value still counts: a mode that does not read
+  // the flag must reject it whatever the value.
+  Targets t;
+  std::vector<std::string> args = {"bench", "--gather=flat", "--fault-seed=1",
+                                   "--json=out.json"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  bench::Session session(static_cast<int>(argv.size()), argv.data(), t.Table());
+  session.Fail();  // writes no JSON file
+  EXPECT_TRUE(session.Given("--gather="));
+  EXPECT_TRUE(session.Given("--fault-seed="));
+  EXPECT_TRUE(session.Given("--json="));
+  EXPECT_FALSE(session.Given("--drop-rate="));
+  EXPECT_FALSE(session.Given("--smoke"));
+  EXPECT_FALSE(session.Given("--gather"));
+}
+
 TEST(BenchFlagsDeathTest, UnknownFlagsExit2WithUsage) {
   // The removed engine-mode flags, a bool flag given a value, a valued flag
   // without one, and a flag only other benches read.

@@ -330,7 +330,7 @@ LossyRdmaResult RunLossyRdma(Driver d, double drop_rate,
   cfg.clock_hz = 200e6;
   net::Fabric fab("fab", 2, cfg);
   fab.set_fault_injector(&injector);
-  net::RdmaEndpoint::Reliability rel;
+  net::Retry rel;
   rel.max_retries = max_retries;
   net::RdmaEndpoint a("a", 0, &fab, rel);
   net::RdmaEndpoint b("b", 1, &fab, rel);

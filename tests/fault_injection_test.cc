@@ -121,7 +121,7 @@ struct LossyRdmaPair {
 
   explicit LossyRdmaPair(
       const FaultInjector::Config& cfg,
-      const RdmaEndpoint::Reliability& rel = RdmaEndpoint::Reliability())
+      const net::Retry& rel = net::Retry())
       : inj(cfg), a("a", 0, &fab, rel), b("b", 1, &fab, rel) {
     fab.set_fault_injector(&inj);
     fab.RegisterWith(e);
@@ -228,7 +228,7 @@ TEST(RdmaFaultTest, ScheduledDropOfFirstPacketIsRetransmitted) {
 TEST(RdmaFaultTest, RetryCapYieldsUnavailableCompletion) {
   FaultInjector::Config cfg;
   cfg.drop_rate = 1.0;  // the link is dead
-  RdmaEndpoint::Reliability rel;
+  net::Retry rel;
   rel.rto_cycles = 200;
   rel.max_retries = 3;
   LossyRdmaPair p(cfg, rel);
@@ -292,7 +292,7 @@ struct LossyTcpPair {
 
   explicit LossyTcpPair(
       const FaultInjector::Config& cfg,
-      const TcpStack::Reliability& rel = TcpStack::Reliability())
+      const net::Retry& rel = net::Retry())
       : inj(cfg), a("a", 0, &fab, TcpStack::Config{}, rel),
         b("b", 1, &fab, TcpStack::Config{}, rel) {
     fab.set_fault_injector(&inj);
@@ -368,7 +368,7 @@ TEST(TcpFaultTest, DelaySpikesReorderAndAreBuffered) {
 TEST(TcpFaultTest, DeadLinkFailsConnectionWithUnavailable) {
   FaultInjector::Config cfg;
   cfg.drop_rate = 1.0;
-  TcpStack::Reliability rel;
+  net::Retry rel;
   rel.rto_cycles = 200;
   rel.max_retries = 3;
   LossyTcpPair p(cfg, rel);
@@ -421,7 +421,7 @@ struct LossyKvs {
   sim::Engine e;
 
   explicit LossyKvs(const FaultInjector::Config& cfg,
-                    const kvs::KvClient::Retry& retry = kvs::KvClient::Retry())
+                    const net::Retry& retry = net::Retry())
       : inj(cfg), server("kvs", 1, &fab, kvs::SmartNicKvs::Config{}),
         client("cli", 0, 1, &fab, retry) {
     fab.set_fault_injector(&inj);
@@ -470,7 +470,7 @@ TEST(KvsFaultTest, RetriesDeliverEveryResponse) {
 TEST(KvsFaultTest, DeadLinkLatchesUnavailable) {
   FaultInjector::Config cfg;
   cfg.drop_rate = 1.0;
-  kvs::KvClient::Retry retry;
+  net::Retry retry;
   retry.rto_cycles = 200;
   retry.max_retries = 2;
   LossyKvs k(cfg, retry);
@@ -551,9 +551,9 @@ TEST(AcclFaultTest, WholeScheduleRetrySucceedsAfterInjectedFailure) {
   inj.Schedule({/*cycle=*/0, FaultInjector::kAnyNode, FaultInjector::kAnyNode,
                 FaultKind::kDrop});
   comm.set_fault_injector(&inj);
-  net::RdmaEndpoint::Reliability rel;
+  net::Retry rel;
   rel.max_retries = 0;  // base RTO stays default, comfortably above the RTT
-  comm.set_rdma_reliability(rel);
+  comm.set_retry(rel);
   comm.set_max_attempts(3);
   std::vector<std::vector<float>> bufs(4, std::vector<float>(1024, 0.f));
   for (size_t i = 0; i < bufs[0].size(); ++i) bufs[0][i] = float(i);
@@ -572,10 +572,10 @@ TEST(AcclFaultTest, ExhaustedAttemptsReportPartialOutcome) {
   cfg.drop_rate = 1.0;
   FaultInjector inj(cfg);
   comm.set_fault_injector(&inj);
-  net::RdmaEndpoint::Reliability rel;
+  net::Retry rel;
   rel.rto_cycles = 200;
   rel.max_retries = 1;
-  comm.set_rdma_reliability(rel);
+  comm.set_retry(rel);
   comm.set_max_attempts(2);
   std::vector<std::vector<float>> bufs(4, std::vector<float>(256, 1.f));
   auto stats = comm.Broadcast(0, bufs);

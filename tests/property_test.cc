@@ -20,6 +20,7 @@
 #include "src/relational/fpga_executor.h"
 #include "src/relational/program.h"
 #include "src/relational/table.h"
+#include "src/serve/synthetic.h"
 #include "src/shard/partitioner.h"
 #include "src/shard/replica.h"
 #include "src/shard/shard.h"
@@ -337,31 +338,36 @@ TEST_P(SeededProperty, MicroRecPlacementInvariants) {
   }
 }
 
-TEST_P(SeededProperty, RoundRobinPartitionerBalancesAdversarialKeys) {
+TEST_P(SeededProperty, SyntheticScatterBalancesStartShardsOnAdversarialIds) {
   const uint64_t seed = GetParam();
   Rng rng(seed);
   for (uint32_t n : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    // Four adversarial key generators that wreck modulo partitioning:
-    // one constant key, keys strided by the shard count, power-of-two
-    // keys, and uniform random keys.
+    // Four adversarial request-id streams that would wreck a start shard
+    // derived from the id (id % n): one repeated id, ids strided by the
+    // shard count, power-of-two ids, and uniform random ids.
     for (int pattern = 0; pattern < 4; ++pattern) {
-      shard::Partitioner p = shard::Partitioner::RoundRobin(n);
-      std::vector<uint64_t> counts(n, 0);
+      serve::SyntheticWorkload::Config wc;
+      wc.num_shards = n;
+      wc.fanout = 1 + static_cast<uint32_t>(rng.NextBounded(n));
+      serve::SyntheticWorkload wl(wc);
       const size_t total = 500 + rng.NextBounded(1000);
+      for (size_t i = 0; i < total; ++i) wl.AddRequest(100);
+      std::vector<uint64_t> counts(n, 0);
       for (size_t i = 0; i < total; ++i) {
-        uint64_t key = 0;
+        uint64_t id = 0;
         switch (pattern) {
-          case 0: key = 42; break;
-          case 1: key = i * n; break;
-          case 2: key = uint64_t{1} << (i % 63); break;
-          default: key = rng.Next(); break;
+          case 0: id = 42; break;
+          case 1: id = i * n % total; break;
+          case 2: id = (uint64_t{1} << (i % 63)) % total; break;
+          default: id = rng.NextBounded(total); break;
         }
-        const uint32_t shard = p.ShardOf(key);
-        ASSERT_LT(shard, n);
-        ++counts[shard];
+        const std::vector<shard::SubRequest> subs = wl.Scatter(id);
+        ASSERT_EQ(subs.size(), wc.fanout);
+        // The fanout window's start cycles the shards in call order.
+        ASSERT_EQ(subs[0].shard, i % n);
+        ++counts[subs[0].shard];
       }
-      // A true round-robin cursor balances within +-1 on ANY key stream —
-      // the property modulo partitioning loses on patterns 0-2.
+      // So start shards balance within +-1 on ANY id stream.
       const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
       EXPECT_LE(*hi - *lo, 1u)
           << "n=" << n << " pattern=" << pattern << " total=" << total;

@@ -237,9 +237,9 @@ TEST(AdmissionTest, QueueDepthPolicyShedsAtMaxPending) {
   cc.coordinator.max_pending = 2;
   shard::ShardCluster cluster(&wl, cc);
   auto& coord = cluster.coordinator();
-  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(100), OneSlice(0, 100), 0, 1000));
-  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(100), OneSlice(1, 100), 0, 1000));
-  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(100), OneSlice(0, 100), 0, 1000));
+  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(100), OneSlice(0, 100), 1000));
+  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(100), OneSlice(1, 100), 1000));
+  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(100), OneSlice(0, 100), 1000));
   EXPECT_EQ(coord.ingress_shed(), 1u);
 }
 
@@ -255,12 +255,12 @@ TEST(AdmissionTest, DeadlineFeasibilityShedsWhenBacklogOverrunsTheBudget) {
   shard::ShardCluster cluster(&wl, cc);
   auto& coord = cluster.coordinator();
   // ETA of the first request: wire 100 + backlog 0 + service 400 = 500.
-  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 0, 499));
-  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 0, 500));
+  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 499));
+  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 500));
   EXPECT_EQ(coord.queued_cost(0), 400u);
   // Second request sits behind the first: ETA = 100 + 400 + 400 = 900.
-  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 0, 899));
-  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 0, 900));
+  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 899));
+  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 900));
   EXPECT_EQ(coord.queued_cost(0), 800u);
   EXPECT_EQ(coord.ingress_shed(), 2u);
 }
@@ -277,8 +277,8 @@ TEST(AdmissionTest, HeadroomTightensTheBudget) {
   shard::ShardCluster cluster(&wl, cc);
   auto& coord = cluster.coordinator();
   // ETA 500 now needs a deadline of 1000 (only 50% may be planned into).
-  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 0, 999));
-  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 0, 1000));
+  EXPECT_FALSE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 999));
+  EXPECT_TRUE(coord.TrySubmit(wl.AddRequest(400), OneSlice(0, 400), 1000));
 }
 
 TEST(AdmissionTest, ServedSlicesReleaseBacklogAndTrainTheEstimator) {
@@ -310,7 +310,7 @@ TEST(AdmissionTest, ServedSlicesReleaseBacklogAndTrainTheEstimator) {
     }
     for (int i = 0; i < kRequests; ++i) {
       const uint64_t id = wl.AddRequest(kService);
-      ASSERT_TRUE(coord.TrySubmit(id, wl.Scatter(id), 0, 1u << 20));
+      ASSERT_TRUE(coord.TrySubmit(id, wl.Scatter(id), 1u << 20));
     }
     ASSERT_TRUE(cluster.Run().ok());
     shard::PartialOutcome out;

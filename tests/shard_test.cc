@@ -35,35 +35,6 @@ TEST(PartitionerTest, HashCoversAllShardsDeterministically) {
   EXPECT_EQ(seen.size(), 4u);
 }
 
-TEST(PartitionerTest, ModuloMapsKeyValue) {
-  Partitioner p = Partitioner::Modulo(3);
-  EXPECT_EQ(p.ShardOf(0), 0u);
-  EXPECT_EQ(p.ShardOf(1), 1u);
-  EXPECT_EQ(p.ShardOf(2), 2u);
-  EXPECT_EQ(p.ShardOf(3), 0u);
-  EXPECT_EQ(p.ShardOf(3), 0u);  // stateless: same key, same shard
-}
-
-TEST(PartitionerTest, ModuloSkewsOnStridedKeys) {
-  // The failure mode that motivated a true round-robin scheme: all-even
-  // keys on two shards land entirely on shard 0 under modulo.
-  Partitioner p = Partitioner::Modulo(2);
-  for (uint64_t key = 0; key < 100; key += 2) {
-    EXPECT_EQ(p.ShardOf(key), 0u);
-  }
-}
-
-TEST(PartitionerTest, RoundRobinCyclesInCallOrderIgnoringKeys) {
-  Partitioner p = Partitioner::RoundRobin(3);
-  // Identical (and adversarially strided) keys still cycle the shards.
-  EXPECT_EQ(p.ShardOf(42), 0u);
-  EXPECT_EQ(p.ShardOf(42), 1u);
-  EXPECT_EQ(p.ShardOf(42), 2u);
-  EXPECT_EQ(p.ShardOf(42), 0u);
-  EXPECT_EQ(p.ShardOf(1000), 1u);
-  EXPECT_EQ(p.ShardOf(2000), 2u);
-}
-
 TEST(PartitionerTest, RangeRespectsBounds) {
   // Shard 0 owns [0, 10], shard 1 owns (10, 100], shard 2 the rest.
   Partitioner p = Partitioner::Range({10, 100, 1000});
@@ -182,7 +153,7 @@ std::vector<uint32_t> SliceLists(const anns::IvfPqIndex& index,
                                  uint32_t shard) {
   std::vector<uint32_t> lists;
   for (uint32_t list : index.SelectProbes(query, nprobe)) {
-    if (partitioner.OwnerOf(list) == shard) lists.push_back(list);
+    if (partitioner.ShardOf(list) == shard) lists.push_back(list);
   }
   return lists;
 }
@@ -642,19 +613,19 @@ TEST(PartitionerTest, MoveRangeSplitsAndCoalescesSegments) {
   EXPECT_TRUE(p.RangeOwnedBy(20, 60, 1));
   EXPECT_FALSE(p.RangeOwnedBy(5, 60, 1));
   p.MoveRange(20, 60, 2);
-  EXPECT_EQ(p.OwnerOf(19), 1u);
-  EXPECT_EQ(p.OwnerOf(20), 2u);
-  EXPECT_EQ(p.OwnerOf(60), 2u);
-  EXPECT_EQ(p.OwnerOf(61), 1u);
-  EXPECT_EQ(p.OwnerOf(100), 1u);
-  EXPECT_EQ(p.OwnerOf(101), 2u);
-  EXPECT_EQ(p.OwnerOf(1u << 20), 2u);  // tail above the last bound
+  EXPECT_EQ(p.ShardOf(19), 1u);
+  EXPECT_EQ(p.ShardOf(20), 2u);
+  EXPECT_EQ(p.ShardOf(60), 2u);
+  EXPECT_EQ(p.ShardOf(61), 1u);
+  EXPECT_EQ(p.ShardOf(100), 1u);
+  EXPECT_EQ(p.ShardOf(101), 2u);
+  EXPECT_EQ(p.ShardOf(1u << 20), 2u);  // tail above the last bound
   EXPECT_TRUE(p.RangeOwnedBy(20, 60, 2));
   // Move it back: the table re-coalesces to the original ownership.
   p.MoveRange(20, 60, 1);
   for (uint64_t k = 0; k <= 110; ++k) {
     const uint32_t expected = k <= 10 ? 0u : (k <= 100 ? 1u : 2u);
-    EXPECT_EQ(p.OwnerOf(k), expected) << "key " << k;
+    EXPECT_EQ(p.ShardOf(k), expected) << "key " << k;
   }
 }
 
